@@ -132,11 +132,13 @@ class ReverseKRanksEngine:
         indexed algorithm; :meth:`build_index` constructs one in place.
 
     Class attribute ``index_sync_threshold`` (overridable per instance)
-    bounds how far the worker pool's hub-index snapshots may lag the
-    master index's learning before the next parallel batch pushes a
-    fresh snapshot to the workers: once the master's
-    :attr:`~repro.core.hub_index.HubIndex.revision` has moved that many
-    ``record_*`` calls past the snapshot, :meth:`query_many` re-syncs.
+    bounds how much *master-local* learning the worker pool's index
+    replicas may lack before the next parallel batch pushes a fresh
+    snapshot to the workers.  Learning the workers also receive — merged
+    shard learning, sharded repair rows, forwarded as deltas — is not
+    drift; drift counts only the
+    :attr:`~repro.core.hub_index.HubIndex.revision` steps the master
+    made alone (sequential queries, ``merge_delta`` of journal replays).
     Lag never affects correctness (every recorded rank is exact), only
     how much work workers re-derive; ``1`` means "re-sync on any drift".
 
@@ -150,7 +152,7 @@ class ReverseKRanksEngine:
     """
 
     #: Re-snapshot the worker pool's hub index once the master has
-    #: learned this many record_* calls past the workers' snapshot.
+    #: learned this many revisions the workers did not receive.
     index_sync_threshold: int = 1024
 
     #: Smallest unique-query batch worth dispatching on the worker pool.
@@ -225,10 +227,13 @@ class ReverseKRanksEngine:
         self._pool_version: Optional[int] = None
         self._pool_context: Optional[str] = None
         self._pool_index = None
-        # The master index's learned-state revision at the moment the
-        # workers' snapshot was taken; when the master drifts past it by
-        # index_sync_threshold record_* calls, _ensure_pool re-snapshots
-        # the workers (see WorkerPool.update_index).
+        # The master index revision the workers' replicas correspond to:
+        # set at each snapshot and advanced by every change they also
+        # receive, so index.revision minus it is master-local drift;
+        # past index_sync_threshold, _ensure_pool re-snapshots the
+        # workers (see WorkerPool.update_index).  None when the replicas
+        # may know more than the master (a batch raised): the next sync
+        # must be a snapshot.
         self._pool_index_revision: Optional[int] = None
         # Reusable epoch-stamped scratch memory, threaded through every
         # SDS-tree query this engine answers (worker-process engines get
@@ -529,10 +534,17 @@ class ReverseKRanksEngine:
           dropped and re-explored, and the resulting
           :class:`~repro.core.hub_index.HubIndexDelta` is returned on
           the report for journaling;
-        * a live worker pool receives the new side-table (and the
-          repaired index state) over its broadcast channel — the workers
-          rebuild their overlay over the base they already hold, no
-          teardown, no process churn.
+        * a live worker pool receives the new side-table over its
+          broadcast channel — the workers rebuild their overlay over the
+          base they already hold, no teardown, no process churn.  While
+          the workers' index replicas are in step with the master, the
+          same round trip shards the repair: each worker applies the
+          master's drops and re-explores a contiguous chunk of the
+          affected hubs, and the master installs the chunks in hub order
+          (bit-identical to repairing alone).  Otherwise the master
+          repairs alone and ships a snapshot.  A worker that crashes or
+          raises mid-sync costs the pool (dropped, rebuilt lazily;
+          ``pool_synced=False``), never the update.
 
         Supported operations (tuples, applied in order)::
 
@@ -748,52 +760,71 @@ class ReverseKRanksEngine:
             csr = self.compact_graph()  # full compile; resets overlay state
             recompacted = True
 
-        # ---- Hub index: repair in place -------------------------------
+        # ---- Hub index repair + worker pool sync ----------------------
+        pool = self._pool
+        if pool is not None and (pool.is_closed or recompacted):
+            # Node removal / threshold crossing renumbers the CSR node
+            # table the workers hold; the next parallel batch rebuilds.
+            self.close_pool()
+            pool = None
+        explore = None
+        synced = []
+        if (
+            pool is not None
+            and self._index is not None
+            and self._pool_index is self._index
+            and self._pool_index_revision is not None
+        ):
+            # The workers' replicas know no more than the master, so the
+            # graph broadcast doubles as the repair's exploration round
+            # trip: each worker re-explores a chunk of the hubs.
+            def explore_on_pool(drops, hubs, limit):
+                try:
+                    rows = pool.update_graph(
+                        csr, csr.overlay_state(), repair=(drops, hubs, limit)
+                    )
+                except ParallelExecutionError:
+                    return []  # the master explores every hub itself
+                synced.append(True)
+                return rows
+
+            explore = explore_on_pool
         index_delta = None
         if self._index is not None:
+            before = self._index.revision
             index_delta = self._index.repair(
                 touched_order,
                 search_graph=csr,
                 conservative=zero_weight,
                 removed_nodes=removed_set,
+                explore=explore,
             )
             self._m_index_repairs.inc()
-
-        # ---- Worker pool: broadcast, don't tear down ------------------
-        pool_synced = False
-        if self._pool is not None and not self._pool.is_closed:
-            if recompacted:
-                # Node removal / threshold crossing renumbers the CSR node
-                # table the workers hold; the next parallel batch rebuilds.
-                self.close_pool()
+            if synced:
+                self._pool_index_revision += self._index.revision - before
+        if pool is not None and explore is None:
+            # Snapshot sync: the repaired master index (if any) replaces
+            # the workers' replicas.
+            try:
+                pool.update_graph(csr, csr.overlay_state(), index=self._index)
+            except ParallelExecutionError:
+                pass
             else:
-                index_state = (
-                    self._index.export_state()
-                    if self._index is not None
-                    else None
+                synced.append(True)
+                self._pool_index = self._index
+                self._pool_index_revision = (
+                    self._index.revision if self._index is not None else None
                 )
-                try:
-                    self._pool.update_graph(
-                        csr, csr.overlay_state(), index_state=index_state
-                    )
-                except WorkerCrashError:
-                    # Degrade exactly like a mid-batch crash: drop the
-                    # pool; the next parallel batch builds a fresh one
-                    # over the current compilation.
-                    self.close_pool()
-                except ParallelExecutionError:
-                    self.close_pool()
-                    raise
-                else:
-                    pool_synced = True
-                    self._pool_version = post_version
-                    self._pool_index = self._index
-                    self._pool_index_revision = (
-                        self._index.revision
-                        if self._index is not None
-                        else None
-                    )
-                    self._m_pool_graph_syncs.inc()
+        pool_synced = bool(synced)
+        if pool_synced:
+            self._pool_version = post_version
+            self._m_pool_graph_syncs.inc()
+        elif pool is not None:
+            # A worker crashed or raised mid-sync (WorkerCrashError is a
+            # ParallelExecutionError): degrade exactly like a mid-batch
+            # crash — drop the pool; the next parallel batch builds a
+            # fresh one over the current compilation.
+            self.close_pool()
 
         return UpdateReport(
             applied=applied,
@@ -1273,19 +1304,15 @@ class ReverseKRanksEngine:
         The *rebuild* key is (worker count, start method, graph mutation
         version): a mutated graph means the workers hold a wrong
         compilation, and process count / start method cannot change in
-        place.  Hub-index drift no longer rebuilds the pool — the workers
-        are *re-synced* in place via
+        place.  Hub-index drift never rebuilds the pool — the workers
+        are *re-synced* in place with a snapshot via
         :meth:`~repro.parallel.pool.WorkerPool.update_index` whenever the
         master index was replaced (a new object may carry a different
-        capacity, which worker-side k validation must agree with) or its
-        learned-state :attr:`~repro.core.hub_index.HubIndex.revision` has
-        drifted at least :attr:`index_sync_threshold` ``record_*`` calls
-        past the workers' snapshot.  Previously the snapshot was keyed by
-        index *identity* only, so everything the master learned between
-        batches (sequential queries, ``merge_delta``, journal replay)
-        never reached the workers and they kept re-deriving ranks the
-        master already knew.  Lag costs recomputation, never correctness
-        (every recorded rank is exact).
+        capacity, which worker-side k validation must agree with), the
+        replicas may have diverged (a batch raised), or the master's
+        local learning — revisions the workers did not receive as
+        deltas — reached :attr:`index_sync_threshold`.  Lag costs
+        recomputation, never correctness (every recorded rank is exact).
         """
         from repro.parallel import WorkerPool
 
@@ -1303,9 +1330,6 @@ class ReverseKRanksEngine:
             if stale:
                 self.close_pool()
         if self._pool is None:
-            index_state = (
-                self._index.export_state() if self._index is not None else None
-            )
             facilities = (
                 self._partition.facilities if self._partition is not None else None
             )
@@ -1323,7 +1347,7 @@ class ReverseKRanksEngine:
             self._pool = WorkerPool(
                 init_graph,
                 workers=workers,
-                index_state=index_state,
+                index=self._index,
                 facilities=facilities,
                 context=worker_context,
                 crash_retries=self.pool_crash_retries,
@@ -1344,8 +1368,10 @@ class ReverseKRanksEngine:
                 or self._index.revision - self._pool_index_revision >= threshold
             )
             if drifted:
+                # Until the snapshot lands the replicas are unknown.
+                self._pool_index_revision = None
                 try:
-                    self._pool.update_index(self._index.export_state())
+                    self._pool.update_index(self._index)
                 except WorkerCrashError:
                     self.close_pool()
                     raise
@@ -1404,12 +1430,23 @@ class ReverseKRanksEngine:
             # instead of re-dispatching shards to the corpse forever.
             self.close_pool()
             raise
+        except ParallelExecutionError:
+            # A shard raised: workers that finished may have learned
+            # ranks the master never merges, so the next sync must be a
+            # snapshot.
+            self._pool_index_revision = None
+            raise
         if kind is AlgorithmKind.INDEXED and self._index is not None:
             # Deltas arrive in shard order (see merge_shard_outputs), so
             # the last-writer-wins merge is deterministic run to run.
+            before = self._index.revision
             with tracer.span("engine.merge_deltas", deltas=len(outcome.deltas)):
                 for delta in outcome.deltas:
                     self._index.merge_delta(delta)
+            # The pool forwards every delta to the workers that lack it:
+            # merged shard learning is not master-local drift.
+            if self._pool_index_revision is not None:
+                self._pool_index_revision += self._index.revision - before
         # "none" means never collected — mark it unavailable rather than
         # presenting a zeroed QueryStats as if the batch did no work.
         self.last_batch_stats = (

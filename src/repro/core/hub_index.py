@@ -37,7 +37,8 @@ import os
 import pickle
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
@@ -73,6 +74,9 @@ def _graph_digest(graph) -> str:
     return digest.hexdigest()
 
 NodeId = Hashable
+
+#: Placeholder source before the first run in :meth:`HubIndex._record_delta`.
+_NO_SOURCE = object()
 
 __all__ = ["HubIndex", "HubIndexDelta"]
 
@@ -314,17 +318,45 @@ class HubIndex:
             index.merge_delta(delta)
         return index
 
-    def _explore_hub(self, hub: NodeId, limit: int, search_graph=None) -> None:
-        """Settle up to ``limit`` nodes around ``hub``, recording their ranks."""
-        settled = 0
+    def explore_hubs(
+        self, hubs, limit: int, search_graph=None
+    ) -> List[Tuple[NodeId, Dict[NodeId, int]]]:
+        """Settle up to ``limit`` nodes around each hub, in order, recording them.
+
+        Returns the ``(hub, row)`` pairs recorded — ``row`` maps each
+        settled node to its exact rank, in settling order — so a pool
+        worker can ship its share of a repair to the parent, which
+        installs them with :meth:`merge_rows`.  ``search_graph`` (default:
+        the index's own graph) is what the explorations run on.
+        """
+        return [(hub, self._explore_hub(hub, limit, search_graph)) for hub in hubs]
+
+    def _explore_hub(
+        self, hub: NodeId, limit: int, search_graph=None
+    ) -> Dict[NodeId, int]:
+        """Settle up to ``limit`` nodes around ``hub``; record and return the row."""
+        row: Dict[NodeId, int] = {}
         for node, _, rank in rank_stream(
             self._graph if search_graph is None else search_graph, hub
         ):
-            self.record_rank(hub, node, int(rank))
-            settled += 1
-            if settled >= limit:
+            row[node] = int(rank)
+            if len(row) >= limit:
                 break
-        self.record_exploration(hub, settled)
+        self._record_row(hub, row)
+        self.record_exploration(hub, len(row))
+        return row
+
+    def merge_rows(self, rows) -> None:
+        """Record ``(hub, row)`` explorations, one whole row per hub.
+
+        Equivalent — values, dict insertion orders and :attr:`revision`
+        — to the :meth:`record_rank` / :meth:`record_exploration` calls
+        that exploring the hubs here, in the same order, would make.  The
+        rows must describe this index's graph version; nothing checks it.
+        """
+        for hub, row in rows:
+            self._record_row(hub, row)
+            self.record_exploration(hub, len(row))
 
     # ------------------------------------------------------------------
     # Persistence (stdlib-only; lets servers restart warm)
@@ -572,6 +604,55 @@ class HubIndex:
         index._explore_limit = state.get("explore_limit")
         return index
 
+    def rebind(self, graph) -> None:
+        """Bind the index, as it stands, to ``graph``.
+
+        A pool worker keeps its index across a graph update instead of
+        rebuilding it from a snapshot: it applies the repair's drops
+        (advancing the index to the new version), then rebinds to the
+        overlay it rebuilt for that version.
+
+        Raises
+        ------
+        IndexParameterError
+            When ``graph`` is not at the index's graph version.
+        """
+        version = getattr(graph, "version", None)
+        if self._graph_version is not None and version != self._graph_version:
+            raise IndexParameterError(
+                f"cannot rebind a hub index at graph version "
+                f"{self._graph_version} to a graph at version {version}"
+            )
+        self._graph = graph
+
+    def content_digest(self) -> str:
+        """Digest of everything the index knows, whatever the dict orders.
+
+        Covers the graph version, capacity, exploration budget, hub list
+        and all four dictionaries, each walked in sorted key order — so
+        a pool worker, which receives the same knowledge in a different
+        order than the master, digests equal to it exactly when both
+        know the same.
+        """
+
+        def ordered(table):
+            return sorted(table.items(), key=lambda item: repr(item[0]))
+
+        digest = hashlib.sha256()
+        digest.update(
+            repr(
+                (self._graph_version, self._capacity, self._explore_limit,
+                 self._hubs)
+            ).encode()
+        )
+        for table in (self._known, self._reverse):
+            for key, entries in ordered(table):
+                digest.update(repr((key, ordered(entries))).encode())
+            digest.update(b"#")
+        for table in (self._check, self._explored):
+            digest.update(repr(ordered(table)).encode())
+        return digest.hexdigest()
+
     def start_learning_log(self) -> None:
         """Begin capturing subsequent :meth:`record_rank` /
         :meth:`record_exploration` calls into a fresh delta.
@@ -631,10 +712,7 @@ class HubIndex:
                 f"{delta.graph_version}, index built for {self._graph_version}; "
                 "discard it and re-learn"
             )
-        for (source, target), rank in delta.ranks.items():
-            self.record_rank(source, target, rank)
-        for node, settled in delta.explorations.items():
-            self.record_exploration(node, settled)
+        self._record_delta(delta)
         return len(delta.ranks)
 
     def _merge_repair_delta(self, delta: HubIndexDelta, repaired_to: int) -> int:
@@ -665,11 +743,29 @@ class HubIndex:
         for source in getattr(delta, "removed_sources", ()):
             self._drop_source(source)
         self._graph_version = repaired_to
+        self._record_delta(delta)
+        return len(delta.ranks)
+
+    def _record_delta(self, delta: HubIndexDelta) -> None:
+        """Record ``delta``'s ranks and explorations in their iteration order.
+
+        Each run of consecutive entries from one source is recorded as
+        one row (:meth:`_record_row`), so the result — values and every
+        dict insertion order — is that of replaying the entries through
+        :meth:`record_rank` one by one, at a fraction of the calls.
+        """
+        run_source: object = _NO_SOURCE
+        run: Dict[NodeId, int] = {}
         for (source, target), rank in delta.ranks.items():
-            self.record_rank(source, target, rank)
+            if source != run_source:
+                if run:
+                    self._record_row(run_source, run)
+                run_source, run = source, {}
+            run[target] = rank
+        if run:
+            self._record_row(run_source, run)
         for node, settled in delta.explorations.items():
             self.record_exploration(node, settled)
-        return len(delta.ranks)
 
     # ------------------------------------------------------------------
     # Incremental repair after graph mutations
@@ -678,12 +774,17 @@ class HubIndex:
         """Forget everything recorded from ``source``, back-references included."""
         targets = self._known.pop(source, None)
         if targets:
-            for target in targets:
-                back = self._reverse.get(target)
-                if back is not None:
-                    back.pop(source, None)
-                    if not back:
-                        del self._reverse[target]
+            capacity = self._capacity
+            reverse = self._reverse
+            # Only ranks within capacity ever entered the Reverse Rank
+            # Dictionary (record_rank / _record_row).
+            for target, rank in targets.items():
+                if rank <= capacity:
+                    back = reverse.get(target)
+                    if back is not None:
+                        back.pop(source, None)
+                        if not back:
+                            del reverse[target]
         self._check.pop(source, None)
         self._explored.pop(source, None)
         self._revision += 1
@@ -694,6 +795,7 @@ class HubIndex:
         search_graph=None,
         conservative: bool = False,
         removed_nodes=(),
+        explore=None,
     ) -> HubIndexDelta:
         """Incrementally repair the index after a graph mutation.
 
@@ -755,6 +857,19 @@ class HubIndex:
             edge was removed or its weight raised).
         removed_nodes:
             Nodes deleted from the graph; implicitly part of ``touched``.
+        explore:
+            Optional ``explore(drops, hubs, limit)`` hook that re-explores
+            the affected hubs elsewhere — the engine's worker pool, each
+            worker a contiguous chunk on its own copy of the mutated
+            graph (see :meth:`~repro.parallel.pool.WorkerPool.update_graph`).
+            ``drops`` is the repair delta before any re-exploration
+            (``removed_sources`` and the two versions), ``hubs`` the
+            affected hubs in hub order, ``limit`` the exploration budget.
+            It returns the ``(hub, row)`` pairs of
+            :meth:`explore_hubs` for a prefix of ``hubs`` (all of them,
+            or none when the pool failed); they are installed in order
+            and the index explores the rest itself, so the result is
+            bit-identical to a repair without the hook.
 
         Returns
         -------
@@ -804,7 +919,10 @@ class HubIndex:
                     seen.add(hub)
         else:
             for source, targets in self._known.items():
-                if source in touched_set or not touched_set.isdisjoint(targets):
+                # dict_keys.isdisjoint walks the smaller side: touched.
+                if source in touched_set or not targets.keys().isdisjoint(
+                    touched_set
+                ):
                     affected.append(source)
                     seen.add(source)
             # Sources with exploration counts but no surviving rank
@@ -828,18 +946,25 @@ class HubIndex:
             removed_sources=tuple(affected),
             repaired_to_version=new_version,
         )
+        hubs = [hub for hub in self._hubs if hub in seen]
         limit = (
             self._graph.num_nodes
             if self._explore_limit is None
             else self._explore_limit
         )
+        # The hook gets its own copy: ``delta`` fills up below.
+        rows = (
+            explore(replace(delta, ranks={}, explorations={}), hubs, limit)
+            if explore is not None
+            else []
+        )
         # Route the re-explorations through the delta so replicas receive
         # exactly what the master re-learned.
         self._learning_log = delta
         try:
-            for hub in self._hubs:
-                if hub in seen:
-                    self._explore_hub(hub, limit, search_graph)
+            self.merge_rows(rows)
+            for hub in hubs[len(rows):]:
+                self._explore_hub(hub, limit, search_graph)
         finally:
             self._learning_log = None
         return delta
@@ -871,14 +996,18 @@ class HubIndex:
     def revision(self) -> int:
         """Monotonic learned-state revision of this index *object*.
 
-        Incremented by every :meth:`record_rank` /
-        :meth:`record_exploration` call (including those replayed by
-        :meth:`merge_delta`), so a consumer holding a point-in-time
-        snapshot — the worker pool — can cheaply tell how far the master
-        has learned past it and re-snapshot when the drift crosses a
-        threshold.  The counter is local to the object: it is *not*
-        serialised by :meth:`export_state`/:meth:`save` (a freshly loaded
-        or rebuilt index starts at whatever its construction recorded).
+        Incremented once per recorded rank entry and per exploration
+        (including those replayed by :meth:`merge_delta` and
+        :meth:`merge_rows`) and once per source a repair drops.  The
+        engine uses it to measure *master-local* drift: it advances its
+        mark of what the worker pool knows by every change the workers
+        also receive (merged shard learning, sharded repairs), so
+        ``revision`` minus that mark counts only learning the workers
+        lack, and a snapshot ships once it crosses
+        :attr:`~repro.core.engine.ReverseKRanksEngine.index_sync_threshold`.
+        The counter is local to the object: it is *not* serialised by
+        :meth:`export_state`/:meth:`save` (a freshly loaded or rebuilt
+        index starts at whatever its construction recorded).
         """
         return self._revision
 
@@ -968,6 +1097,39 @@ class HubIndex:
         log = self._learning_log
         if log is not None:
             log.ranks[(source, target)] = rank
+
+    def _record_row(self, source: NodeId, row: Dict[NodeId, int]) -> None:
+        """Record ``Rank(source, t)`` for every ``(t, rank)`` of ``row``.
+
+        The batched form of one :meth:`record_rank` call per entry, in
+        row order: same values, same dict insertion orders, same
+        :attr:`revision` and learning-log entries.  ``row`` is copied,
+        never aliased — a row may still be queued for pickling to a pool
+        worker while the index learns on.
+        """
+        if not row:
+            return
+        known = self._known.get(source)
+        if known is None:
+            known = self._known[source] = {}
+        known.update(row)
+        capacity = self._capacity
+        reverse = self._reverse
+        for target, rank in row.items():
+            if rank <= capacity:
+                back = reverse.get(target)
+                if back is None:
+                    reverse[target] = {source: rank}
+                else:
+                    back[source] = rank
+        top = max(row.values())
+        current = self._check.get(source)
+        if current is None or top > current:
+            self._check[source] = top
+        self._revision += len(row)
+        log = self._learning_log
+        if log is not None:
+            log.ranks.update(zip(zip(repeat(source), row), row.values()))
 
     def record_exploration(self, node: NodeId, settled: int) -> None:
         """Account one exploration from ``node`` that settled ``settled`` nodes."""

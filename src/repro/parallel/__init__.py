@@ -11,7 +11,8 @@ substrate that exploits the former and reconciles the latter:
   batch chunking (round-robin, cost-estimated, cache-affinity);
 * :mod:`repro.parallel.worker` — the spawn-safe worker process entry
   point (a private engine per worker, rebuilt from one pickled graph
-  compilation + hub-index snapshot);
+  compilation + hub-index snapshot, then kept in step with the master
+  index by forwarded deltas);
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`, the persistent
   process pool with startup barrier, typed crash surfacing and graceful
   shutdown;

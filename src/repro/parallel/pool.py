@@ -2,11 +2,27 @@
 
 A :class:`WorkerPool` owns ``N`` long-lived worker processes around one
 :class:`~repro.graph.csr.CompactGraph` compilation (plus, optionally, a
-bichromatic facility set and a
-:meth:`~repro.core.hub_index.HubIndex.export_state` snapshot).  Batches
-are then dispatched shard-wise — the payload per batch is just the query
-identifiers — and reassembled deterministically by
+bichromatic facility set and a replica of the coordinator's hub index).
+Batches are then dispatched shard-wise — the payload per batch is just
+the query identifiers — and reassembled deterministically by
 :mod:`repro.parallel.merge`.
+
+Index replicas
+--------------
+Each worker starts from a :meth:`~repro.core.hub_index.HubIndex.export_state`
+snapshot of the coordinator's (master) index and is then kept in step
+by deltas, not snapshots.  Whatever one worker learns in a query shard,
+and whatever rows it re-explores in a sharded repair
+(:meth:`WorkerPool.update_graph`), reaches the master through the
+batch result; the pool queues it for every *other* worker and ships it
+with that worker's next task (never back to the worker that made it:
+exploration counts add).  A full snapshot ships only at pool start,
+when a worker is respawned (exported from the master at that moment,
+its queued deltas dropped), and when the coordinator asks for one
+(:meth:`WorkerPool.update_index`, or :meth:`WorkerPool.update_graph`
+with ``index``).  A worker therefore never knows more than the master,
+which is what keeps the master's affected-source test in
+:meth:`~repro.core.hub_index.HubIndex.repair` sound for the replicas.
 
 Graph transport
 ---------------
@@ -41,8 +57,8 @@ Lifecycle guarantees
   :class:`~repro.errors.ParallelExecutionError`; a worker that *dies*
   (signal, OOM kill, interpreter abort) is detected by liveness polling.
   :meth:`run_batch` heals from deaths in place: the dead slot is
-  respawned from the retained startup state (with the *latest*
-  hub-index snapshot, not the construction-time one) and the shards the
+  respawned from the retained startup state (with a fresh export of
+  the master hub index, not the construction-time one) and the shards the
   casualty was holding are re-dispatched, up to ``crash_retries`` deaths
   per batch — only then does the batch fail with
   :class:`~repro.errors.WorkerCrashError` naming the unanswered
@@ -162,10 +178,13 @@ class WorkerPool:
         module docstring).
     workers:
         Number of worker processes (>= 1).
-    index_state:
-        Optional :meth:`~repro.core.hub_index.HubIndex.export_state`
-        snapshot; workers rebuild a private index from it and report
-        their learning back per batch.
+    index:
+        Optional master :class:`~repro.core.hub_index.HubIndex`; each
+        worker starts from an
+        :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot of
+        it and reports its learning back per batch.  The pool keeps the
+        reference so a respawned worker starts from the master's state
+        at that moment (see *Index replicas* in the module docstring).
     facilities:
         Optional bichromatic facility (V2) node set; workers rebuild the
         partition from it.
@@ -203,7 +222,7 @@ class WorkerPool:
         self,
         graph,
         workers: int,
-        index_state: Optional[Dict[str, object]] = None,
+        index=None,
         facilities=None,
         context: Optional[str] = None,
         start_timeout: float = 60.0,
@@ -250,7 +269,6 @@ class WorkerPool:
 
         self._num_workers = workers
         self._start_method = ctx.get_start_method()
-        self._has_index = index_state is not None
         self._job_ids = itertools.count()
         # The *base* compilation: the only graph the workers' startup
         # transports (shared segment or pickled copy) ever carry.
@@ -267,13 +285,14 @@ class WorkerPool:
         else:
             self._graph = graph
         # Retained so a dead slot can be respawned with current state:
-        # _index_state tracks update_index() broadcasts and
-        # _graph_update_state tracks update_graph() broadcasts, so
-        # replacements start from the latest snapshots, not the
-        # construction-time ones.
+        # the master index (exported at respawn time) and the latest
+        # update_graph() side-table, not the construction-time ones.
         self._ctx = ctx
-        self._index_state = index_state
+        self._index = index
         self._graph_update_state = graph_update
+        # Per worker: learning and repair rows other workers produced
+        # that this one has not received yet; shipped with its next task.
+        self._pending: List[list] = [[] for _ in range(workers)]
         self._facilities = facilities
         self._start_timeout = start_timeout
         self._respawn_timeout = respawn_timeout
@@ -319,6 +338,15 @@ class WorkerPool:
         )
         self._m_ipc_startup = ipc.labels(direction="startup")
         self._m_ipc_result = ipc.labels(direction="result")
+        index_syncs = metrics.counter(
+            "repro_pool_index_syncs_total",
+            "Hub-index syncs shipped to pool workers, by kind: full "
+            "snapshots (pool start, respawn, index swap, drift, recovery "
+            "after a failed batch) vs deltas (sharded repairs).",
+            labels=("kind",),
+        )
+        self._m_index_snapshots = index_syncs.labels(kind="snapshot")
+        self._m_index_deltas = index_syncs.labels(kind="delta")
         try:
             if share_graph is not False:
                 try:
@@ -334,7 +362,9 @@ class WorkerPool:
                     self._graph_owner = None
             init_bytes = build_init_payload(
                 None if self._graph_owner is not None else graph,
-                index_state=index_state,
+                index_state=(
+                    index.export_state() if index is not None else None
+                ),
                 facilities=facilities,
                 graph_handle=(
                     self._graph_owner.handle
@@ -359,6 +389,8 @@ class WorkerPool:
         except BaseException:
             self.close(timeout=2.0)
             raise
+        if index is not None:
+            self._m_index_snapshots.inc()
 
     # ------------------------------------------------------------------
     @property
@@ -373,8 +405,8 @@ class WorkerPool:
 
     @property
     def has_index(self) -> bool:
-        """Whether workers carry a hub-index snapshot."""
-        return self._has_index
+        """Whether workers carry a hub-index replica."""
+        return self._index is not None
 
     @property
     def uses_shared_graph(self) -> bool:
@@ -451,7 +483,7 @@ class WorkerPool:
         state = "closed" if self._closed else "open"
         return (
             f"<WorkerPool {state} workers={self._num_workers} "
-            f"start_method={self._start_method!r} index={self._has_index}>"
+            f"start_method={self._start_method!r} index={self.has_index}>"
         )
 
     # ------------------------------------------------------------------
@@ -478,7 +510,13 @@ class WorkerPool:
 
         ``collect_deltas`` defaults to "whenever the workers hold an
         index and the algorithm is indexed" — exactly when there is
-        learning to harvest.  ``stats_mode`` selects what stats payload
+        learning to harvest.  Each shard's learning is also queued for
+        the other workers (see *Index replicas* in the module
+        docstring); the caller merges :attr:`ParallelBatchResult.deltas`
+        into the master.  A batch that raises may leave workers knowing
+        more than the master, so the caller must ship a snapshot
+        (:meth:`update_index`) before relying on the replicas again.
+        ``stats_mode`` selects what stats payload
         the shard result blocks carry back (see
         :mod:`repro.parallel.codec`); with ``"none"`` the merged batch's
         ``stats`` is ``None``.
@@ -517,7 +555,7 @@ class WorkerPool:
         kind = AlgorithmKind(algorithm)
         check_stats_mode(stats_mode)
         if collect_deltas is None:
-            collect_deltas = self._has_index and kind is AlgorithmKind.INDEXED
+            collect_deltas = self.has_index and kind is AlgorithmKind.INDEXED
         if crash_retries is None:
             crash_retries = self._crash_retries
         job_id = next(self._job_ids)
@@ -527,10 +565,12 @@ class WorkerPool:
         batch_started = time.perf_counter()
 
         def dispatch(shard) -> None:
-            self._task_queues[shard.index % self._num_workers].put(
+            worker_id = shard.index % self._num_workers
+            self._task_queues[worker_id].put(
                 (
                     "query",
                     job_id,
+                    self._take_pending(worker_id),
                     shard.index,
                     shard.positions,
                     shard.queries,
@@ -553,6 +593,8 @@ class WorkerPool:
         for shard in shards:
             dispatch(shard)
         outputs: List[ShardOutput] = []
+        # shard index -> (worker id, its generation) that answered it
+        producers: Dict[int, tuple] = {}
         outstanding = set(shard_by_index)
         crashes = 0
         while outstanding:
@@ -639,6 +681,7 @@ class WorkerPool:
             if shard_index not in outstanding:
                 continue  # defensive: duplicate delivery
             outstanding.discard(shard_index)
+            producers[shard_index] = (worker_id, self._generations[worker_id])
             outputs.append(
                 ShardOutput(
                     shard_index=shard_index,
@@ -654,6 +697,17 @@ class WorkerPool:
         merged = merge_shard_outputs(
             outputs, batch_size=plan.num_queries, csr=self._graph
         )
+        for output in sorted(outputs, key=lambda output: output.shard_index):
+            if output.delta:
+                worker_id, generation = producers[output.shard_index]
+                # A worker respawned after answering lost that learning
+                # with the process; its replacement needs it forwarded.
+                self._forward(
+                    output.delta,
+                    worker_id
+                    if self._generations[worker_id] == generation
+                    else None,
+                )
         self._m_batches.inc()
         self._m_batch_seconds.labels(policy=plan.policy.value).observe(
             time.perf_counter() - batch_started
@@ -662,16 +716,18 @@ class WorkerPool:
             self._m_ipc_result.inc(merged.ipc_bytes)
         return merged
 
-    def update_index(self, index_state: Dict[str, object]) -> None:
-        """Broadcast a fresh hub-index snapshot to every worker (blocking).
+    def update_index(self, index) -> None:
+        """Broadcast a snapshot of the master hub index ``index`` (blocking).
 
-        Each worker rebuilds its private index from ``index_state`` (an
-        :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot) and
-        adopts it into its engine, replacing whatever snapshot it held —
-        the in-place alternative to tearing the pool down whenever the
-        master index learns or is rebuilt.  Returns once every worker has
-        acknowledged, so the next :meth:`run_batch` is guaranteed to run
-        on the new state.
+        Each worker rebuilds its private index from an
+        :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot of
+        ``index`` and adopts it into its engine, replacing whatever
+        replica it held; deltas still queued for the workers are dropped
+        (the snapshot contains them).  This is the in-place alternative
+        to tearing the pool down when the master index is swapped, has
+        learned too much locally, or the replicas may have diverged.
+        Returns once every worker has acknowledged, so the next
+        :meth:`run_batch` is guaranteed to run on the new state.
 
         Raises
         ------
@@ -685,31 +741,26 @@ class WorkerPool:
             raise ParallelExecutionError(
                 "cannot update the index on a closed WorkerPool"
             )
-        job_id = next(self._job_ids)
         # Retain it first: even if a worker dies mid-sync and the caller
-        # retries, a respawned replacement must start from this snapshot.
-        self._index_state = index_state
-        for task_queue in self._task_queues:
-            task_queue.put(("index", job_id, index_state))
-        pending = self._num_workers
-        while pending:
-            message_kind, worker_id, message_job, payload = self._receive()
-            if message_job != job_id:
-                continue
-            if message_kind == "error":
-                raise ParallelExecutionError(
-                    f"worker {worker_id} failed to adopt the hub-index "
-                    f"snapshot:\n{payload}"
-                )
-            pending -= 1
-        self._has_index = True
+        # retries, a respawned replacement must start from this index.
+        self._index = index
+        index_state = index.export_state()
+        self._pending = [[] for _ in range(self._num_workers)]
+        job_id = next(self._job_ids)
+        self._broadcast(
+            job_id,
+            [("index", job_id, index_state)] * self._num_workers,
+            "adopt the hub-index snapshot",
+        )
+        self._m_index_snapshots.inc()
 
     def update_graph(
         self,
         new_graph,
         update_state: Dict[str, object],
-        index_state: Optional[Dict[str, object]] = None,
-    ) -> None:
+        index=None,
+        repair=None,
+    ) -> list:
         """Broadcast an overlay side-table to every worker (blocking).
 
         The incremental-maintenance twin of :meth:`update_index`: after
@@ -718,15 +769,28 @@ class WorkerPool:
         the pool stays alive — each worker rebuilds the overlay over the
         frozen base compilation it already holds (shared-memory mapped
         or unpickled at startup; the side-table's base digest is
-        verified on the worker side) and swaps in a fresh engine, plus a
-        new hub-index snapshot when ``index_state`` is given (the
-        repaired master state, exported *after*
-        :meth:`~repro.core.hub_index.HubIndex.repair`, so worker indexes
-        land at the new graph version).  ``new_graph`` is the
-        coordinator's overlay view, adopted parent-side for decoding
-        shard result blocks.  Returns once every worker has
-        acknowledged; both states are retained first so a slot respawned
-        mid- or post-sync starts from them.
+        verified on the worker side) and swaps in a fresh engine.
+        ``new_graph`` is the coordinator's overlay view, adopted
+        parent-side for decoding shard result blocks.
+
+        The workers' index replicas follow in one of two ways:
+
+        * ``repair=(drops, hubs, limit)`` — the sharded repair, run from
+          inside :meth:`~repro.core.hub_index.HubIndex.repair` (its
+          ``explore`` hook).  Every worker keeps its replica, applies
+          the repair's drops (``drops``, a repair delta without ranks),
+          re-explores its contiguous chunk of ``hubs`` at budget
+          ``limit`` on its own overlay and returns the rows; the chunks
+          are returned concatenated, in hub order, and each is queued
+          for the other workers.
+        * otherwise the replicas are replaced by a snapshot of ``index``
+          (the master, already repaired) — or dropped when ``index`` is
+          ``None``.
+
+        Returns the re-explored ``(hub, row)`` pairs (empty without
+        ``repair``) once every worker has acknowledged.  The graph state
+        is retained first so a slot respawned later starts from it.  A
+        failed update leaves the workers in mixed states: close the pool.
 
         Raises
         ------
@@ -748,25 +812,99 @@ class WorkerPool:
                 "pool instead"
             )
         job_id = next(self._job_ids)
-        # Retain first: even if a worker dies mid-sync and the caller
-        # retries, a respawned replacement must start from this state.
         self._graph = new_graph
         self._graph_update_state = update_state
-        self._index_state = index_state
-        self._has_index = index_state is not None
-        for task_queue in self._task_queues:
-            task_queue.put(("graph", job_id, update_state, index_state))
-        pending = self._num_workers
-        while pending:
+        if repair is None:
+            self._index = index
+            index_state = index.export_state() if index is not None else None
+            self._pending = [[] for _ in range(self._num_workers)]
+            self._broadcast(
+                job_id,
+                [("graph", job_id, [], update_state, index_state, None)]
+                * self._num_workers,
+                "adopt the graph update",
+            )
+            if index is not None:
+                self._m_index_snapshots.inc()
+            return []
+        drops, hubs, limit = repair
+        chunks = chunk_evenly(list(hubs), self._num_workers)
+        replies = self._broadcast(
+            job_id,
+            [
+                (
+                    "graph", job_id, self._take_pending(worker_id),
+                    update_state, None, (drops, tuple(chunk), limit),
+                )
+                for worker_id, chunk in enumerate(chunks)
+            ],
+            "adopt the graph update",
+        )
+        for worker_id, rows in enumerate(replies):
+            if rows:
+                self._forward(rows, worker_id)
+        self._m_index_deltas.inc()
+        return [row for rows in replies for row in rows]
+
+    def replica_digests(self) -> List[tuple]:
+        """Each worker's ``(graph digest, index digest)``, in worker order.
+
+        Queued deltas are delivered first, so a pool in step with its
+        master reports, for every worker, the master compilation's
+        ``content_digest()`` and the master index's
+        :meth:`~repro.core.hub_index.HubIndex.content_digest` (``None``
+        without an index).  The live replica check.
+
+        Raises
+        ------
+        ParallelExecutionError
+            When the pool is closed or a worker failed.
+        WorkerCrashError
+            When a worker process died.
+        """
+        if self._closed:
+            raise ParallelExecutionError(
+                "cannot read replica digests of a closed WorkerPool"
+            )
+        job_id = next(self._job_ids)
+        return self._broadcast(
+            job_id,
+            [
+                ("digest", job_id, self._take_pending(worker_id))
+                for worker_id in range(self._num_workers)
+            ],
+            "digest its replica",
+        )
+
+    def _broadcast(self, job_id: int, tasks: list, action: str) -> list:
+        """Send ``tasks[i]`` to worker ``i``; return the replies in worker order."""
+        for task_queue, task in zip(self._task_queues, tasks):
+            task_queue.put(task)
+        replies: list = [None] * self._num_workers
+        waiting = set(range(self._num_workers))
+        while waiting:
             message_kind, worker_id, message_job, payload = self._receive()
             if message_job != job_id:
                 continue
             if message_kind == "error":
                 raise ParallelExecutionError(
-                    f"worker {worker_id} failed to adopt the graph "
-                    f"update:\n{payload}"
+                    f"worker {worker_id} failed to {action}:\n{payload}"
                 )
-            pending -= 1
+            replies[worker_id] = payload
+            waiting.discard(worker_id)
+        return replies
+
+    def _take_pending(self, worker_id: int) -> list:
+        """Hand over (and forget) the deltas queued for ``worker_id``."""
+        pending = self._pending[worker_id]
+        self._pending[worker_id] = []
+        return pending
+
+    def _forward(self, item, holder: Optional[int]) -> None:
+        """Queue ``item`` for every worker except ``holder``, which has it."""
+        for worker_id, pending in enumerate(self._pending):
+            if worker_id != holder:
+                pending.append(item)
 
     def run_hub_build(self, hubs, explore_limit: int, capacity: int):
         """Explore ``hubs`` across the workers; returns deltas in hub order.
@@ -886,11 +1024,14 @@ class WorkerPool:
         Always ships the frozen *base* compilation (overlays refuse both
         pickling and shared memory); the latest overlay side-table, if
         any, rides along as ``graph_update`` so a respawned slot comes
-        back answering against the same mutated adjacency as its peers.
+        back answering against the same mutated adjacency as its peers,
+        and the master index is exported as it stands now.
         """
         return build_init_payload(
             None if self._graph_owner is not None else self._init_graph,
-            index_state=self._index_state,
+            index_state=(
+                self._index.export_state() if self._index is not None else None
+            ),
             facilities=self._facilities,
             graph_handle=(
                 self._graph_owner.handle if self._graph_owner is not None else None
@@ -930,6 +1071,10 @@ class WorkerPool:
         self._task_queues[worker_id] = self._ctx.Queue()
         self._result_queues[worker_id] = self._ctx.Queue()
         init_bytes = self._current_init_bytes()
+        # The fresh export already holds everything queued for the slot.
+        self._pending[worker_id] = []
+        if self._index is not None:
+            self._m_index_snapshots.inc()
         self._m_ipc_startup.inc(len(init_bytes))
         with _child_spawn_env():
             self._processes[worker_id] = self._spawn_process(

@@ -38,18 +38,23 @@ shutdown sentinel.
 Message protocol (all tuples, queue-pickled)
 --------------------------------------------
 * parent -> worker: tagged tuples —
-  ``("query", job_id, shard_index, positions, queries, k,
+  ``("query", job_id, forwarded, shard_index, positions, queries, k,
   algorithm_value, bounds, collect_delta, stats_mode, trace_id)`` for a
   query shard (``trace_id`` is ``None`` unless the parent batch is being
   traced — see :mod:`repro.obs.trace`), ``("hubs", job_id, hubs,
   explore_limit, capacity)`` for a hub-index build shard, ``("index",
   job_id, index_state)`` to adopt a fresher hub-index snapshot
-  (acknowledged with a bare ``"done"``), ``("graph", job_id,
-  update_state, index_state)`` to rebuild the serving engine over a
-  delta-overlay (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state`
-  side-table applied over the startup base compilation, plus an optional
-  post-repair index snapshot; acknowledged with a bare ``"done"``), or
-  ``None`` to shut down.
+  (acknowledged with a bare ``"done"``), ``("graph", job_id, forwarded,
+  update_state, index_state, repair)`` to rebuild the serving engine over
+  a delta-overlay (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state`
+  side-table applied over the startup base compilation) — with either a
+  post-repair index snapshot or a ``repair = (drops, hubs, limit)``
+  share of a sharded repair, answered with the re-explored ``(hub,
+  row)`` pairs — ``("digest", job_id, forwarded)`` for the replica
+  check (answered with ``(graph digest, index digest)``), or ``None`` to
+  shut down.  ``forwarded`` lists the learning deltas and repair rows
+  other workers produced since this worker's last task; they are merged
+  before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
   ``(shard_index, positions, block, delta, trace)`` for a query shard —
@@ -163,8 +168,12 @@ class _WorkerState:
             graph = OverlayGraph.from_state(graph, graph_update)
         self._build_engine(graph, init["index_state"])
 
-    def _build_engine(self, graph, index_state) -> None:
-        """(Re)assemble the serving engine around ``graph``."""
+    def _build_engine(self, graph, index_state=None, index=None) -> None:
+        """(Re)assemble the serving engine around ``graph``.
+
+        The engine's index is ``index`` (already bound to ``graph``) or,
+        failing that, one rebuilt from the ``index_state`` snapshot.
+        """
         from repro.core.engine import ReverseKRanksEngine
         from repro.core.hub_index import HubIndex
         from repro.graph.partition import BichromaticPartition
@@ -174,29 +183,63 @@ class _WorkerState:
             if self._facilities is not None
             else None
         )
-        index = (
-            HubIndex.from_state(graph, index_state)
-            if index_state is not None
-            else None
-        )
+        if index is None and index_state is not None:
+            index = HubIndex.from_state(graph, index_state)
         self.engine = ReverseKRanksEngine(graph, partition=partition, index=index)
 
-    def update_graph(self, update_state, index_state) -> None:
+    def absorb(self, forwarded) -> None:
+        """Merge what other workers learned or re-explored, in order.
+
+        ``forwarded`` holds :class:`~repro.core.hub_index.HubIndexDelta`
+        learning deltas and lists of re-explored ``(hub, row)`` pairs,
+        installed one whole row per hub.
+        """
+        from repro.core.hub_index import HubIndexDelta
+
+        index = self.engine.index
+        for item in forwarded:
+            if isinstance(item, HubIndexDelta):
+                index.merge_delta(item)
+            else:
+                index.merge_rows(item)
+
+    def update_graph(self, update_state, index_state, repair):
         """Swap in a new delta-overlay without restarting the process.
 
         ``update_state`` is the coordinator's
         :meth:`~repro.graph.overlay.OverlayGraph.overlay_state` — a full
         replacement, not an increment: it is applied over the retained
         startup *base*, so consecutive updates never stack overlays.
-        ``index_state`` (when given) is the master's post-repair
-        :meth:`~repro.core.hub_index.HubIndex.export_state`, exported at
-        the overlay's graph version so the rebuilt engine's freshness
-        checks hold immediately.
+
+        Without ``repair`` the index is replaced by ``index_state`` (the
+        master's post-repair
+        :meth:`~repro.core.hub_index.HubIndex.export_state`, or ``None``
+        for no index) and ``None`` is returned.  With ``repair = (drops,
+        hubs, limit)`` this worker's replica is repaired in place: the
+        master's drops advance it to the overlay's version, ``hubs`` —
+        this worker's chunk of the affected hubs — are re-explored on
+        the overlay, and their ``(hub, row)`` pairs are returned.
         """
         from repro.graph.overlay import OverlayGraph
 
         graph = OverlayGraph.from_state(self._base_graph, update_state)
-        self._build_engine(graph, index_state)
+        if repair is None:
+            self._build_engine(graph, index_state)
+            return None
+        drops, hubs, limit = repair
+        index = self.engine.index
+        index.merge_delta(drops)
+        index.rebind(graph)
+        self._build_engine(graph, index=index)
+        return index.explore_hubs(hubs, limit)
+
+    def digests(self):
+        """``(graph content digest, index content digest or None)``."""
+        index = self.engine.index
+        return (
+            self.engine.graph.content_digest(),
+            index.content_digest() if index is not None else None,
+        )
 
     def run_shard(
         self, shard_index, positions, queries, k, algorithm, bounds,
@@ -347,9 +390,10 @@ def worker_main(
                 faults.fire("worker.before_task")
                 if tag == "query":
                     (
-                        shard_index, positions, queries, k, algorithm, bounds,
-                        collect_delta, stats_mode, trace_id,
+                        forwarded, shard_index, positions, queries, k,
+                        algorithm, bounds, collect_delta, stats_mode, trace_id,
                     ) = task[2:]
+                    state.absorb(forwarded)
                     payload = state.run_shard(
                         shard_index, positions, queries, k, algorithm, bounds,
                         collect_delta, stats_mode, trace_id,
@@ -362,9 +406,15 @@ def worker_main(
                     state.update_index(index_state)
                     payload = None
                 elif tag == "graph":
-                    update_state, index_state = task[2:]
-                    state.update_graph(update_state, index_state)
-                    payload = None
+                    forwarded, update_state, index_state, repair = task[2:]
+                    state.absorb(forwarded)
+                    payload = state.update_graph(
+                        update_state, index_state, repair
+                    )
+                elif tag == "digest":
+                    (forwarded,) = task[2:]
+                    state.absorb(forwarded)
+                    payload = state.digests()
                 else:
                     raise ValueError(f"unknown worker task tag {tag!r}")
                 faults.fire("worker.before_result")

@@ -12,7 +12,15 @@ and the repaired hub index's exported state must equal a from-scratch
 ``HubIndex.build`` over the same hub set.  A third of the seeds run the
 whole interleaving with a live 2-worker pool, asserting the pool
 absorbs updates via the graph broadcast (same PIDs, bit-identical
-parallel answers) instead of being torn down.
+parallel answers) instead of being torn down; its live pool shards each
+repair, so the rebuild comparison covers sharded repair too.  Those
+seeds also drive a second pooled engine, a *learner*, through the same
+updates with one indexed pool batch per round: its answers must be
+rank-equivalent to a fresh engine over a same-hub rebuilt index, every
+worker's replica digest must equal the master's, and its index must
+match a pool-less twin given the same updates and the same learning —
+same repair deltas, same state, same dict orders.  (The learning stays
+on the learner so the checks on the first engine remain exact.)
 
 One process pool per third seed → marked ``slow`` and excluded from the
 tier-1 ``-m "not slow"`` CI split, like ``test_fuzz_differential``.
@@ -20,6 +28,7 @@ tier-1 ``-m "not slow"`` CI split, like ``test_fuzz_differential``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import random
@@ -28,6 +37,7 @@ import pytest
 
 from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
+from repro.core.validation import results_equivalent
 from repro.graph import GraphBuilder
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -133,6 +143,23 @@ def _index_signature(index):
     return state
 
 
+def _learner_and_twin(seed, capacity):
+    """Two engines over the seed's graph, rebuilt from its own stream.
+
+    The same construction order and graph versions as the fuzzed graph,
+    so their indexes compare by ``repr``.  The learner gets a pool.
+    """
+    learner, twin = (
+        ReverseKRanksEngine(_random_graph(random.Random(0x1C4E + seed)))
+        for _ in range(2)
+    )
+    for each in (learner, twin):
+        each.build_index(num_hubs=3, capacity=capacity)
+    learner.parallel_min_batch = 1
+    learner.prepare_parallel(2, "fork")
+    return learner, twin
+
+
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
 def test_incremental_equals_rebuild(seed):
     rng = random.Random(0x1C4E + seed)
@@ -141,8 +168,13 @@ def test_incremental_equals_rebuild(seed):
     fresh_ids = itertools.count()
     parallel = seed % 3 == 0
     capacity = 8
+    learner = twin = None
+    if parallel:
+        learner, twin = _learner_and_twin(seed, capacity)
 
-    with ReverseKRanksEngine(graph) as engine:
+    with ReverseKRanksEngine(graph) as engine, (
+        learner or contextlib.nullcontext()
+    ):
         engine.build_index(num_hubs=3, capacity=capacity)
         if parallel:
             engine.parallel_min_batch = 1
@@ -194,6 +226,38 @@ def test_incremental_equals_rebuild(seed):
             assert _index_signature(engine.index) == _index_signature(
                 rebuilt
             ), context
+
+            if learner is not None:
+                # repr, not pickle: equal values in equal dict orders.
+                # Node ids a worker sent back are equal but distinct
+                # objects, which pickle's memo tells apart for strings
+                # such as the appended "new-N" nodes.
+                learned = learner.apply_updates(ops)
+                expected = twin.apply_updates(ops)
+                assert repr(learned.index_delta) == repr(
+                    expected.index_delta
+                ), context
+                assert repr(learner.export_state()) == repr(
+                    twin.export_state()
+                ), context
+                learner.index.start_learning_log()
+                shipped = learner.query_many(
+                    queries, k, algorithm="indexed",
+                    workers=2, worker_context="fork",
+                )
+                twin.index.merge_delta(learner.index.pop_learning_log())
+                reference.adopt_index(rebuilt)
+                expected = reference.query_many(queries, k, algorithm="indexed")
+                for want, got in zip(expected, shipped):
+                    assert results_equivalent(want, got), (context, want.query)
+                    assert want.rank_values() == got.rank_values(), context
+                master = (
+                    learner.compact_graph().content_digest(),
+                    learner.index.content_digest(),
+                )
+                assert learner._pool.replica_digests() == [master, master], (
+                    context
+                )
 
         # One end-to-end indexed batch against the rebuilt-index engine
         # (runs last: indexed queries learn into the master index, which

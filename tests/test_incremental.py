@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex, HubIndexDelta
 from repro.core.validation import results_equivalent
@@ -530,6 +531,49 @@ class TestPoolGraphSync:
             _assert_same_answers(
                 engine, reference, queries, algorithm="dynamic"
             )
+
+    @pytest.mark.parametrize("with_index", [False, True])
+    def test_worker_error_during_sync_degrades_gracefully(self, with_index):
+        """A worker that *raises* mid-sync costs the pool, not the update.
+
+        The update is already applied (and the index repaired) when the
+        broadcast fails, so raising would leave a caller retrying a
+        batch that no longer applies.  Like a crash, the error drops the
+        pool and reports ``pool_synced=False``; with an index the master
+        explores the hubs its workers did not return, so it ends exactly
+        where a repair without a pool does.
+        """
+        graph = _mutable_gnp(seed=37)
+        twin = ReverseKRanksEngine(_mutable_gnp(seed=37))
+        engine = ReverseKRanksEngine(graph)
+        if with_index:
+            for each in (engine, twin):
+                each.build_index(num_hubs=3, capacity=8)
+        edges = sorted(graph.edges())
+        ops = [("remove_edge", edges[0][0], edges[0][1])]
+        # Armed before the fork: each worker raises on its first task,
+        # which is the update broadcast.
+        faults.configure("worker.before_task=error#1*1")
+        try:
+            with engine:
+                engine.prepare_parallel(2, "fork")
+                report = engine.apply_updates(ops)
+                assert report.applied == 1
+                assert not report.pool_synced
+                assert engine._pool is None
+        finally:
+            faults.clear()
+        twin_report = twin.apply_updates(ops)
+        assert pickle.dumps(report.index_delta) == pickle.dumps(
+            twin_report.index_delta
+        )
+        assert pickle.dumps(engine.export_state()) == pickle.dumps(
+            twin.export_state()
+        )
+        twin.compact_graph()
+        _assert_same_answers(
+            engine, twin, sample_queries(twin.graph, 6), algorithm="dynamic"
+        )
 
     def test_pool_refuses_foreign_overlay_state(self):
         graph, engine, _ = self._warm_engine(seed=35)
