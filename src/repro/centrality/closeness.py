@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, List, Optional
 
+from repro.graph.csr import as_compact
 from repro.graph.graph import Graph
-from repro.graph.views import transpose_view
 from repro.traversal.dijkstra import shortest_path_distances
 
 NodeId = Hashable
@@ -35,14 +35,14 @@ def closeness_centrality(graph: Graph) -> Dict[NodeId, float]:
     """Exact closeness centrality ``C(v) = 1 / sum_u d(u, v)``.
 
     Distances *towards* ``v`` are required (the definition sums ``d(u, v)``),
-    so a single SSSP per node on the transpose graph is used.  Unreachable
-    pairs contribute nothing (they are skipped rather than adding infinity),
-    matching the usual treatment on disconnected graphs.  Nodes that no other
-    node can reach get centrality ``0``.
+    so a single SSSP per node on the transpose of one compilation is used.
+    Unreachable pairs contribute nothing (they are skipped rather than
+    adding infinity), matching the usual treatment on disconnected graphs.
+    Nodes that no other node can reach get centrality ``0``.
     """
-    reverse = transpose_view(graph)
+    reverse = as_compact(graph).reverse_view()
     centrality: Dict[NodeId, float] = {}
-    for node in graph.nodes():
+    for node in reverse.nodes():
         distances = shortest_path_distances(reverse, node)
         farness = sum(
             distance for other, distance in distances.items() if other != node
@@ -79,12 +79,13 @@ def approximate_closeness_centrality(
     num_samples = min(num_samples, len(nodes))
     samples = rng.sample(nodes, num_samples)
 
+    csr = as_compact(graph)
     totals: Dict[NodeId, float] = {node: 0.0 for node in nodes}
     counts: Dict[NodeId, int] = {node: 0 for node in nodes}
     for sample in samples:
         # d(sample, v) for all v: one SSSP from the sample on the original
         # graph (distances *from* samples approximate the farness sum).
-        distances = shortest_path_distances(graph, sample)
+        distances = shortest_path_distances(csr, sample)
         for node, distance in distances.items():
             if node == sample:
                 continue

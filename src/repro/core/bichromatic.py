@@ -16,7 +16,7 @@ from typing import Hashable, Optional
 from repro.core.config import BoundSet
 from repro.core.framework import SDSTreeSearch
 from repro.core.naive import naive_reverse_k_ranks
-from repro.graph.csr import ensure_backend_fresh
+from repro.graph.csr import as_compact
 from repro.core.types import QueryResult
 from repro.graph.partition import BichromaticPartition
 
@@ -30,18 +30,17 @@ def bichromatic_naive_reverse_k_ranks(
 ) -> QueryResult:
     """Brute-force bichromatic baseline (Definition 4 evaluated exhaustively).
 
-    ``backend`` optionally supplies a :class:`~repro.graph.csr.CompactGraph`
-    compilation of the partition's graph; the exhaustive rank computations
-    then run on the CSR fast path (the partition predicates work on node
-    identifiers, which both backends yield).
+    ``backend`` optionally supplies a fresh
+    :class:`~repro.graph.csr.CompactGraph` compilation of the partition's
+    graph for the exhaustive rank computations to run on (the partition
+    predicates work on node identifiers, which a compilation yields too);
+    without one the graph is compiled on entry.
     """
     partition.validate_query_node(query)
-    if backend is not None:
+    return naive_reverse_k_ranks(
         # Same freshness bar as the SDS entry points: a stale compilation
         # must never silently supply the ground-truth baseline.
-        ensure_backend_fresh(partition.graph, backend)
-    return naive_reverse_k_ranks(
-        partition.graph if backend is None else backend,
+        as_compact(partition.graph, backend),
         query,
         k,
         candidate=partition.is_candidate,
@@ -70,10 +69,10 @@ def bichromatic_reverse_k_ranks(
         static variant.
     backend:
         Optional fresh :class:`~repro.graph.csr.CompactGraph` compilation of
-        the partition's graph for the CSR fast path.
+        the partition's graph; without one it is compiled on entry.
     masks:
         Optional pre-built ``(candidate_mask, counted_mask)`` bytearrays
-        over the compact backend's node order — the engine's per-version
+        over the compilation's node order — the engine's per-version
         cache of the partition predicates (see
         :class:`~repro.core.framework.SDSTreeSearch`).  They must encode
         this partition's :meth:`~BichromaticPartition.is_candidate` /

@@ -405,13 +405,17 @@ class ReverseKRanksEngine:
     def compact_graph(self) -> CompactGraph:
         """The CSR compilation of the engine's graph (compiled lazily).
 
-        The compilation is cached and keyed by the graph's mutation
-        :attr:`~repro.graph.Graph.version`.  Mutations applied through
-        :meth:`apply_updates` keep the cache warm by layering an
+        Every query, hub exploration and rank primitive the engine runs
+        traverses this compilation.  It is cached and keyed by the graph's
+        mutation :attr:`~repro.graph.Graph.version`.  Mutations applied
+        through :meth:`apply_updates` keep the cache warm by layering an
         :class:`~repro.graph.overlay.OverlayGraph` side-table over the
         frozen base; only out-of-band mutations (or a side-table past the
-        recompaction threshold) trigger a full recompile here.
+        recompaction threshold) trigger a full recompile here.  An engine
+        built around a compilation (a pool worker's) returns it as is.
         """
+        if getattr(self._graph, "is_compact", False):
+            return self._graph
         version = getattr(self._graph, "version", None)
         if self._csr is None or self._csr_version != version:
             self._csr = CompactGraph.from_graph(self._graph)
@@ -431,27 +435,24 @@ class ReverseKRanksEngine:
         capacity: int = 16,
         strategy: Union[HubSelectionStrategy, str] = HubSelectionStrategy.DEGREE,
         rng: Optional[random.Random] = None,
-        use_csr: bool = True,
         workers: int = 1,
         worker_context: Optional[str] = None,
     ) -> HubIndex:
         """Build (and adopt) a hub index for the indexed algorithm.
 
-        With ``use_csr`` (the default) the hub explorations run over the
-        engine's cached CSR compilation — the index itself stays bound to
-        the dict graph and records identical ranks either way.
-        ``num_hubs``/``explore_limit`` accept ``"auto"`` to resolve the
-        scale-aware :func:`~repro.core.hubs.hub_budget`.
+        The hub explorations run over the engine's cached CSR compilation
+        (:meth:`compact_graph`); the index itself stays bound to the
+        engine's graph.  ``num_hubs``/``explore_limit`` accept ``"auto"``
+        to resolve the scale-aware :func:`~repro.core.hubs.hub_budget`.
 
         With ``workers > 1`` the hub explorations — the build's entire
         cost — are sharded over the engine's persistent worker pool
         (:meth:`HubIndex.build_parallel`), each worker exploring a
         contiguous hub run on its own shared-memory mapping (or pickled
         copy) of the compilation.  The merged index is bit-identical to
-        the sequential CSR-backed build.  Requires ``use_csr=True``; the
-        pool is reused by subsequent ``query_many(workers=N)`` calls with
-        a matching key (the new index is snapshotted into the workers on
-        their next parallel batch).
+        the sequential build.  The pool is reused by subsequent
+        ``query_many(workers=N)`` calls with a matching key (the new index
+        is snapshotted into the workers on their next parallel batch).
         """
         if self._partition is not None:
             raise IndexParameterError(
@@ -462,12 +463,6 @@ class ReverseKRanksEngine:
                 f"workers must be a positive integer, got {workers!r}"
             )
         if workers > 1:
-            if not use_csr:
-                raise ParallelExecutionError(
-                    "parallel index builds run on the workers' CSR "
-                    "compilations; use_csr=False and workers > 1 are "
-                    "incompatible"
-                )
             pool = self._ensure_pool(workers, worker_context)
             try:
                 self._index = HubIndex.build_parallel(
@@ -490,7 +485,7 @@ class ReverseKRanksEngine:
             capacity=capacity,
             strategy=strategy,
             rng=rng,
-            backend=self.compact_graph() if use_csr else None,
+            backend=self.compact_graph(),
         )
         return self._index
 
@@ -863,7 +858,10 @@ class ReverseKRanksEngine:
         self._overlay_appended = []
         if self._index is not None:
             self._index.repair(
-                touched_order, conservative=True, removed_nodes=set(removed)
+                touched_order,
+                search_graph=self.compact_graph(),
+                conservative=True,
+                removed_nodes=set(removed),
             )
             self._m_index_repairs.inc()
         self.close_pool()
@@ -892,7 +890,7 @@ class ReverseKRanksEngine:
         """
         kind = AlgorithmKind(algorithm)
         self._validate_query(query, k)
-        return self._dispatch(query, k, kind, bounds, backend=None)
+        return self._dispatch(query, k, kind, bounds, self.compact_graph())
 
     def query_many(
         self,
@@ -900,7 +898,6 @@ class ReverseKRanksEngine:
         k: int,
         algorithm: Union[AlgorithmKind, str] = AlgorithmKind.DYNAMIC,
         bounds: Optional[BoundSet] = None,
-        use_csr: bool = True,
         cache_size: Optional[int] = None,
         workers: int = 1,
         shard_policy: str = "round_robin",
@@ -915,10 +912,9 @@ class ReverseKRanksEngine:
 
         * **one CSR compile** — every algorithm (naive, static, dynamic,
           indexed, and the bichromatic variants) runs over the cached
-          :class:`~repro.graph.csr.CompactGraph` backend (compiled at most
-          once per graph version) instead of the dict-of-dict graph; the
-          SDS-tree and refinement loops take the array-specialised fast
-          path of :mod:`repro.traversal.csr_sds`;
+          :class:`~repro.graph.csr.CompactGraph` compilation
+          (:meth:`compact_graph`, compiled at most once per graph
+          version), like :meth:`query` does;
         * **warm hub-index reuse** — indexed queries share the engine's hub
           index, which keeps learning ranks across the batch (Algorithm 4),
           so later queries get progressively cheaper;
@@ -933,10 +929,6 @@ class ReverseKRanksEngine:
             front, so a bad query fails the batch before any work is done.
         k, algorithm, bounds:
             As in :meth:`query`, shared by the whole batch.
-        use_csr:
-            Whether to run the batch over the CSR backend.  Results are
-            identical either way; disabling is mostly useful for
-            benchmarking the backends against each other.
         cache_size:
             Capacity of the per-batch LRU result cache; ``None``/``0``
             disables caching.  Cache hits return the same
@@ -960,8 +952,8 @@ class ReverseKRanksEngine:
             (:meth:`~repro.core.hub_index.HubIndex.merge_delta`).  The
             pool persists across batches and is invalidated by graph
             mutations; see :meth:`prepare_parallel` / :meth:`close_pool`.
-            Requires ``use_csr=True``.  Single-query batches fall back to
-            sequential execution (nothing to shard).
+            Single-query batches fall back to sequential execution
+            (nothing to shard).
         shard_policy:
             Parallel mode only: ``"round_robin"`` (default), ``"cost"``
             (degree/hub-proximity-estimated balancing) or ``"affinity"``
@@ -1050,12 +1042,6 @@ class ReverseKRanksEngine:
         with root:
             path = "sequential"
             if workers > 1:
-                if not use_csr:
-                    raise ParallelExecutionError(
-                        "parallel execution ships the CSR compilation to the "
-                        "workers; use_csr=False and workers > 1 are "
-                        "incompatible"
-                    )
                 # The result cache, parallel-side: repeated queries are
                 # deduplicated *before* shard planning (k/algorithm/bounds
                 # are batch constants, so the cache key degenerates to the
@@ -1120,7 +1106,7 @@ class ReverseKRanksEngine:
                 # path, whose LRU serves the duplicates.
 
             results = self._query_many_sequential(
-                batch, k, kind, bounds, use_csr, cache_size, stats
+                batch, k, kind, bounds, cache_size, stats
             )
             if path == "sequential":
                 self._m_batches_sequential.inc()
@@ -1133,7 +1119,6 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        use_csr: bool,
         cache_size: Optional[int],
         stats: str,
     ) -> List[QueryResult]:
@@ -1143,9 +1128,7 @@ class ReverseKRanksEngine:
         *exactly* this code — the fallback cannot drift from what
         ``workers=1`` would have answered.
         """
-        backend: Optional[CompactGraph] = (
-            self.compact_graph() if use_csr else None
-        )
+        backend = self.compact_graph()
 
         cache: Optional[OrderedDict] = (
             OrderedDict() if cache_size and cache_size > 0 else None
@@ -1160,7 +1143,7 @@ class ReverseKRanksEngine:
                     results.append(cache[key])
                     cache_hits += 1
                     continue
-                result = self._dispatch(query, k, kind, bounds, backend=backend)
+                result = self._dispatch(query, k, kind, bounds, backend)
                 if cache is not None:
                     cache[key] = result
                     if len(cache) > cache_size:
@@ -1498,48 +1481,40 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        backend: Optional[CompactGraph],
+        backend: CompactGraph,
     ) -> QueryResult:
+        """Run one query over ``backend``, the engine's :meth:`compact_graph`."""
         if self._partition is not None:
             return self._bichromatic_query(query, k, kind, bounds, backend)
 
-        graph = backend if backend is not None else self._graph
         if kind is AlgorithmKind.NAIVE:
-            return naive_reverse_k_ranks(graph, query, k)
+            return naive_reverse_k_ranks(backend, query, k)
         if kind is AlgorithmKind.STATIC:
-            return static_reverse_k_ranks(graph, query, k, arena=self._arena)
+            return static_reverse_k_ranks(backend, query, k, arena=self._arena)
         if kind is AlgorithmKind.DYNAMIC:
             return dynamic_reverse_k_ranks(
-                graph, query, k, bounds=bounds, arena=self._arena
+                backend, query, k, bounds=bounds, arena=self._arena
             )
         self._require_monochromatic_index()
-        # The hub index stores node-id ranks for the dict-backed graph it
-        # was built on; indexed queries keep that graph as the source of
-        # truth and hand the CSR compilation along as the traversal backend.
+        # The hub index stores node-id ranks for the graph it was built on;
+        # indexed queries keep that graph as the source of truth and hand
+        # the CSR compilation along as the traversal backend.
         return indexed_reverse_k_ranks(
             self._graph, query, k, index=self._index, bounds=bounds,
             backend=backend, arena=self._arena,
         )
 
-    def _partition_masks(self, backend: Optional[CompactGraph]):
-        """Candidate/counted masks over the compact node order, or ``None``.
+    def _partition_masks(self, backend: CompactGraph):
+        """Candidate/counted masks over ``backend``'s node order.
 
         Evaluating the partition predicates over every node costs O(n)
-        per query on the CSR fast path; the engine pays it once per graph
-        version instead (keyed like the CSR compilation cache).  Returns
-        ``None`` when no compact view is in play (the generic loops
-        evaluate predicates lazily, only on visited nodes).
+        per query; the engine pays it once per graph version instead
+        (keyed like the CSR compilation cache).
         """
-        compact = backend
-        if compact is None and getattr(self._graph, "is_compact", False):
-            # Worker-process engines hold the compilation *as* their graph.
-            compact = self._graph
-        if compact is None:
-            return None
-        version = getattr(compact, "source_version", None)
+        version = getattr(backend, "source_version", None)
         if self._masks is None or self._masks_version != version:
             partition = self._partition
-            nodes = compact.node_ids
+            nodes = backend.node_ids
             self._masks = (
                 bytearray(1 if partition.is_candidate(node) else 0 for node in nodes),
                 bytearray(1 if partition.is_counted(node) else 0 for node in nodes),
@@ -1553,7 +1528,7 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        backend: Optional[CompactGraph] = None,
+        backend: CompactGraph,
     ) -> QueryResult:
         if kind is AlgorithmKind.INDEXED:
             raise IndexParameterError(_INDEXED_IS_MONOCHROMATIC)
@@ -1563,10 +1538,7 @@ class ReverseKRanksEngine:
             )
         masks = self._partition_masks(backend)
         if kind is AlgorithmKind.STATIC:
-            return bichromatic_reverse_k_ranks(
-                self._partition, query, k, bounds=BoundSet.none(),
-                backend=backend, masks=masks, arena=self._arena,
-            )
+            bounds = BoundSet.none()
         return bichromatic_reverse_k_ranks(
             self._partition, query, k, bounds=bounds, backend=backend,
             masks=masks, arena=self._arena,

@@ -44,8 +44,8 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.hubs import HubSelectionStrategy, hub_budget, select_hubs
 from repro.errors import IndexCapacityError, IndexParameterError, NodeNotFoundError
-from repro.graph.csr import ensure_backend_fresh
-from repro.traversal.rank import rank_stream
+from repro.graph.csr import as_compact
+from repro.traversal.csr_ops import compact_rank_stream
 
 #: On-disk serialisation format marker and version (see :meth:`HubIndex.save`).
 _IO_FORMAT = "repro-hubindex"
@@ -225,33 +225,35 @@ class HubIndex:
         rng:
             Random generator forwarded to hub selection.
         backend:
-            Optional :class:`~repro.graph.csr.CompactGraph` compilation of
-            ``graph``: hub explorations then run on the CSR fast path.  The
-            index stays bound (and version-pinned) to ``graph``; recorded
-            ranks are identical either way, though under an
-            ``explore_limit`` the identity of nodes inside the boundary tie
-            group may differ between backends.
+            Optional fresh :class:`~repro.graph.csr.CompactGraph`
+            compilation of ``graph`` for hub selection and the hub
+            explorations to run on; without one ``graph`` is compiled once
+            here.  The index stays bound (and version-pinned) to
+            ``graph``.  Under an ``explore_limit`` the boundary tie group
+            is cut by node index (see
+            :func:`~repro.traversal.csr_ops.compact_rank_stream`), so every
+            build of one graph records the same entries.
         """
         num_hubs, explore_limit = cls._resolve_budget(
             graph, num_hubs, explore_limit
         )
-        if hubs is None:
-            if num_hubs is None:
-                num_hubs = max(1, graph.num_nodes // 8)
-            hubs = select_hubs(graph, num_hubs, strategy=strategy, rng=rng)
-        index = cls(graph, capacity, hubs)
-        index._explore_limit = explore_limit
         limit = graph.num_nodes if explore_limit is None else explore_limit
         if limit <= 0:
             raise IndexParameterError(
                 f"explore_limit M must be a positive integer, got {explore_limit!r}"
             )
-        if backend is not None:
-            # Same freshness bar as the SDS entry points: ranks recorded
-            # from a stale or foreign compilation would be pinned to the
-            # *current* graph version and served as exact answers forever.
-            ensure_backend_fresh(graph, backend, exc_type=IndexParameterError)
-        search_graph = graph if backend is None else backend
+        # Same freshness bar as the SDS entry points: ranks recorded from a
+        # stale or foreign compilation would be pinned to the *current*
+        # graph version and served as exact answers forever.
+        search_graph = as_compact(graph, backend, exc_type=IndexParameterError)
+        if hubs is None:
+            if num_hubs is None:
+                num_hubs = max(1, graph.num_nodes // 8)
+            hubs = select_hubs(
+                search_graph, num_hubs, strategy=strategy, rng=rng
+            )
+        index = cls(graph, capacity, hubs)
+        index._explore_limit = explore_limit
         for hub in index._hubs:
             index._explore_hub(hub, limit, search_graph)
         return index
@@ -327,18 +329,19 @@ class HubIndex:
         settled node to its exact rank, in settling order — so a pool
         worker can ship its share of a repair to the parent, which
         installs them with :meth:`merge_rows`.  ``search_graph`` (default:
-        the index's own graph) is what the explorations run on.
+        a compilation of the index's own graph) is what the explorations
+        run on.
         """
+        search_graph = as_compact(self._graph, search_graph)
         return [(hub, self._explore_hub(hub, limit, search_graph)) for hub in hubs]
 
     def _explore_hub(
-        self, hub: NodeId, limit: int, search_graph=None
+        self, hub: NodeId, limit: int, search_graph
     ) -> Dict[NodeId, int]:
-        """Settle up to ``limit`` nodes around ``hub``; record and return the row."""
+        """Settle up to ``limit`` nodes around ``hub`` on the compilation
+        ``search_graph``; record and return the row."""
         row: Dict[NodeId, int] = {}
-        for node, _, rank in rank_stream(
-            self._graph if search_graph is None else search_graph, hub
-        ):
+        for node, _, rank in compact_rank_stream(search_graph, hub):
             row[node] = int(rank)
             if len(row) >= limit:
                 break
@@ -589,7 +592,7 @@ class HubIndex:
         ``graph`` may be the original :class:`~repro.graph.Graph` or a
         :class:`~repro.graph.csr.CompactGraph` compilation of it (the
         worker-process case) — node identifiers, which every dictionary is
-        keyed by, are identical across the two backends.  The snapshot's
+        keyed by, are identical in both.  The snapshot's
         ``graph_version`` is preserved verbatim, so freshness checks keep
         comparing against the *master* graph's version (a compilation
         reports its compile-time version via
@@ -851,7 +854,8 @@ class HubIndex:
         search_graph:
             Optional fresh :class:`~repro.graph.csr.CompactGraph` /
             overlay compilation to run the re-explorations on (validated
-            via :func:`~repro.graph.csr.ensure_backend_fresh`).
+            via :func:`~repro.graph.csr.ensure_backend_fresh`); without
+            one the graph is compiled once here.
         conservative:
             Treat *all* sources as affected (required when a zero-weight
             edge was removed or its weight raised).
@@ -897,10 +901,9 @@ class HubIndex:
         if old_version is not None and new_version == old_version:
             # The mutation batch was a no-op; nothing to invalidate.
             return HubIndexDelta(graph_version=old_version)
-        if search_graph is not None:
-            ensure_backend_fresh(
-                self._graph, search_graph, exc_type=IndexParameterError
-            )
+        search_graph = as_compact(
+            self._graph, search_graph, exc_type=IndexParameterError
+        )
         removed_set = set(removed_nodes)
         touched_set = set(touched) | removed_set
         affected: List[NodeId] = []

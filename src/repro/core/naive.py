@@ -3,7 +3,9 @@
 The naive algorithm evaluates ``Rank(p, q)`` for every candidate node ``p``
 with one full single-source shortest-path search per candidate and keeps the
 ``k`` smallest ranks.  It performs no pruning whatsoever, which makes it the
-ground truth every optimised algorithm is cross-validated against.
+ground truth every optimised algorithm is cross-validated against.  A
+:class:`~repro.graph.Graph` is compiled once per call and every candidate's
+search runs over that one compilation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Callable, Hashable, Optional
 from repro.core.resultset import TopKRankCollector
 from repro.core.types import QueryResult, QueryStats
 from repro.errors import InvalidQueryNodeError, check_positive_k
-from repro.traversal.rank import exact_rank
+from repro.graph.csr import as_compact
+from repro.traversal.csr_ops import compact_exact_rank
 
 NodeId = Hashable
 Predicate = Callable[[NodeId], bool]
@@ -36,7 +39,7 @@ def naive_reverse_k_ranks(
     Parameters
     ----------
     graph:
-        The graph to query.
+        The graph to query, or a compilation of it.
     query:
         The query node ``q``.
     k:
@@ -63,17 +66,18 @@ def naive_reverse_k_ranks(
     if not graph.has_node(query):
         raise InvalidQueryNodeError(query)
 
+    csr = as_compact(graph)
     stats = QueryStats()
     collector = TopKRankCollector(k)
     started = time.perf_counter()
 
-    for node in graph.nodes():
+    for node in csr.nodes():
         if node == query:
             continue
         if candidate is not None and not candidate(node):
             continue
         stats.rank_refinements += 1
-        rank = exact_rank(graph, node, query, counted=counted)
+        rank = compact_exact_rank(csr, node, query, counted=counted)
         if math.isinf(rank):
             continue
         collector.offer(node, rank)

@@ -7,8 +7,9 @@ is uncontrollable (often empty for peripheral query nodes), which is exactly
 the deficiency the paper demonstrates.
 
 Membership follows the truncation semantics of
-:func:`~repro.traversal.knn.k_nearest_nodes` (ties broken by settling
-order), so ``reverse_top_k`` agrees with checking ``q in top_k_nodes(p)``.
+:func:`~repro.traversal.knn.k_nearest_nodes` (equal-distance nodes keep the
+order the search first reached them), so ``reverse_top_k`` agrees with
+checking ``q in top_k_nodes(p)``.
 """
 
 from __future__ import annotations
@@ -16,28 +17,23 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import InvalidKError, NodeNotFoundError
-from repro.traversal.dijkstra import DijkstraSearch
+from repro.graph.csr import as_compact
+from repro.traversal.knn import k_nearest_nodes
 
 NodeId = Hashable
 
 __all__ = ["reverse_top_k", "reverse_top_k_all_sizes"]
 
 
-def _query_position(graph, source: NodeId, query: NodeId, max_k: int) -> Optional[int]:
+def _query_position(csr, source: NodeId, query: NodeId, max_k: int) -> Optional[int]:
     """1-based position of ``query`` among the ``max_k`` nearest of ``source``.
 
     ``None`` when ``query`` is not among them (or unreachable).
     """
-    search = DijkstraSearch(graph, source)
-    position = 0
-    for node, _ in search.iter_settle():
-        if node == source:
-            continue
-        position += 1
+    nearest = k_nearest_nodes(csr, source, max_k)
+    for position, (node, _) in enumerate(nearest, start=1):
         if node == query:
             return position
-        if position >= max_k:
-            return None
     return None
 
 
@@ -46,9 +42,9 @@ def reverse_top_k_all_sizes(
 ) -> Dict[int, List[NodeId]]:
     """Reverse top-k results of ``query`` for several ``k`` values at once.
 
-    One truncated Dijkstra per node is shared across all requested sizes
-    (the batch the paper's Table 3 sweeps over).  Results are sorted by
-    ``repr`` for determinism.
+    One truncated Dijkstra per node, over one compilation of ``graph``, is
+    shared across all requested sizes (the batch the paper's Table 3
+    sweeps over).  Results are sorted by ``repr`` for determinism.
     """
     sizes = sorted(set(ks))
     if not sizes:
@@ -60,11 +56,12 @@ def reverse_top_k_all_sizes(
         raise NodeNotFoundError(query)
 
     max_k = sizes[-1]
+    csr = as_compact(graph)
     results: Dict[int, List[NodeId]] = {k: [] for k in sizes}
-    for node in sorted(graph.nodes(), key=repr):
+    for node in sorted(csr.nodes(), key=repr):
         if node == query:
             continue
-        position = _query_position(graph, node, query, max_k)
+        position = _query_position(csr, node, query, max_k)
         if position is None:
             continue
         for k in sizes:

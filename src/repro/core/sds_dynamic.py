@@ -44,8 +44,8 @@ def dynamic_reverse_k_ranks(
         bichromatic mode, where Lemmas 3/4 do not apply.
     backend:
         Optional fresh :class:`~repro.graph.csr.CompactGraph` compilation
-        of ``graph``; the traversal then runs on the CSR fast path with
-        bit-identical results and stats.
+        of ``graph`` to traverse; without one a
+        :class:`~repro.graph.Graph` is compiled on entry.
     arena:
         Optional reusable :class:`~repro.traversal.arena.ScratchArena`
         (results and stats are identical with or without it).

@@ -17,6 +17,7 @@ from repro.core.framework import SDSTreeSearch
 from repro.core.hub_index import HubIndex
 from repro.core.hubs import HubSelectionStrategy
 from repro.core.types import QueryResult
+from repro.graph.csr import as_compact
 
 NodeId = Hashable
 
@@ -52,14 +53,17 @@ def indexed_reverse_k_ranks(
         Theorem-2 bound components; defaults to :meth:`BoundSet.all`.
     backend:
         Optional fresh :class:`~repro.graph.csr.CompactGraph` compilation
-        of ``graph``.  The index stays keyed by node identifiers (and keeps
-        learning), while the traversal and refinements run on the CSR fast
-        path.
+        of ``graph`` for the traversal, the refinements and (when none is
+        given) the index build to run on; without one a
+        :class:`~repro.graph.Graph` is compiled on entry.  The index stays
+        keyed by node identifiers (and keeps learning).
     arena:
         Optional reusable :class:`~repro.traversal.arena.ScratchArena`
         (results and stats are identical with or without it).
     """
     if index is None:
+        # Compile once for both the build and the traversal.
+        backend = as_compact(graph, backend)
         index = HubIndex.build(
             graph,
             num_hubs=num_hubs,

@@ -35,9 +35,9 @@ def static_reverse_k_ranks(
     Parameters mirror :func:`~repro.core.naive.naive_reverse_k_ranks`; the
     ``candidate`` / ``counted`` predicates support the bichromatic variant.
     ``backend`` optionally supplies a fresh
-    :class:`~repro.graph.csr.CompactGraph` compilation of ``graph`` so the
-    traversal runs on the CSR fast path (results are identical either way);
-    ``arena`` an optional reusable
+    :class:`~repro.graph.csr.CompactGraph` compilation of ``graph`` to
+    traverse (without one a :class:`~repro.graph.Graph` is compiled on
+    entry); ``arena`` an optional reusable
     :class:`~repro.traversal.arena.ScratchArena`.
     """
     search = SDSTreeSearch(

@@ -23,7 +23,6 @@ from repro.graph.shm import (
     share_compact_graph,
 )
 from repro.graph.partition import BichromaticPartition
-from repro.graph.views import transpose_view
 from repro.graph.validation import validate_graph
 from repro.graph.statistics import GraphStatistics, compute_statistics
 
@@ -37,7 +36,6 @@ __all__ = [
     "share_compact_graph",
     "attach_compact_graph",
     "BichromaticPartition",
-    "transpose_view",
     "validate_graph",
     "GraphStatistics",
     "compute_statistics",

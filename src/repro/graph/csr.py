@@ -13,16 +13,15 @@ Design notes
   on the transpose graph); for undirected graphs the two directions share
   the same buffers.
 * Node indexes follow the source graph's iteration order and edge slices
-  follow its adjacency iteration order, so generic (duck-typed) traversals
-  over a :class:`CompactGraph` visit neighbours in exactly the same order
-  as over the originating :class:`~repro.graph.Graph` — query results are
-  identical between the two backends, not merely equivalent.
+  follow its adjacency iteration order, so a compilation enumerates every
+  node's neighbours in exactly the order the originating
+  :class:`~repro.graph.Graph` does.
 * The view is immutable by construction: it exposes no mutators, and it
   snapshots the source graph's :attr:`~repro.graph.Graph.version` so caches
   (e.g. the engine's per-batch compilation) can detect staleness.
-* The array-specialised Dijkstra/rank fast paths live in
-  :mod:`repro.traversal.csr_ops`; the public traversal entry points
-  dispatch to them automatically via the :attr:`is_compact` marker.
+* Every search in :mod:`repro.traversal` runs on a compilation: the
+  public entry points accept a :class:`~repro.graph.Graph` too and compile
+  it once on entry through :func:`as_compact`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import GraphValidationError, NodeNotFoundError
 from repro.graph.graph import Graph, NodeId, Weight
 
-__all__ = ["CompactGraph", "ensure_backend_fresh"]
+__all__ = ["CompactGraph", "as_compact", "ensure_backend_fresh"]
 
 
 def ensure_backend_fresh(graph, backend, exc_type=GraphValidationError) -> None:
@@ -83,25 +82,43 @@ def ensure_backend_fresh(graph, backend, exc_type=GraphValidationError) -> None:
         )
 
 
+def as_compact(graph, backend=None, exc_type=GraphValidationError):
+    """The compilation a search over ``graph`` traverses.
+
+    ``graph`` itself when it is already compact (a :class:`CompactGraph`
+    or overlay), else ``backend`` after :func:`ensure_backend_fresh`
+    accepts it, else a fresh :meth:`CompactGraph.from_graph`.  Callers
+    resolve this once per call and loop over the result.
+    """
+    if getattr(graph, "is_compact", False) and (
+        backend is None or backend is graph
+    ):
+        return graph
+    if backend is not None:
+        ensure_backend_fresh(graph, backend, exc_type=exc_type)
+        return backend
+    return CompactGraph.from_graph(graph)
+
+
 class CompactGraph:
     """A frozen CSR compilation of a :class:`~repro.graph.Graph`.
 
     Use :meth:`from_graph` to build one.  The class implements the read-only
-    adjacency protocol the traversal layer expects (``has_node``,
+    adjacency protocol of :class:`~repro.graph.Graph` (``has_node``,
     ``neighbor_items``, ``in_neighbor_items``, degrees, iteration), so every
     query algorithm accepts a :class:`CompactGraph` wherever it accepts a
-    :class:`~repro.graph.Graph`; the hot loops additionally recognise the
-    :attr:`is_compact` marker and switch to array-index traversal.
+    :class:`~repro.graph.Graph`; the searches themselves always run over
+    the array buffers, in index space.
     """
 
-    #: Marker consulted by the traversal fast paths (duck-typed to avoid
-    #: import cycles between the graph and traversal layers).
+    #: Marker consulted by :func:`as_compact` (duck-typed so overlays and
+    #: shared-memory mappings qualify too).
     is_compact = True
 
     #: Overlay markers.  A plain compilation has no mutation side-table;
     #: :class:`~repro.graph.overlay.OverlayGraph` shadows these with per-
     #: instance row dicts (``index -> (targets array, weights array)``).
-    #: The traversal fast paths probe ``csr.overlay_out`` / ``overlay_in``
+    #: The traversal loops probe ``csr.overlay_out`` / ``overlay_in``
     #: once per traversal, so the static-graph hot loops pay a single
     #: ``None`` check.
     is_overlay = False
@@ -180,8 +197,8 @@ class CompactGraph:
         """Compile ``graph`` into a frozen CSR view.
 
         Weights are copied bit-for-bit (``array('d')`` stores the same IEEE
-        doubles), and adjacency order is preserved, so traversals over the
-        compilation reproduce the dict backend's results exactly.
+        doubles), and adjacency order is preserved, so the compilation
+        enumerates exactly the rows ``graph`` does.
         """
         nodes = list(graph.nodes())
         index_of = {node: index for index, node in enumerate(nodes)}
@@ -322,7 +339,7 @@ class CompactGraph:
         )
 
     # ------------------------------------------------------------------
-    # Index mapping (used by the array fast paths)
+    # Index mapping (used by the array search loops)
     # ------------------------------------------------------------------
     def index_of(self, node: NodeId) -> int:
         """The dense array index of ``node``."""
@@ -516,11 +533,10 @@ class CompactGraph:
         """The transpose as another :class:`CompactGraph`, sharing buffers.
 
         The reversed view swaps the out- and in-adjacency buffer triples in
-        O(1) — no copying — so backward traversals (the SDS-tree grows over
-        in-edges) stay on the array fast paths:
-        :func:`~repro.graph.views.transpose_view` returns this instead of a
-        generic wrapper when handed a directed compact graph.  Undirected
-        graphs are their own transpose and are returned unchanged.
+        O(1) — no copying — so backward searches (closeness centrality sums
+        distances *towards* each node) run on the same array loops.
+        Undirected graphs are their own transpose and are returned
+        unchanged.
         """
         if not self._directed:
             return self

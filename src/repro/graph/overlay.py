@@ -25,7 +25,7 @@ differential fuzz suite pins this.  An edge-level patch table could not
 promise that: a deleted-then-reinserted edge would move to the end of a
 patched row but to its dict position in a recompile.
 
-The traversal fast paths (:mod:`repro.traversal.csr_ops`,
+The traversal loops (:mod:`repro.traversal.csr_ops`,
 :mod:`repro.traversal.csr_sds`) probe ``csr.overlay_out`` /
 ``csr.overlay_in`` — ``None`` on plain compilations, the row dicts here —
 and pay one ``dict.get`` per *settled node* only when an overlay is

@@ -31,9 +31,9 @@ two transports plus the optional bichromatic facility set and an optional
 
 The worker rebuilds a full :class:`~repro.core.engine.ReverseKRanksEngine`
 around the compilation itself (a :class:`CompactGraph` satisfies the whole
-read-only graph protocol, and every algorithm's hot loop recognises its
-``is_compact`` marker), then serves tasks until it reads the ``None``
-shutdown sentinel.
+read-only graph protocol, and the engine traverses it as its own
+:meth:`~repro.core.engine.ReverseKRanksEngine.compact_graph`), then serves
+tasks until it reads the ``None`` shutdown sentinel.
 
 Message protocol (all tuples, queue-pickled)
 --------------------------------------------
@@ -276,8 +276,7 @@ class _WorkerState:
                 index.start_learning_log()
             try:
                 results = self.engine.query_many(
-                    list(queries), k, algorithm=algorithm, bounds=bounds,
-                    use_csr=False,
+                    list(queries), k, algorithm=algorithm, bounds=bounds
                 )
             finally:
                 delta = (

@@ -1,29 +1,29 @@
 """Shortest-path traversal substrate.
 
 Everything the reverse k-ranks algorithms need from "Dijkstra's algorithm"
-lives here:
+lives here, and every search runs over a
+:class:`~repro.graph.csr.CompactGraph` compilation (entry points handed a
+:class:`~repro.graph.Graph` compile it once on entry):
 
-* :class:`~repro.traversal.heap.AddressableHeap` — a binary min-heap with
-  decrease-key, the priority queue ``Q`` of the paper's pseudo-code;
-* :class:`~repro.traversal.int_heap.IntHeap` — its array-backed twin over
-  dense int keys, used by the CSR-specialised loops;
+* :class:`~repro.traversal.int_heap.IntHeap` — a binary min-heap with
+  decrease-key over dense int keys, the priority queue ``Q`` of the
+  paper's pseudo-code;
 * :class:`~repro.traversal.arena.ScratchArena` — epoch-stamped reusable
   scratch memory (heaps, settled sets, dense bound lists) the engines
   thread through every query instead of reallocating per query;
-* :mod:`~repro.traversal.csr_sds` — the CSR index-space SDS-tree +
-  refinement pipeline (dispatched to by :mod:`repro.core.framework`);
-* :mod:`~repro.traversal.dijkstra` — full, bounded and *lazy* (incremental)
-  single-source shortest path searches;
+* :mod:`~repro.traversal.csr_sds` — the SDS-tree + refinement pipeline
+  (driven by :mod:`repro.core.framework`);
+* :mod:`~repro.traversal.csr_ops` — the array Dijkstra loops;
+* :mod:`~repro.traversal.dijkstra` — full and point-to-point single-source
+  shortest path searches;
 * :mod:`~repro.traversal.knn` — top-k nearest nodes (graph k-NN);
-* :mod:`~repro.traversal.rank` — the exact ``Rank(s, t)`` definition used as
-  ground truth by the tests and the naive baseline.
+* :mod:`~repro.traversal.rank` — the exact ``Rank(s, t)`` definition used by
+  the naive baseline and the hub index.
 """
 
 from repro.traversal.arena import EpochStamps, ScratchArena
-from repro.traversal.heap import AddressableHeap
 from repro.traversal.int_heap import IntHeap
 from repro.traversal.dijkstra import (
-    DijkstraSearch,
     shortest_path_distances,
     shortest_path_tree,
     distance_between,
@@ -39,11 +39,9 @@ from repro.traversal.csr_ops import (
 )
 
 __all__ = [
-    "AddressableHeap",
     "EpochStamps",
     "IntHeap",
     "ScratchArena",
-    "DijkstraSearch",
     "ShortestPathTree",
     "shortest_path_distances",
     "shortest_path_tree",

@@ -1,23 +1,28 @@
 """Array-specialised Dijkstra/SSSP/rank loops over :class:`CompactGraph`.
 
-These are the hot-loop twins of :mod:`repro.traversal.dijkstra` and
-:mod:`repro.traversal.rank`: same semantics, but the search runs over the
-CSR buffers with integer node indexes, flat ``list`` distance tables and a
-``heapq``-based lazy-deletion frontier instead of hashing node identifiers
-through the addressable heap on every relaxation.  The public traversal
-entry points dispatch here automatically when handed a graph with the
-``is_compact`` marker.
+Every search in the package runs here (or in
+:mod:`repro.traversal.csr_sds`): over the CSR buffers with integer node
+indexes and flat ``list`` distance tables.  The public entry points in
+:mod:`repro.traversal.dijkstra`, :mod:`repro.traversal.rank` and
+:mod:`repro.traversal.knn` accept a :class:`~repro.graph.Graph` too and
+compile it once on entry (:func:`~repro.graph.csr.as_compact`).
 
-Exactness
----------
-The distances produced are bit-identical to the dict-backend searches: both
-loops settle nodes in nondecreasing distance order and assign each settled
-node the minimum over the same set of candidate sums ``d(u) + w(u, v)``
-(computed from the same IEEE doubles), so the float result of the ``min``
-is the same even though the tie order *within* an equal-distance group may
-differ (heapq breaks ties by node index, the addressable heap by insertion
-order).  Rank values only depend on strictly-closer tie groups, hence they
-are identical as well — the cross-validation tests assert exactly this.
+Two settle orders
+-----------------
+Distances are order-independent: each settled node gets the minimum over
+the same candidate sums ``d(u) + w(u, v)`` of the same IEEE doubles
+whichever equal-distance node settles first.  What differs is the order
+*within* a tie group:
+
+* :func:`_settle_stream` — a ``heapq`` lazy-deletion frontier that breaks
+  ties by **node index**.  Ranks only count strictly-closer tie groups, so
+  they do not depend on it; it decides which boundary-tie nodes a
+  truncated hub exploration records.
+* :func:`insertion_order_stream` — an
+  :class:`~repro.traversal.int_heap.IntHeap` frontier that breaks ties by
+  **first push** (a key keeps its insertion counter across decrease-key).
+  The top-k and reverse top-k answers, which list a prefix of the settle
+  order, are defined by this order.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.errors import NodeNotFoundError
+from repro.traversal.int_heap import IntHeap
 from repro.traversal.sssp import ShortestPathTree
 
 NodeId = Hashable
@@ -36,6 +42,7 @@ __all__ = [
     "compact_distance_between",
     "compact_rank_stream",
     "compact_exact_rank",
+    "insertion_order_stream",
 ]
 
 _INF = float("inf")
@@ -134,6 +141,34 @@ def _settle_stream_overlay(
                 heappush(frontier, (candidate, neighbor))
 
 
+def insertion_order_stream(csr, source_index: int) -> Iterator[Tuple[int, float]]:
+    """Yield ``(index, distance)`` in settling order, ties by first push.
+
+    Overlay rows are full rows in source order, so an overlay settles in
+    exactly the order a recompile of the mutated graph would.
+    """
+    offsets, base_endpoints, base_weights = csr.out_csr()
+    rows = csr.overlay_out
+    settled = bytearray(csr.num_nodes)
+    heap = IntHeap(csr.num_nodes)
+    heap.push(source_index, 0.0)
+    while heap:
+        node, distance = heap.pop()
+        settled[node] = 1
+        yield node, distance
+        row = rows.get(node) if rows is not None else None
+        if row is None:
+            endpoints, weights = base_endpoints, base_weights
+            start, stop = offsets[node], offsets[node + 1]
+        else:
+            endpoints, weights = row
+            start, stop = 0, len(endpoints)
+        for position in range(start, stop):
+            neighbor = endpoints[position]
+            if not settled[neighbor]:
+                heap.push_or_decrease(neighbor, distance + weights[position])
+
+
 def compact_distance_map(csr, source: NodeId) -> Dict[NodeId, float]:
     """Exact distances from ``source`` to every reachable node."""
     source_index = csr.index_of(source)
@@ -190,8 +225,8 @@ def compact_rank_stream(
 ) -> Iterator[Tuple[NodeId, float, float]]:
     """Yield ``(node, distance, Rank(source, node))`` in settling order.
 
-    The tie-group bookkeeping mirrors :func:`repro.traversal.rank.rank_stream`
-    exactly; only the underlying search is array-specialised.
+    Nodes settled at the same distance form a tie group and share the same
+    "number of strictly closer counted nodes"; ties settle by node index.
     """
     if not csr.has_node(source):
         raise NodeNotFoundError(source)

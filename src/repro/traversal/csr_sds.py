@@ -1,14 +1,12 @@
-"""CSR index-space specialisation of the SDS-tree filter-and-refine pipeline.
+"""CSR index-space SDS-tree filter-and-refine pipeline.
 
-This is the hot-loop twin of :class:`repro.core.framework.SDSTreeSearch`
-plus :func:`repro.core.refinement.refine_rank`: the same traversal, bound
-checks and bounded refinements, but running over the flat
+The traversal, Theorem-2 bound checks and bounded ``GetRank`` refinements
+of the paper (Algorithms 1-4) run here over the flat
 :class:`~repro.graph.csr.CompactGraph` adjacency buffers with integer node
 indexes and an :class:`~repro.traversal.int_heap.IntHeap` frontier — no
 node-id hashing, no per-neighbour generator frames, no dict-of-dict
-adjacency walks.  :meth:`SDSTreeSearch.run` dispatches here automatically
-when the traversed graph is compact (or a compact ``backend`` compilation
-of it is supplied); node identifiers are translated to CSR indexes once at
+adjacency walks.  :meth:`repro.core.framework.SDSTreeSearch.run` drives
+it for every query; node identifiers are translated to CSR indexes once at
 query entry and back only at the few boundaries that leave index space
 (result-set offers and hub-index reads/writes).
 
@@ -22,28 +20,40 @@ reallocation.  Values written in an earlier epoch are invisible — reads
 fall back to exactly the defaults a fresh allocation would hold — so
 arena reuse is behaviour-preserving by construction.
 
-Exactness
----------
-The traversal is a *transcription*, not a re-derivation: every decision the
-dict-backed framework makes is made here in the same order on the same IEEE
-doubles.  Three properties guarantee that:
+Determinism
+-----------
+Both searches settle equal-distance nodes in the order they were first
+reached: :class:`IntHeap` breaks priority ties by insertion order and keeps
+a key's insertion counter across ``decrease_key``, and
+:class:`CompactGraph` compiles adjacency rows in the source graph's
+iteration order (overlay rows included).  Ranks do not depend on that
+order, but the result's boundary-tie members, the hub-index entries a
+refinement records and every :class:`~repro.core.types.QueryStats`
+counter do.  ``tests/sds_golden.json`` pins all of them, and the
+scratch-arena suite asserts reuse-vs-fresh identity.
 
-* :class:`IntHeap` breaks priority ties by insertion order and preserves a
-  key's insertion counter across ``decrease_key``, exactly like
-  :class:`~repro.traversal.heap.AddressableHeap`, so nodes pop in the same
-  order (reused heaps keep counting, which preserves relative insertion
-  order within a search — the only thing ties compare);
-* :class:`CompactGraph` compiles adjacency rows in the source graph's
-  iteration order, so neighbours relax in the same order and tentative
-  distances are produced by the same float additions;
-* the bound bookkeeping (parent rank, tree height, ``lcount``) and the
-  refinement's tie-group arithmetic mirror the originals statement by
-  statement, with epoch-guarded reads supplying the originals' defaults.
+Correctness under pruning
+-------------------------
+Because pruned subtrees are not expanded, the traversal may later reach a
+pruned node's descendant through a longer, non-shortest path; such a node's
+popped distance (and therefore its height and ``lcount`` bounds) can be
+over-estimates.  Refined ranks stay exact regardless: the refinement settles
+the query node itself inside the (possibly inflated) radius, so every rank
+offered to the result set is the true ``Rank(p, q)``.  Over-estimated
+*bounds* can only prune nodes whose popped distance is inflated, and by
+induction over the pop order every such node descends from a
+genuinely-prunable node, hence its true rank is at least the ``kRank`` in
+force when it is pruned — it can neither displace a strictly-better result
+nor change the result's rank values.  Only the identity of entries tied at
+the final ``kRank`` may differ from the brute-force baseline (see
+:func:`repro.core.validation.results_equivalent`).
 
-Consequently ranks, refinement counts and every other
-:class:`~repro.core.types.QueryStats` counter are bit-identical between the
-two backends — the parity suite asserts exactly this, and the scratch-arena
-suite additionally asserts reuse-vs-fresh identity.
+Lemma-3 validity of ``lcount`` survives inflated radii: ``lcount[w]`` is
+only read when ``w`` pops after the refined node ``p``, so by heap
+monotonicity ``d(p, w) < radius <= popped(w)``.  When ``w``'s pop is exact
+every recorded visit comes from a node strictly closer to ``w`` than ``q``
+— a true rank witness — and when it is inflated, ``w`` descends from a
+pruned node whose true rank already reaches the ``kRank`` in force.
 """
 
 from __future__ import annotations
@@ -183,9 +193,9 @@ class CompactSDSTreeSearch:
             arena.ensure_capacity(num_nodes)
         arena.queries_served += 1
         self._arena = arena
-        # Epoch-guarded twins of the framework's per-node dicts: a read
-        # whose stamp is not this query's epoch yields the default the
-        # framework's .get() calls fall back to (0.0 / 1 / 0).  Parent and
+        # Epoch-guarded per-node bound lists: a read whose stamp is not
+        # this query's epoch yields the default of a node not yet reached
+        # (parent 0.0 / height 1 / lcount 0).  Parent and
         # height are always written together, so they share one stamp
         # table; lcount is written on a different schedule (inside
         # refinements) and gets its own.
@@ -242,8 +252,14 @@ class CompactSDSTreeSearch:
                     if bound_stamps[node] == bound_epoch
                     else 1
                 )
+                # Lemma 2: a counted ancestor is strictly closer to its
+                # descendants than q only if it is itself strictly farther
+                # from q than q is; a zero-weight path can put it at 0.
                 child_height = base_height + (
-                    1 if counted_mask is None or counted_mask[node] else 0
+                    1
+                    if distance > 0.0
+                    and (counted_mask is None or counted_mask[node])
+                    else 0
                 )
                 child_parent_bound = expand_bound
 
@@ -270,7 +286,7 @@ class CompactSDSTreeSearch:
         stats.tree_pushes += tree_pushes
 
     # ------------------------------------------------------------------
-    # Candidate processing (mirror of SDSTreeSearch._process_candidate)
+    # Candidate processing
     # ------------------------------------------------------------------
     def _process_candidate(self, node: int, distance: float) -> Optional[float]:
         candidate_mask = self._candidate_mask
@@ -320,7 +336,10 @@ class CompactSDSTreeSearch:
         return float(rank)
 
     def _lower_bound(self, node: int, node_id) -> "tuple[float, Optional[str]]":
-        """Theorem-2 lower bound with the framework's winner attribution.
+        """Theorem-2 lower bound and the component that attains it.
+
+        Ties go to the first of parent > height > count > index (the
+        Check Dictionary), the attribution the paper's Table 11 reports.
 
         ``node_id`` is the already-translated identifier when the caller
         has one (indexed mode), else ``None`` and translated on demand.
@@ -359,10 +378,27 @@ class CompactSDSTreeSearch:
         return best, winner
 
     # ------------------------------------------------------------------
-    # Bounded rank refinement (mirror of refinement.refine_rank plus the
-    # framework's _refine wiring, fused into one index-space loop)
+    # Bounded rank refinement (the paper's GetRank, Algorithms 2 and 4)
     # ------------------------------------------------------------------
     def _refine(self, source: int, radius: float, k_rank: float) -> Optional[int]:
+        """Exact ``Rank(source, q)``, or ``None`` once it must exceed ``k_rank``.
+
+        A Dijkstra search from ``source`` runs until the query node itself
+        settles: the rank is one plus the number of counted nodes settled
+        in tie groups *strictly closer* than ``q``.  Settling ``q`` (rather
+        than counting pushes inside an exclusive radius) keeps the rank
+        exact when ``radius`` over-estimates ``d(source, q)`` under
+        Theorem-1 pruning, and the radius does not filter the frontier —
+        the same path summed from its two ends can differ in the last
+        ulp.  Whenever a tie group closes with the partial rank already
+        above ``k_rank`` the search aborts (Algorithm 2, line 17): the
+        partial rank is a valid lower bound because ``q`` is unsettled.
+
+        Along the way every node pushed *strictly* inside ``radius`` bumps
+        its ``lcount`` once (Lemma 3 needs the strict inequality), and
+        with an index every settled node — ``q`` included — is recorded
+        with its exact rank from ``source`` (Algorithm 4).
+        """
         stats = self._stats
         stats.rank_refinements += 1
         csr = self._csr

@@ -1,215 +1,45 @@
-"""Dijkstra's algorithm in the three flavours the framework needs.
+"""Dijkstra's algorithm: full single-source and point-to-point searches.
 
 * :func:`shortest_path_tree` / :func:`shortest_path_distances` — the classic
-  full single-source search (used by the naive baseline, the exact rank
-  matrix, and exact closeness centrality);
-* :class:`DijkstraSearch` — a *lazy*, resumable search that settles one node
-  per call.  The SDS-tree construction, the hub-index construction (``M``
-  steps from each hub) and the bounded rank refinements are all expressed on
-  top of this primitive;
+  full single-source search (used by exact closeness centrality and the
+  tests);
 * :func:`distance_between` — an early-terminating point-to-point distance.
 
-All variants accept any object exposing ``neighbor_items(node)`` and
-``has_node(node)`` — i.e. both :class:`~repro.graph.Graph` and
-:class:`~repro.graph.views.TransposeView`.
+Each accepts a :class:`~repro.graph.Graph` or a compilation of one
+(:class:`~repro.graph.csr.CompactGraph` or an overlay): a graph is compiled
+once on entry and the search runs over the CSR buffers
+(:mod:`repro.traversal.csr_ops`).  Ties settle by node index.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Hashable
 
-from repro.errors import NodeNotFoundError
+from repro.graph.csr import as_compact
 from repro.traversal.csr_ops import (
     compact_distance_between,
     compact_distance_map,
     compact_shortest_path_tree,
 )
-from repro.traversal.heap import AddressableHeap
 from repro.traversal.sssp import ShortestPathTree
 
 NodeId = Hashable
-AdjacencyFn = Callable[[NodeId], Iterable[Tuple[NodeId, float]]]
 
 __all__ = [
-    "DijkstraSearch",
     "shortest_path_tree",
     "shortest_path_distances",
     "distance_between",
 ]
 
 
-class DijkstraSearch:
-    """A resumable Dijkstra search that settles one node per :meth:`step`.
-
-    The search maintains the standard Dijkstra state: a priority queue of
-    frontier nodes keyed by tentative distance, a settled set with exact
-    distances, and predecessor links.  Each call to :meth:`step` settles and
-    returns the next-closest node.
-
-    Parameters
-    ----------
-    graph:
-        Any adjacency provider with ``neighbor_items(node)`` and
-        ``has_node(node)``.
-    source:
-        The search source.
-    radius:
-        Optional exclusive distance bound: nodes whose tentative distance is
-        ``>= radius`` are never pushed onto the frontier.  The rank
-        refinement of the paper (Algorithm 2) uses ``radius = d(p, q)``.
-
-    Notes
-    -----
-    ``heap_pushes`` / ``settled_count`` counters are exposed because the
-    experimental section of the paper reports work in terms of such
-    operation counts rather than wall-clock time alone.
-    """
-
-    __slots__ = (
-        "_graph",
-        "source",
-        "_radius",
-        "_heap",
-        "_distances",
-        "_predecessors",
-        "_settled_order",
-        "heap_pushes",
-        "_exhausted",
-    )
-
-    def __init__(self, graph, source: NodeId, radius: Optional[float] = None) -> None:
-        if not graph.has_node(source):
-            raise NodeNotFoundError(source)
-        self._graph = graph
-        self.source = source
-        self._radius = radius
-        self._heap: AddressableHeap = AddressableHeap()
-        self._distances: Dict[NodeId, float] = {}
-        self._predecessors: Dict[NodeId, Optional[NodeId]] = {source: None}
-        self._settled_order: list = []
-        self.heap_pushes = 0
-        self._exhausted = False
-        self._heap.push(source, 0.0)
-
-    # ------------------------------------------------------------------
-    @property
-    def settled_count(self) -> int:
-        """Number of nodes settled so far."""
-        return len(self._settled_order)
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the search has no frontier left."""
-        return self._exhausted or not self._heap
-
-    def is_settled(self, node: NodeId) -> bool:
-        """Whether ``node`` already has an exact distance."""
-        return node in self._distances
-
-    def distance(self, node: NodeId) -> float:
-        """Exact distance of a settled node (``inf`` if not settled)."""
-        return self._distances.get(node, float("inf"))
-
-    def predecessor(self, node: NodeId) -> Optional[NodeId]:
-        """Predecessor of ``node`` on its shortest path (``None`` for the source)."""
-        return self._predecessors.get(node)
-
-    def frontier_size(self) -> int:
-        """Number of nodes currently on the frontier."""
-        return len(self._heap)
-
-    # ------------------------------------------------------------------
-    def step(self) -> Optional[Tuple[NodeId, float]]:
-        """Settle and return the next ``(node, distance)`` pair.
-
-        Returns ``None`` when the search is exhausted (all reachable nodes
-        within the radius have been settled).
-        """
-        if not self._heap:
-            self._exhausted = True
-            return None
-        node, distance = self._heap.pop()
-        self._distances[node] = distance
-        self._settled_order.append(node)
-        self._relax(node, distance)
-        return node, distance
-
-    def _relax(self, node: NodeId, distance: float) -> None:
-        for neighbor, weight in self._graph.neighbor_items(node):
-            if neighbor in self._distances:
-                continue
-            candidate = distance + weight
-            if self._radius is not None and candidate >= self._radius:
-                continue
-            if self._heap.push_or_decrease(neighbor, candidate):
-                self.heap_pushes += 1
-                current = self._heap.get_priority(neighbor)
-                if current == candidate:
-                    self._predecessors[neighbor] = node
-
-    # ------------------------------------------------------------------
-    def run(self, max_settled: Optional[int] = None) -> ShortestPathTree:
-        """Run the search (optionally up to ``max_settled`` settled nodes).
-
-        Returns the accumulated :class:`ShortestPathTree`; the search can be
-        resumed afterwards with further :meth:`step` / :meth:`run` calls as
-        long as it is not exhausted.
-        """
-        while max_settled is None or self.settled_count < max_settled:
-            if self.step() is None:
-                break
-        return self.as_tree()
-
-    def run_until(self, target: NodeId) -> Optional[float]:
-        """Run until ``target`` is settled; return its distance (or ``None``)."""
-        if target in self._distances:
-            return self._distances[target]
-        while True:
-            result = self.step()
-            if result is None:
-                return None
-            node, distance = result
-            if node == target:
-                return distance
-
-    def iter_settle(self) -> Iterator[Tuple[NodeId, float]]:
-        """Iterate ``(node, distance)`` pairs in settling order until exhausted."""
-        while True:
-            result = self.step()
-            if result is None:
-                return
-            yield result
-
-    def as_tree(self) -> ShortestPathTree:
-        """Snapshot the current state as a :class:`ShortestPathTree`."""
-        return ShortestPathTree(
-            source=self.source,
-            distances=dict(self._distances),
-            predecessors={
-                node: self._predecessors.get(node) for node in self._distances
-            },
-            settled_order=list(self._settled_order),
-            complete=self.exhausted,
-        )
-
-
 def shortest_path_tree(graph, source: NodeId) -> ShortestPathTree:
-    """Full single-source shortest-path tree from ``source``.
-
-    :class:`~repro.graph.csr.CompactGraph` inputs take the array-specialised
-    fast path; distances (and therefore ranks) are identical either way.
-    """
-    if getattr(graph, "is_compact", False):
-        return compact_shortest_path_tree(graph, source)
-    search = DijkstraSearch(graph, source)
-    return search.run()
+    """Full single-source shortest-path tree from ``source``."""
+    return compact_shortest_path_tree(as_compact(graph), source)
 
 
 def shortest_path_distances(graph, source: NodeId) -> Dict[NodeId, float]:
     """Exact distances from ``source`` to every reachable node."""
-    if getattr(graph, "is_compact", False):
-        return compact_distance_map(graph, source)
-    return shortest_path_tree(graph, source).distances
+    return compact_distance_map(as_compact(graph), source)
 
 
 def distance_between(graph, source: NodeId, target: NodeId) -> float:
@@ -217,10 +47,4 @@ def distance_between(graph, source: NodeId, target: NodeId) -> float:
 
     The search terminates as soon as ``target`` is settled.
     """
-    if not graph.has_node(target):
-        raise NodeNotFoundError(target)
-    if getattr(graph, "is_compact", False):
-        return compact_distance_between(graph, source, target)
-    search = DijkstraSearch(graph, source)
-    result = search.run_until(target)
-    return float("inf") if result is None else result
+    return compact_distance_between(as_compact(graph), source, target)

@@ -1,23 +1,22 @@
 """Addressable binary min-heap over dense integer keys.
 
-:class:`IntHeap` is the array-specialised twin of
-:class:`~repro.traversal.heap.AddressableHeap` for searches that run in
-CSR index space: keys are ints in ``[0, capacity)``, and the key -> heap
-position mapping is an ``array('q')`` slot table instead of a dict, so no
-key is ever hashed on the hot path.
+:class:`IntHeap` is the priority queue ``Q`` of the paper's pseudo-code for
+searches that run in CSR index space: keys are ints in ``[0, capacity)``,
+and the key -> heap position mapping is an ``array('q')`` slot table
+instead of a dict, so no key is ever hashed on the hot path.
 
-Tie-breaking is **identical** to :class:`AddressableHeap`: ties on priority
-are broken by insertion order, and :meth:`decrease_key` preserves a key's
-original insertion counter.  This is load-bearing — the CSR-specialised
-SDS-tree (:mod:`repro.traversal.csr_sds`) must settle nodes in exactly the
-same order as the dict-backed framework so that ranks, refinement counts
-and every other :class:`~repro.core.types.QueryStats` counter come out
-bit-identical between the two backends.
+Ties on priority are broken by **insertion order**, and
+:meth:`decrease_key` preserves a key's original insertion counter.  This is
+load-bearing: the SDS-tree traversal and its rank refinements
+(:mod:`repro.traversal.csr_sds`) and the top-k searches
+(:func:`~repro.traversal.csr_ops.insertion_order_stream`) settle
+equal-distance nodes in the order they were first reached, and their
+:class:`~repro.core.types.QueryStats` counters and top-k lists are pinned
+to that order.
 
 The sift loops move a hole instead of swapping entries pairwise, and
 compare ``(priority, counter)`` inline rather than through slice
-allocations, which is where the pure-Python :class:`AddressableHeap`
-spends most of its time.
+allocations.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ class IntHeap:
     def decrease_key(self, key: int, priority: float) -> bool:
         """Lower the priority of ``key``; ``False`` when not a strict decrease.
 
-        The key's original insertion counter is preserved, matching
-        :meth:`AddressableHeap.decrease_key` tie semantics exactly.
+        The key's original insertion counter is preserved, so a decreased
+        key still ties by when it was first pushed.
         """
         position = self._slot(key)
         if position < 0:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-from repro.errors import InvalidKError, NodeNotFoundError
-from repro.traversal.dijkstra import DijkstraSearch
+from repro.errors import InvalidKError
+from repro.graph.csr import as_compact
+from repro.traversal.csr_ops import insertion_order_stream
 
 NodeId = Hashable
 
@@ -25,7 +26,7 @@ def k_nearest_nodes(graph, source: NodeId, k: int) -> List[Tuple[NodeId, float]]
     Parameters
     ----------
     graph:
-        Adjacency provider (``Graph`` or ``TransposeView``).
+        A :class:`~repro.graph.Graph` or a compilation of one.
     source:
         Query node.
     k:
@@ -35,19 +36,21 @@ def k_nearest_nodes(graph, source: NodeId, k: int) -> List[Tuple[NodeId, float]]
     Returns
     -------
     list of (node, distance)
-        Sorted by increasing distance (ties broken by settling order).
+        Sorted by increasing distance; nodes at equal distance keep the
+        order the search first reached them
+        (:func:`~repro.traversal.csr_ops.insertion_order_stream`).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
         raise InvalidKError(k)
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
 
-    search = DijkstraSearch(graph, source)
+    csr = as_compact(graph)
+    source_index = csr.index_of(source)
+    node_at = csr.node_at
     result: List[Tuple[NodeId, float]] = []
-    for node, distance in search.iter_settle():
-        if node == source:
+    for index, distance in insertion_order_stream(csr, source_index):
+        if index == source_index:
             continue
-        result.append((node, distance))
+        result.append((node_at(index), distance))
         if len(result) >= k:
             break
     return result
@@ -58,6 +61,7 @@ def k_nearest_sets(graph, k: int) -> Dict[NodeId, List[Tuple[NodeId, float]]]:
 
     This is the all-nodes batch used by the agreement-rate analysis
     (Table 4) and by the reverse top-k query (Table 3).  The cost is
-    O(|V|) truncated Dijkstra runs.
+    O(|V|) truncated Dijkstra runs over one compilation.
     """
-    return {node: k_nearest_nodes(graph, node, k) for node in graph.nodes()}
+    csr = as_compact(graph)
+    return {node: k_nearest_nodes(csr, node, k) for node in csr.nodes()}

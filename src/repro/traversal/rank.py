@@ -1,20 +1,18 @@
 """Exact ``Rank(s, t)`` computation (paper Definition 1).
 
 ``Rank(s, t)`` is one plus the number of nodes strictly closer to ``s`` than
-``t`` is.  These functions compute it directly from full shortest-path
-distances and serve as the ground truth for every optimised algorithm in
-:mod:`repro.core` (the property-based tests compare against them).
-
-They are intentionally simple and unoptimised — correctness reference first.
+``t`` is.  These functions compute it directly from one Dijkstra run over
+the graph's compilation (a :class:`~repro.graph.Graph` is compiled once on
+entry) and serve as the exact-rank primitives of the naive baseline, the
+hub-index construction and the benchmark's spot checks.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
-from repro.errors import NodeNotFoundError
+from repro.graph.csr import as_compact
 from repro.traversal.csr_ops import compact_exact_rank, compact_rank_stream
-from repro.traversal.dijkstra import DijkstraSearch, shortest_path_distances
 
 NodeId = Hashable
 
@@ -32,7 +30,7 @@ def exact_rank(
     Parameters
     ----------
     graph:
-        Adjacency provider.
+        A :class:`~repro.graph.Graph` or a compilation of one.
     source:
         The node doing the ranking (``s``).
     target:
@@ -47,29 +45,10 @@ def exact_rank(
     float
         ``1 + |{p != source, target : d(source, p) < d(source, target)}|``
         restricted to counted nodes, or ``math.inf`` when ``target`` is not
-        reachable from ``source``.
+        reachable from ``source``.  The search stops when ``target``
+        settles.
     """
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    if not graph.has_node(target):
-        raise NodeNotFoundError(target)
-    if getattr(graph, "is_compact", False):
-        # Array fast path; additionally early-exits when ``target`` settles.
-        return compact_exact_rank(graph, source, target, counted=counted)
-
-    distances = shortest_path_distances(graph, source)
-    if target not in distances:
-        return float("inf")
-    threshold = distances[target]
-    closer = 0
-    for node, distance in distances.items():
-        if node == source or node == target:
-            continue
-        if counted is not None and not counted(node):
-            continue
-        if distance < threshold:
-            closer += 1
-    return closer + 1
+    return compact_exact_rank(as_compact(graph), source, target, counted=counted)
 
 
 def rank_stream(
@@ -81,38 +60,12 @@ def rank_stream(
 
     One lazy Dijkstra run from ``source``; nodes settled at the same
     distance form a tie group and share the same "number of strictly
-    closer counted nodes".  :func:`rank_row` and the hub-index
-    construction both consume this stream (the bounded refinement keeps
-    its own loop because of its ``kRank`` abort and radius-gated hooks);
-    consumers may stop iterating at any point (e.g. after ``M`` nodes)
-    and every rank yielded so far is exact.
+    closer counted nodes", and settle by node index.  :func:`rank_row`
+    and the hub-index construction both consume this stream; consumers
+    may stop iterating at any point (e.g. after ``M`` nodes) and every
+    rank yielded so far is exact.
     """
-    if getattr(graph, "is_compact", False):
-        return compact_rank_stream(graph, source, counted=counted)
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    return _rank_stream(graph, source, counted)
-
-
-def _rank_stream(
-    graph,
-    source: NodeId,
-    counted: Optional[Callable[[NodeId], bool]],
-) -> Iterator[Tuple[NodeId, float, float]]:
-    search = DijkstraSearch(graph, source)
-    closer_counted = 0
-    tie_counted = 0
-    previous_distance: Optional[float] = None
-    for node, distance in search.iter_settle():
-        if node == source:
-            continue
-        if previous_distance is None or distance > previous_distance:
-            closer_counted += tie_counted
-            tie_counted = 0
-            previous_distance = distance
-        yield node, distance, closer_counted + 1
-        if counted is None or counted(node):
-            tie_counted += 1
+    return compact_rank_stream(as_compact(graph), source, counted=counted)
 
 
 def rank_row(
@@ -136,4 +89,5 @@ def rank_matrix(
 
     Only practical for small graphs; used by tests and the toy example.
     """
-    return {node: rank_row(graph, node, counted=counted) for node in graph.nodes()}
+    csr = as_compact(graph)
+    return {node: rank_row(csr, node, counted=counted) for node in csr.nodes()}

@@ -1,14 +1,14 @@
-"""Addressable binary min-heap with decrease-key.
+"""Addressable binary min-heap with decrease-key (test reference).
 
 The paper's pseudo-code keeps a priority queue ``Q`` of nodes keyed by their
 tentative distance, and *updates* the key of a node already in the queue when
 a shorter path is found (``if t ∈ Q and t.dis > dis then t.dis ← dis``).
-Python's :mod:`heapq` does not support decrease-key directly, so this module
-implements a classic index-tracked binary heap.
+This classic index-tracked binary heap over hashable items is the plain
+reference :class:`repro.traversal.int_heap.IntHeap` is checked against in
+lockstep (``test_int_heap.py``): same pops, same insertion-order ties.
 
 The implementation favours clarity over micro-optimisation but is still
-O(log n) per operation, which is what the asymptotic analysis of the paper
-assumes.
+O(log n) per operation.
 """
 
 from __future__ import annotations

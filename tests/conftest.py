@@ -7,7 +7,11 @@ mutate graphs.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +112,29 @@ def sample_queries(graph, count: int = 3):
         return nodes
     stride = max(1, len(nodes) // count)
     return nodes[::stride][:count]
+
+
+@functools.lru_cache(maxsize=None)
+def golden():
+    """``sds_golden.json``: outputs the deleted dict-graph loop produced."""
+    return json.loads((Path(__file__).with_name("sds_golden.json")).read_text())
+
+
+def result_digest(result) -> str:
+    """SHA-256 of a result's pairs and every stats counter but wall-clock."""
+    stats = result.stats.as_dict()
+    stats.pop("elapsed_seconds")
+    record = {"pairs": [list(pair) for pair in result.as_pairs()], "stats": stats}
+    encoded = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def index_signature(index):
+    """A hub index's exported state minus its graph version.
+
+    ``graph.copy()`` re-counts mutations from zero, so the versions of a
+    graph and its shadow copy legitimately differ; nothing else may.
+    """
+    state = index.export_state()
+    state.pop("graph_version")
+    return state

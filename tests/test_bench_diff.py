@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,9 @@ def make_report(workloads):
     return {"schema_version": 1, "generated_by": "repro.bench", "workloads": workloads}
 
 
-def make_workload(name, algorithms, backend_consistent=True):
+def make_workload(name, algorithms):
     return {
         "name": name,
-        "backend_consistent": backend_consistent,
         "algorithms": {
             # Real reports carry both timing keys; fixtures mirror that so
             # the tests hold under any default metric.
@@ -103,12 +104,6 @@ def test_compare_fails_on_correctness_flags():
     _, failures = compare_reports(old, bad_validation)
     assert any("validated is false" in line for line in failures)
 
-    bad_backend = make_report(
-        [make_workload("gnp", {"dynamic": (0.1, True)}, backend_consistent=False)]
-    )
-    _, failures = compare_reports(old, bad_backend)
-    assert any("backend_consistent is false" in line for line in failures)
-
     bad_parallel_workload = make_workload("gnp", {"dynamic": (0.1, True)})
     bad_parallel_workload["parallel_consistent"] = False
     _, failures = compare_reports(old, make_report([bad_parallel_workload]))
@@ -120,6 +115,39 @@ def test_compare_fails_on_correctness_flags():
     ok_parallel_workload["parallel_consistent"] = True
     _, failures = compare_reports(old, make_report([ok_parallel_workload]))
     assert failures == []
+
+
+def test_committed_trajectory_diffs_clean_without_backend_keys():
+    # Reports no longer carry "backend", "backend_consistent" or
+    # config.use_csr (there is one traversal backend); the committed
+    # trajectory still does.  CI's trajectory diff must pass on that gap
+    # alone and keep failing on the flags that remain.
+    committed = json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCH_core.json").read_text()
+    )
+    assert committed["config"]["use_csr"] is True
+    assert all(
+        "backend_consistent" in workload for workload in committed["workloads"]
+    )
+    fresh = copy.deepcopy(committed)
+    del fresh["config"]["use_csr"]
+    for workload in fresh["workloads"]:
+        del workload["backend"]
+        del workload["backend_consistent"]
+    gate = dict(metric="speedup_vs_naive", tolerance=1.0, min_speedup=2.0)
+    rows, failures = compare_reports(committed, fresh, **gate)
+    assert failures == []
+    assert rows and all(row["status"] != "INVALID" for row in rows)
+
+    unvalidated = copy.deepcopy(fresh)
+    unvalidated["workloads"][0]["algorithms"]["dynamic"]["validated"] = False
+    _, failures = compare_reports(committed, unvalidated, **gate)
+    assert any("validated is false" in line for line in failures)
+
+    diverged = copy.deepcopy(fresh)
+    diverged["workloads"][0]["parallel_consistent"] = False
+    _, failures = compare_reports(committed, diverged, **gate)
+    assert any("parallel_consistent is false" in line for line in failures)
 
 
 def test_min_speedup_exempts_near_baseline_rows():

@@ -12,6 +12,12 @@ from repro.core import (
     top_k_nodes,
 )
 from repro.errors import InvalidKError, NodeNotFoundError
+from repro.graph import CompactGraph
+
+from conftest import golden
+
+#: The k values ``sds_golden.json`` pins top-k answers for.
+PINNED_KS = (1, 2, 3, 5, 8)
 
 
 def test_top_k_nodes_on_path(path_graph):
@@ -77,3 +83,21 @@ def test_agreement_between_queries_is_bounded(random_gnp):
     reverse_topk_nodes = reverse_top_k(random_gnp, 0, 5)
     rate = agreement_rate(reverse_ranks, reverse_topk_nodes)
     assert 0.0 <= rate <= 1.0
+
+
+@pytest.mark.parametrize("fixture", ["weighted_grid", "tie_heavy_graph"])
+def test_top_k_tie_order_is_pinned(fixture, request):
+    # Equal-distance nodes keep the order the search first reached them;
+    # breaking those ties by node index instead would change 14 of the 80
+    # grid lists and 37 of the 90 tie-heavy ones.
+    graph = request.getfixturevalue(fixture)
+    nodes = sorted(graph.nodes())
+    pinned = golden()["topk"][fixture]
+    for target in (graph, CompactGraph.from_graph(graph)):
+        for k in PINNED_KS:
+            assert [top_k_nodes(target, node, k) for node in nodes] == (
+                pinned["top_k_nodes"][str(k)]
+            ), k
+            assert [reverse_top_k(target, node, k) for node in nodes] == (
+                pinned["reverse_top_k"][str(k)]
+            ), k

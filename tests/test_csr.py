@@ -1,18 +1,26 @@
-"""Cross-validation of the CompactGraph CSR backend against the dict backend.
+"""The CompactGraph CSR compilation and the searches that run on it.
 
-The contract is *identity*, not mere equivalence: the CSR compilation
-preserves node and adjacency iteration order and copies weights bit-for-bit,
-so distances, ranks and full query results must match the dict backend
-exactly on every fixture.
+The compilation must preserve node and adjacency iteration order and copy
+weights bit-for-bit.  Distances and ranks are checked against the textbook
+oracle (``rank_oracle``), which reads the dict graph directly, so a
+compiler bug cannot hide in both sides of a comparison; entry points handed
+the dict graph (compiled on entry) must answer exactly like those handed
+the compilation.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+import rank_oracle
+from repro.centrality import approximate_closeness_centrality, closeness_centrality
 from repro.core import (
+    HubIndex,
     dynamic_reverse_k_ranks,
     naive_reverse_k_ranks,
+    reverse_top_k_all_sizes,
     static_reverse_k_ranks,
 )
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
@@ -20,10 +28,12 @@ from repro.graph import CompactGraph, Graph
 from repro.traversal import (
     distance_between,
     exact_rank,
+    rank_matrix,
     rank_row,
     shortest_path_distances,
     shortest_path_tree,
 )
+from repro.traversal.knn import k_nearest_sets
 
 from conftest import sample_queries
 
@@ -58,17 +68,17 @@ def test_adjacency_iteration_order_matches_dict_backend(compiled):
 def test_distances_bit_identical(compiled):
     graph, csr = compiled
     for source in sample_queries(graph):
-        assert shortest_path_distances(csr, source) == shortest_path_distances(
-            graph, source
-        )
+        expected = rank_oracle.distances(graph, source)
+        assert shortest_path_distances(csr, source) == expected
+        assert shortest_path_distances(graph, source) == expected
 
 
 def test_shortest_path_tree_fast_path(compiled):
     graph, csr = compiled
     for source in sample_queries(graph, 2):
-        dict_tree = shortest_path_tree(graph, source)
         csr_tree = shortest_path_tree(csr, source)
-        assert csr_tree.distances == dict_tree.distances
+        assert csr_tree.distances == rank_oracle.distances(graph, source)
+        assert shortest_path_tree(graph, source).distances == csr_tree.distances
         assert csr_tree.complete
         # Predecessor links must be consistent: every settled node's
         # predecessor edge closes its shortest-path distance exactly.
@@ -86,38 +96,38 @@ def test_point_to_point_distance(compiled):
     graph, csr = compiled
     nodes = sample_queries(graph, 3)
     for source in nodes:
+        expected = rank_oracle.distances(graph, source)
         for target in nodes:
-            assert distance_between(csr, source, target) == distance_between(
-                graph, source, target
-            )
+            distance = expected.get(target, math.inf)
+            assert distance_between(csr, source, target) == distance
+            assert distance_between(graph, source, target) == distance
 
 
 def test_ranks_bit_identical(compiled):
     graph, csr = compiled
     for source in sample_queries(graph):
-        assert rank_row(csr, source) == rank_row(graph, source)
+        expected = rank_oracle.rank_row(graph, source)
+        assert rank_row(csr, source) == expected
+        assert rank_row(graph, source) == expected
         for target in sample_queries(graph, 2):
-            assert exact_rank(csr, source, target) == exact_rank(
-                graph, source, target
-            )
+            rank = rank_oracle.rank(graph, source, target)
+            assert exact_rank(csr, source, target) == rank
+            assert exact_rank(graph, source, target) == rank
 
 
 def test_query_results_identical_across_backends(compiled):
     graph, csr = compiled
     for query in sample_queries(graph):
         for k in (1, 3):
-            assert (
-                naive_reverse_k_ranks(csr, query, k).as_pairs()
-                == naive_reverse_k_ranks(graph, query, k).as_pairs()
-            )
-            assert (
-                static_reverse_k_ranks(csr, query, k).as_pairs()
-                == static_reverse_k_ranks(graph, query, k).as_pairs()
-            )
-            assert (
-                dynamic_reverse_k_ranks(csr, query, k).as_pairs()
-                == dynamic_reverse_k_ranks(graph, query, k).as_pairs()
-            )
+            for algorithm in (
+                naive_reverse_k_ranks,
+                static_reverse_k_ranks,
+                dynamic_reverse_k_ranks,
+            ):
+                pairs = algorithm(csr, query, k).as_pairs()
+                assert algorithm(graph, query, k).as_pairs() == pairs
+                for node, rank in pairs:
+                    assert rank == rank_oracle.rank(graph, node, query)
 
 
 def test_missing_nodes_raise(random_gnp):
@@ -173,3 +183,48 @@ def test_weight_and_has_edge(compiled):
     assert not csr.has_edge(
         next(iter(graph.nodes())), next(iter(graph.nodes()))
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "naive",
+        "closeness",
+        "approximate_closeness",
+        "k_nearest_sets",
+        "reverse_top_k_all_sizes",
+        "rank_matrix",
+        "hub_index_build",
+        "hub_index_build_closeness",
+        "hub_index_repair",
+    ],
+)
+def test_entry_points_compile_once_per_call(random_gnp, monkeypatch, call):
+    # Handed a dict graph, each entry point compiles it once and loops over
+    # that compilation — never once per candidate, source or hub.
+    graph = random_gnp.copy()
+    index = HubIndex.build(graph, num_hubs=4, explore_limit=6, capacity=4)
+    graph.add_edge(0, 1, 0.25)
+    compiles = []
+    compile_graph = CompactGraph.from_graph.__func__
+
+    def counting(cls, source):
+        compiles.append(source)
+        return compile_graph(cls, source)
+
+    monkeypatch.setattr(CompactGraph, "from_graph", classmethod(counting))
+    run = {
+        "naive": lambda: naive_reverse_k_ranks(graph, 0, 3),
+        "closeness": lambda: closeness_centrality(graph),
+        "approximate_closeness": lambda: approximate_closeness_centrality(graph),
+        "k_nearest_sets": lambda: k_nearest_sets(graph, 3),
+        "reverse_top_k_all_sizes": lambda: reverse_top_k_all_sizes(graph, 0, [1, 3]),
+        "rank_matrix": lambda: rank_matrix(graph),
+        "hub_index_build": lambda: HubIndex.build(graph, num_hubs=4, capacity=4),
+        "hub_index_build_closeness": lambda: HubIndex.build(
+            graph, num_hubs=4, capacity=4, strategy="closeness"
+        ),
+        "hub_index_repair": lambda: index.repair([0, 1], conservative=True),
+    }[call]
+    run()
+    assert compiles == [graph]

@@ -1,11 +1,14 @@
-"""CSR-vs-dict parity for the array-specialised SDS-tree pipeline.
+"""The SDS-tree pipeline against the outputs of the deleted dict-graph loop.
 
-The CSR fast path (:mod:`repro.traversal.csr_sds`) must be a bit-identical
-transcription of the dict-backed framework: same ranks, same result nodes,
-and — the stronger bar — the same :class:`~repro.core.types.QueryStats`
-counters (``rank_refinements`` above all, the paper's pruning-power proxy).
-These tests sweep directed, tie-heavy and bichromatic fixtures, every
-``BoundSet`` ablation, and the hub-indexed algorithm.
+Every query runs on the CSR compilation (:mod:`repro.traversal.csr_sds`).
+Before the dict-graph twin of that pipeline was deleted, its outputs on
+these cases were recorded in ``sds_golden.json``: ranks, result nodes and
+— the stronger bar — every :class:`~repro.core.types.QueryStats` counter
+(``rank_refinements`` above all, the paper's pruning-power proxy).  These
+tests sweep directed, tie-heavy and bichromatic fixtures, every
+``BoundSet`` ablation, and the hub-indexed algorithm, handing each entry
+point the dict graph (compiled on entry), the compilation itself, and the
+graph plus a ``backend`` compilation.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import random
 
 import pytest
 
+from conftest import golden, result_digest
+from rank_oracle import distances as oracle_distances
 from repro.core.bichromatic import bichromatic_reverse_k_ranks
 from repro.core.config import BoundSet
 from repro.core.hub_index import HubIndex
@@ -22,7 +27,6 @@ from repro.core.sds_static import static_reverse_k_ranks
 from repro.errors import GraphValidationError
 from repro.core.sds_indexed import indexed_reverse_k_ranks
 from repro.graph import BichromaticPartition, CompactGraph, Graph
-from repro.graph.views import transpose_view
 from repro.traversal import shortest_path_distances
 
 BOUND_PRESETS = [
@@ -32,13 +36,6 @@ BOUND_PRESETS = [
     BoundSet.parent_and_height(),
     BoundSet.all(),
 ]
-
-
-def stats_signature(result):
-    """Every stats counter except wall-clock time."""
-    payload = result.stats.as_dict()
-    payload.pop("elapsed_seconds")
-    return payload
 
 
 def random_graph(seed: int, num_nodes: int = 40, directed: bool = False,
@@ -59,9 +56,10 @@ def random_graph(seed: int, num_nodes: int = 40, directed: bool = False,
     return graph
 
 
-def assert_bit_identical(dict_result, csr_result):
-    assert dict_result.as_pairs() == csr_result.as_pairs()
-    assert stats_signature(dict_result) == stats_signature(csr_result)
+def assert_matches_golden(section, key, labels, results):
+    """``results[i]`` (for case ``labels[i]``) reproduce the recorded digests."""
+    expected = list(zip(labels, golden()[section][key]))
+    assert list(zip(labels, map(result_digest, results))) == expected
 
 
 # ----------------------------------------------------------------------
@@ -73,27 +71,33 @@ def assert_bit_identical(dict_result, csr_result):
 def test_dynamic_parity_including_refinement_counts(seed, directed, tie_heavy):
     graph = random_graph(seed, directed=directed, tie_heavy=tie_heavy)
     csr = CompactGraph.from_graph(graph)
+    key = f"seed={seed},directed={directed},tie_heavy={tie_heavy}"
+    labels, on_graph, on_csr, on_backend = [], [], [], []
     for query in (0, 13, 27):
         for k in (1, 5):
             for bounds in BOUND_PRESETS:
-                dict_result = dynamic_reverse_k_ranks(graph, query, k, bounds=bounds)
-                csr_result = dynamic_reverse_k_ranks(csr, query, k, bounds=bounds)
-                backend_result = dynamic_reverse_k_ranks(
-                    graph, query, k, bounds=bounds, backend=csr
+                labels.append((query, k, bounds.label()))
+                on_graph.append(
+                    dynamic_reverse_k_ranks(graph, query, k, bounds=bounds)
                 )
-                assert_bit_identical(dict_result, csr_result)
-                assert_bit_identical(dict_result, backend_result)
+                on_csr.append(dynamic_reverse_k_ranks(csr, query, k, bounds=bounds))
+                on_backend.append(
+                    dynamic_reverse_k_ranks(
+                        graph, query, k, bounds=bounds, backend=csr
+                    )
+                )
+    for results in (on_graph, on_csr, on_backend):
+        assert_matches_golden("dynamic", key, labels, results)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_static_parity(seed):
     graph = random_graph(seed, tie_heavy=True)
     csr = CompactGraph.from_graph(graph)
-    for query in (0, 20):
-        assert_bit_identical(
-            static_reverse_k_ranks(graph, query, 4),
-            static_reverse_k_ranks(csr, query, 4),
-        )
+    labels = [(query, 4) for query in (0, 20)]
+    for target in (graph, csr):
+        results = [static_reverse_k_ranks(target, query, 4) for query in (0, 20)]
+        assert_matches_golden("static", f"seed={seed}", labels, results)
 
 
 # ----------------------------------------------------------------------
@@ -104,17 +108,30 @@ def test_indexed_parity_with_warm_index_learning(seed):
     graph = random_graph(seed, num_nodes=36)
     csr = CompactGraph.from_graph(graph)
     build = dict(num_hubs=5, explore_limit=20, capacity=8)
-    dict_index = HubIndex.build(graph, **build)
-    csr_index = HubIndex.build(graph, **build)
-    # Repeated queries keep both indexes learning in lockstep; parity must
-    # survive the warm-index feedback loop, not just the first query.
-    for query in (0, 11, 23, 11):
-        for k in (2, 6):
-            assert_bit_identical(
-                indexed_reverse_k_ranks(graph, query, k, index=dict_index),
-                indexed_reverse_k_ranks(graph, query, k, index=csr_index, backend=csr),
-            )
-    assert dict_index.num_known_ranks == csr_index.num_known_ranks
+    recorded = golden()["indexed"][f"seed={seed}"]
+    # One index is handed the compilation, its twin compiles the graph on
+    # entry; both must record the same entries.
+    for index, backend in (
+        (HubIndex.build(graph, backend=csr, **build), csr),
+        (HubIndex.build(graph, **build), None),
+    ):
+        # Repeated queries keep the index learning; the recorded outputs
+        # must survive the warm-index feedback loop, not just the first
+        # query.
+        labels, results = [], []
+        for query in (0, 11, 23, 11):
+            for k in (2, 6):
+                labels.append((query, k))
+                results.append(
+                    indexed_reverse_k_ranks(
+                        graph, query, k, index=index, backend=backend
+                    )
+                )
+        assert list(zip(labels, map(result_digest, results))) == list(
+            zip(labels, recorded["results"])
+        )
+        assert index.num_known_ranks == recorded["known_ranks"]
+        assert index.content_digest() == recorded["index_digest"]
 
 
 # ----------------------------------------------------------------------
@@ -128,14 +145,22 @@ def test_bichromatic_parity(seed, tie_heavy):
     facilities = random.Random(seed).sample(range(36), 12)
     partition = BichromaticPartition(graph, facilities)
     query = sorted(partition.facilities)[0]
-    for k in (1, 4):
-        for bounds in (BoundSet.none(), BoundSet.all()):
-            assert_bit_identical(
-                bichromatic_reverse_k_ranks(partition, query, k, bounds=bounds),
-                bichromatic_reverse_k_ranks(
-                    partition, query, k, bounds=bounds, backend=csr
-                ),
+    labels = [
+        (k, bounds.label())
+        for k in (1, 4)
+        for bounds in (BoundSet.none(), BoundSet.all())
+    ]
+    for backend in (None, csr):
+        results = [
+            bichromatic_reverse_k_ranks(
+                partition, query, k, bounds=bounds, backend=backend
             )
+            for k in (1, 4)
+            for bounds in (BoundSet.none(), BoundSet.all())
+        ]
+        assert_matches_golden(
+            "bichromatic", f"seed={seed},tie_heavy={tie_heavy}", labels, results
+        )
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +214,12 @@ def test_transposed_backend_rejected():
 
 
 # ----------------------------------------------------------------------
-# Reverse views over CompactGraph stay on the fast path
+# Reverse views over CompactGraph stay compact
 # ----------------------------------------------------------------------
 def test_transpose_view_of_compact_graph_is_compact():
     graph = random_graph(3, directed=True)
     csr = CompactGraph.from_graph(graph)
-    reverse = transpose_view(csr)
+    reverse = csr.reverse_view()
     assert getattr(reverse, "is_compact", False)
     # Swapped adjacency: out-neighbours of the reverse are in-neighbours
     # of the original, in identical order.
@@ -207,12 +232,10 @@ def test_transpose_view_of_compact_graph_is_compact():
 def test_reverse_view_distances_match_dict_transpose():
     graph = random_graph(5, directed=True)
     csr = CompactGraph.from_graph(graph)
-    fast = shortest_path_distances(transpose_view(csr), 4)
-    slow = shortest_path_distances(transpose_view(graph), 4)
-    assert fast == slow
+    fast = shortest_path_distances(csr.reverse_view(), 4)
+    assert fast == oracle_distances(graph.transpose(), 4)
 
 
 def test_reverse_view_of_undirected_graph_is_itself():
     csr = CompactGraph.from_graph(random_graph(1))
     assert csr.reverse_view() is csr
-    assert transpose_view(csr) is csr

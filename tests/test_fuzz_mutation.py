@@ -40,6 +40,8 @@ from repro.core.hub_index import HubIndex
 from repro.core.validation import results_equivalent
 from repro.graph import GraphBuilder
 
+from conftest import index_signature
+
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 pytestmark = [
@@ -135,14 +137,6 @@ def _assert_bit_identical(expected, actual, context):
         assert _stats_dict(got) == _stats_dict(want), (context, want.query)
 
 
-def _index_signature(index):
-    state = index.export_state()
-    # graph.copy() re-counts mutations from zero, so the version numbers
-    # of graph and shadow legitimately differ; everything else must not.
-    state.pop("graph_version")
-    return state
-
-
 def _learner_and_twin(seed, capacity):
     """Two engines over the seed's graph, rebuilt from its own stream.
 
@@ -223,7 +217,7 @@ def test_incremental_equals_rebuild(seed):
                 shadow, capacity=capacity, hubs=engine.index.hubs,
                 backend=backend,
             )
-            assert _index_signature(engine.index) == _index_signature(
+            assert index_signature(engine.index) == index_signature(
                 rebuilt
             ), context
 

@@ -1,4 +1,4 @@
-"""Unit tests for the addressable heap underpinning every traversal."""
+"""Unit tests for the addressable heap :class:`IntHeap` is checked against."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.traversal.heap import AddressableHeap
+from addressable_heap import AddressableHeap
 
 
 def test_pop_orders_by_priority():

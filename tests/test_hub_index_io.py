@@ -225,6 +225,9 @@ def test_csr_backed_build_matches_dict_build():
     csr = CompactGraph.from_graph(graph)
     dict_index = HubIndex.build(graph, num_hubs=2, capacity=4)
     csr_index = HubIndex.build(graph, num_hubs=2, capacity=4, backend=csr)
+    # Handed the dict graph, the build compiles it and explores the same
+    # compilation: identical entries, not merely identical ranks.
+    assert dict_index.content_digest() == csr_index.content_digest()
     for hub in dict_index.hubs:
         for node in graph.nodes():
             assert dict_index.known_rank(hub, node) == csr_index.known_rank(hub, node)

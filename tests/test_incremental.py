@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import random
 import signal
 import time
 
@@ -35,7 +36,7 @@ from repro.errors import (
 from repro.graph import BichromaticPartition, CompactGraph, Graph
 from repro.graph.overlay import OverlayGraph
 
-from conftest import _gnp_graph, sample_queries
+from conftest import _gnp_graph, index_signature, sample_queries
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -46,6 +47,18 @@ needs_fork = pytest.mark.skipif(
 def _mutable_gnp(seed: int = 7, num_nodes: int = 22, directed: bool = False):
     """Private copy of the conftest G(n, p): mutation tests need their own."""
     return _gnp_graph(num_nodes, 0.2, seed=seed, directed=directed)
+
+
+def _tie_heavy_graph(seed: int, num_nodes: int = 40) -> Graph:
+    """Undirected graph with weights in {1, 2}: distance ties everywhere."""
+    rng = random.Random(4_000 + seed)
+    graph = Graph(name=f"ties-{seed}")
+    graph.add_nodes(range(num_nodes))
+    for source in range(num_nodes):
+        for target in range(source + 1, num_nodes):
+            if rng.random() < 0.12:
+                graph.add_edge(source, target, rng.choice([1.0, 2.0]))
+    return graph
 
 
 def _stats_dict(result):
@@ -327,6 +340,31 @@ class TestApplyUpdates:
         reference.compact_graph()
         queries = sample_queries(shadow, 4)
         _assert_same_answers(engine, reference, queries, algorithm="dynamic")
+
+        # Tie-heavy graphs under a truncated explore_limit: the recovery's
+        # conservative repair must re-explore every hub on the compilation
+        # a rebuild uses, or it records other boundary-tie entries.
+        for seed in range(3):
+            graph = _tie_heavy_graph(seed)
+            shadow = graph.copy()
+            engine = ReverseKRanksEngine(graph)
+            engine.build_index(num_hubs=4, explore_limit=7, capacity=8)
+            source, target, _ = sorted(graph.edges())[0]
+            with pytest.raises(EdgeNotFoundError):
+                engine.apply_updates(
+                    [("remove_edge", source, target), ("remove_edge", 0, 0)]
+                )
+            shadow.remove_edge(source, target)
+            rebuilt = HubIndex.build(
+                shadow, capacity=8, hubs=engine.index.hubs, explore_limit=7,
+                backend=CompactGraph.from_graph(shadow),
+            )
+            assert index_signature(engine.index) == index_signature(rebuilt)
+            reference = ReverseKRanksEngine(shadow, index=rebuilt)
+            _assert_same_answers(
+                engine, reference, sample_queries(shadow, 4), k=4,
+                algorithm="indexed",
+            )
 
     def test_missing_node_removal_raises(self):
         engine = ReverseKRanksEngine(_mutable_gnp(seed=12))

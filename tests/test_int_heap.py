@@ -1,11 +1,12 @@
 """Unit + property tests for the dense int-keyed addressable heap.
 
 Beyond basic heap behaviour, the property sweep drives :class:`IntHeap`
-and :class:`AddressableHeap` with the *same* randomized operation stream —
-deliberately tie-heavy priorities — and requires identical pop sequences.
-That equivalence (insertion-order tie-breaking, counters preserved across
-``decrease_key``) is what makes the CSR-specialised SDS-tree bit-identical
-to the dict-backed framework.
+and the plain reference :class:`AddressableHeap` (``addressable_heap.py``)
+with the *same* randomized operation stream — deliberately tie-heavy
+priorities — and requires identical pop sequences.  That equivalence
+(insertion-order tie-breaking, counters preserved across
+``decrease_key``) fixes the settle order of the SDS-tree, its refinements
+and the top-k searches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.traversal.heap import AddressableHeap
+from addressable_heap import AddressableHeap
 from repro.traversal.int_heap import IntHeap
 
 

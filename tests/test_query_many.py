@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AlgorithmKind, ReverseKRanksEngine
+import rank_oracle
+from repro.core import (
+    AlgorithmKind,
+    ReverseKRanksEngine,
+    dynamic_reverse_k_ranks,
+    naive_reverse_k_ranks,
+)
 from repro.core.hub_index import HubIndex
 from repro.errors import (
     IndexParameterError,
@@ -18,7 +24,7 @@ from repro.errors import (
     InvalidQueryNodeError,
 )
 
-from conftest import sample_queries
+from conftest import result_digest, sample_queries
 
 
 ALL_KINDS = (
@@ -49,12 +55,70 @@ def test_batch_matches_single_queries(warm_engine, random_gnp, kind):
 
 @pytest.mark.parametrize("kind", (AlgorithmKind.NAIVE, AlgorithmKind.DYNAMIC))
 def test_csr_and_dict_batches_identical(random_gnp, kind):
+    # Batches over the engine's cached compilation answer exactly like the
+    # module-level entry points handed the dict graph (compiled per call),
+    # and every listed rank is the textbook oracle's.
     engine = ReverseKRanksEngine(random_gnp)
     queries = sample_queries(random_gnp, 4)
-    with_csr = engine.query_many(queries, 3, algorithm=kind, use_csr=True)
-    without_csr = engine.query_many(queries, 3, algorithm=kind, use_csr=False)
-    for left, right in zip(with_csr, without_csr):
-        assert left.as_pairs() == right.as_pairs()
+    direct = {
+        AlgorithmKind.NAIVE: naive_reverse_k_ranks,
+        AlgorithmKind.DYNAMIC: dynamic_reverse_k_ranks,
+    }[kind]
+    batch = engine.query_many(queries, 3, algorithm=kind)
+    for query, result in zip(queries, batch):
+        reference = direct(random_gnp, query, 3)
+        assert result.as_pairs() == reference.as_pairs()
+        assert result_digest(result) == result_digest(reference)
+        for node, rank in result.as_pairs():
+            assert rank == rank_oracle.rank(random_gnp, node, query)
+
+
+def _twin_engines(graph, partition=None, indexed=False):
+    """Two identical engines: one answers query(), the other query_many()
+    — indexes learn, so one engine answering both would drift."""
+    engines = []
+    for _ in range(2):
+        engine = ReverseKRanksEngine(graph, partition=partition)
+        if indexed:
+            engine.build_index(num_hubs=3, explore_limit=10, capacity=8)
+        engines.append(engine)
+    return engines
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_single_query_runs_on_the_engine_compilation(random_gnp, kind):
+    single, batched = _twin_engines(
+        random_gnp, indexed=kind is AlgorithmKind.INDEXED
+    )
+    for query in sample_queries(random_gnp, 4):
+        one = single.query(query, 3, algorithm=kind)
+        (many,) = batched.query_many([query], 3, algorithm=kind)
+        assert one.as_pairs() == many.as_pairs()
+        assert result_digest(one) == result_digest(many)
+    # Every query() reused the one cached compilation.
+    recompactions = single.registry.get("repro_csr_recompactions_total")
+    assert recompactions.value == 1
+
+
+@pytest.mark.parametrize(
+    "kind", (AlgorithmKind.NAIVE, AlgorithmKind.STATIC, AlgorithmKind.DYNAMIC)
+)
+def test_single_bichromatic_query_uses_cached_masks(bichromatic_case, kind):
+    single, batched = _twin_engines(
+        bichromatic_case.graph, partition=bichromatic_case
+    )
+    masks = None
+    for query in sorted(bichromatic_case.facilities, key=repr)[:3]:
+        one = single.query(query, 3, algorithm=kind)
+        (many,) = batched.query_many([query], 3, algorithm=kind)
+        assert one.as_pairs() == many.as_pairs()
+        assert result_digest(one) == result_digest(many)
+        if kind is not AlgorithmKind.NAIVE:
+            assert single._masks is not None
+            assert masks is None or single._masks is masks
+            masks = single._masks
+    recompactions = single.registry.get("repro_csr_recompactions_total")
+    assert recompactions.value == 1
 
 
 def test_csr_compiled_once_per_graph_version(random_gnp):

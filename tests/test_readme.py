@@ -1,0 +1,65 @@
+"""The README quickstart, executed from ``README.md`` itself.
+
+Its first three ``python`` blocks form one script (graph, every algorithm
+through ``engine.query``, a bichromatic query, a cached ``query_many``
+batch); the later blocks are fragments.  The expected output is what the
+quickstart has always printed.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def run_quickstart():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile("\n".join(blocks[:3]), str(README), "exec"), namespace)
+    return printed.getvalue().splitlines(), namespace
+
+
+def test_readme_quickstart_output():
+    lines, namespace = run_quickstart()
+    answers = lines[:4]
+    assert [line.split(" ", 1)[0] for line in answers] == [
+        "Naive", "Static", "Dynamic-Three", "Indexed",
+    ]
+    for line in answers:
+        assert ast.literal_eval(line.split(" ", 1)[1]) == [("d", 1), ("a", 2)]
+
+    assert lines[4] == "3 refinements, 4 tree pops"
+    stats = ast.literal_eval(lines[5])
+    stats.pop("elapsed_seconds")
+    assert stats == {
+        "rank_refinements": 3,
+        "refinements_pruned": 0,
+        "refinement_nodes_settled": 5,
+        "tree_pops": 4,
+        "tree_pushes": 3,
+        "pruned_by_bound": 0,
+        "answered_by_index": 0,
+        "pruned_by_check_dictionary": 0,
+        "bound_wins": {"height": 3},
+    }
+    assert len(lines) == 6
+
+    bichromatic = namespace["result"]
+    assert bichromatic.algorithm == "Bichromatic-Dynamic-Three"
+    assert bichromatic.as_pairs() == [("d", 1)]
+
+    batch = namespace["results"]
+    assert [result.as_pairs() for result in batch] == [
+        [("b", 1), ("c", 3)],
+        [("a", 1), ("c", 2)],
+        [("d", 1), ("a", 2)],
+        [("b", 1), ("c", 3)],
+    ]
+    assert batch[3] is batch[0]  # the repeated query is a cache hit

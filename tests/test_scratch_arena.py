@@ -165,7 +165,8 @@ class TestArenaReuseParity:
                 assert _stats_signature(shared) == _stats_signature(fresh)
 
     def test_generic_dict_path_reuse_parity(self, weighted_grid):
-        # No backend: the arena serves the AddressableHeap/dict loops.
+        # Handed the dict graph: every call compiles it on entry, and the
+        # one arena serves compilations it has never seen before.
         arena = ScratchArena()
         for query in sorted(weighted_grid.nodes(), key=repr):
             shared = static_reverse_k_ranks(
