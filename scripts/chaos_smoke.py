@@ -258,7 +258,6 @@ def main(argv=None):
             max_wait_ms=2.0,
             max_pending=max(64, args.clients * 4),
             batch_timeout_s=args.batch_timeout,
-            on_pool_failure="retry",
         )
         server = QueryServer(engine, config=config, store=store).start()
         problems = []

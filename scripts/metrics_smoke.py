@@ -9,7 +9,7 @@ The in-process test suite covers every obs component; this script is the
 2. drive concurrent queries through real sockets while scraping the
    plain-HTTP ``/metrics`` endpoint twice mid-load, asserting (a) every
    required metric family is present in one scrape — batcher flush
-   causes, per-policy pool batch latency, worker respawn/timeout
+   causes, pool batch latency, worker respawn/timeout
    counters, journal fsync latency, codec IPC bytes — and (b) the
    serve/query counters are monotone across the two scrapes;
 3. fetch the last batch trace via the framed-JSON ``trace`` op and

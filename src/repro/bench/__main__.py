@@ -128,18 +128,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--stats",
-        default="per-query",
-        choices=("per-query", "aggregate", "none"),
-        help=(
-            "batch stats mode for parallel passes: per-query ships full "
-            "QueryStats per query, aggregate one merged QueryStats per "
-            "shard, none drops stats entirely — aggregate/none shrink the "
-            "per-query IPC bytes the name@wN rows report (default: "
-            "per-query)"
-        ),
-    )
-    parser.add_argument(
         "--mutation-rate",
         type=float,
         default=0.0,
@@ -262,7 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             index_cache=args.index_cache,
             workers=workers,
             worker_context=args.worker_context,
-            stats_mode=args.stats,
             trace=args.trace or args.trace_dir is not None,
             trace_dir=args.trace_dir,
             mutation_rate=args.mutation_rate,
@@ -291,7 +278,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "validate": not args.no_validate,
             "workers": workers,
             "worker_context": args.worker_context,
-            "stats": args.stats,
             "trace": args.trace or args.trace_dir is not None,
             "mutation_rate": args.mutation_rate,
             "families": [workload.family for workload in workloads],

@@ -48,7 +48,7 @@ from repro.core.config import AlgorithmKind
 from repro.core.engine import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.core.naive import naive_reverse_k_ranks
-from repro.core.types import QueryResult, check_stats_mode
+from repro.core.types import QueryResult
 from repro.core.validation import results_equivalent
 from repro.errors import (
     CrossValidationError,
@@ -83,9 +83,7 @@ class AlgorithmTiming:
     algorithm: str
     repetitions: List[float] = field(default_factory=list)
     index_build_seconds: Optional[float] = None
-    #: ``None`` when the counters were never collected (a parallel pass
-    #: under ``--stats none``) — never presented as a zero count.
-    rank_refinements: Optional[int] = 0
+    rank_refinements: int = 0
     validated: Optional[bool] = None
     speedup_vs_naive: Optional[float] = None
     skipped: Optional[str] = None
@@ -376,7 +374,6 @@ def run_workload(
     index_cache: Optional[object] = None,
     workers=1,
     worker_context: Optional[str] = None,
-    stats_mode: str = "per-query",
     trace: bool = False,
     trace_dir: Optional[object] = None,
     mutation_rate: float = 0.0,
@@ -414,17 +411,6 @@ def run_workload(
     worker_context:
         Multiprocessing start method for parallel passes (``None`` =
         platform default).
-    stats_mode:
-        The engine's batch ``stats`` knob (``"per-query"``, ``"aggregate"``
-        or ``"none"``), applied to the *parallel* timed passes, where it
-        selects the shard codec's stats payload — ``"aggregate"`` and
-        ``"none"`` shrink the per-query IPC bytes the rows report (and
-        ``"none"`` records the rows' ``rank_refinements`` as ``None``,
-        never a fake 0).  Sequential passes always keep full per-query
-        stats: in-process results carry them for free, and the
-        ``rank_refinements`` column needs them.  The parallel consistency
-        reference also runs (untimed) with full per-query stats, so the
-        rank-identity gate is mode-independent.
     trace:
         Enable the engine's batch tracer for the timed passes; each row
         records a ``trace_summary`` (top spans by inclusive time) from
@@ -463,7 +449,6 @@ def run_workload(
         raise WorkloadError(
             f"mutation_rate must be >= 0, got {mutation_rate!r}"
         )
-    check_stats_mode(stats_mode)
     if trace_dir is not None:
         trace = True
         trace_dir = Path(trace_dir)
@@ -541,8 +526,7 @@ def run_workload(
                     timing.graph_shared = pool.uses_shared_graph
                     timing.startup_payload_bytes = pool.startup_payload_bytes
                     run_kwargs.update(
-                        workers=num_workers, worker_context=worker_context,
-                        stats=stats_mode,
+                        workers=num_workers, worker_context=worker_context
                     )
 
                 for _ in range(warmup):
@@ -576,19 +560,9 @@ def run_workload(
                             + "\n"
                         )
 
-                if num_workers > 1 and stats_mode != "per-query":
-                    # Rebuilt results carry empty stats under "aggregate" /
-                    # "none"; take the counter from the batch aggregate when
-                    # one was collected, and report None — not a fake 0 —
-                    # when stats were never collected at all.
-                    batch_stats = engine.last_batch_stats
-                    timing.rank_refinements = getattr(
-                        batch_stats, "rank_refinements", None
-                    )
-                else:
-                    timing.rank_refinements = sum(
-                        item.stats.rank_refinements for item in batch
-                    )
+                timing.rank_refinements = sum(
+                    item.stats.rank_refinements for item in batch
+                )
                 if num_workers > 1 and batch:
                     timing.ipc_bytes_per_query = (
                         engine.last_batch_ipc_bytes / len(batch)
@@ -1066,7 +1040,6 @@ def run_suite(
     index_cache: Optional[object] = None,
     workers=1,
     worker_context: Optional[str] = None,
-    stats_mode: str = "per-query",
     trace: bool = False,
     trace_dir: Optional[object] = None,
     mutation_rate: float = 0.0,
@@ -1094,7 +1067,6 @@ def run_suite(
                 index_cache=index_cache,
                 workers=workers,
                 worker_context=worker_context,
-                stats_mode=stats_mode,
                 trace=trace,
                 trace_dir=trace_dir,
                 mutation_rate=mutation_rate,

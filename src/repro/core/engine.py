@@ -48,12 +48,7 @@ from repro.core.naive import naive_reverse_k_ranks
 from repro.core.sds_dynamic import dynamic_reverse_k_ranks
 from repro.core.sds_indexed import indexed_reverse_k_ranks
 from repro.core.sds_static import static_reverse_k_ranks
-from repro.core.types import (
-    QueryResult,
-    QueryStats,
-    STATS_UNAVAILABLE,
-    check_stats_mode,
-)
+from repro.core.types import QueryResult, QueryStats
 from repro.errors import (
     BichromaticError,
     GraphValidationError,
@@ -163,10 +158,10 @@ class ReverseKRanksEngine:
 
     #: Circuit breaker: after this many *batch-level* pool failures (a
     #: crash budget exhausted, a respawn that would not come back, a
-    #: batch deadline blown), ``query_many(on_pool_failure="retry" |
-    #: "sequential")`` stops attempting parallel execution and serves
-    #: sequentially until :meth:`reset_parallel_breaker`.  ``0`` disables
-    #: the breaker.  Overridable per instance.
+    #: batch deadline blown), ``query_many`` stops attempting parallel
+    #: execution and serves sequentially until
+    #: :meth:`reset_parallel_breaker`.  ``0`` disables the breaker.
+    #: Overridable per instance.
     pool_failure_limit: int = 3
 
     #: Worker deaths each parallel batch absorbs in place (respawn +
@@ -240,9 +235,7 @@ class ReverseKRanksEngine:
         # their own).  Graph mutations don't invalidate it: it only grows,
         # and each query claims it with a fresh epoch.
         self._arena = ScratchArena()
-        #: Aggregated QueryStats of the most recent query_many batch, or
-        #: :data:`~repro.core.types.STATS_UNAVAILABLE` after a
-        #: ``stats="none"`` batch (never silently zeroed).
+        #: Aggregated QueryStats of the most recent query_many batch.
         self.last_batch_stats = None
         #: Flat payload bytes the most recent parallel batch shipped back
         #: through the result queues (codec-reported; 0 for sequential
@@ -293,13 +286,11 @@ class ReverseKRanksEngine:
         )
         self._m_shard_plans = metrics.counter(
             "repro_shard_plans_total",
-            "Shard plans produced for parallel batches, by policy.",
-            labels=("policy",),
+            "Shard plans produced for parallel batches.",
         )
         self._m_shard_skew = metrics.histogram(
             "repro_shard_skew_ratio",
             "Largest shard size over the ideal even share, per plan.",
-            labels=("policy",),
             buckets=(1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0),
         )
         # Declared here (idempotently re-registered by the pool) so
@@ -900,10 +891,7 @@ class ReverseKRanksEngine:
         bounds: Optional[BoundSet] = None,
         cache_size: Optional[int] = None,
         workers: int = 1,
-        shard_policy: str = "round_robin",
         worker_context: Optional[str] = None,
-        stats: str = "per-query",
-        on_pool_failure: str = "retry",
         batch_timeout: Optional[float] = None,
     ) -> List[QueryResult]:
         """Answer a batch of reverse k-ranks queries, amortising setup work.
@@ -953,48 +941,24 @@ class ReverseKRanksEngine:
             pool persists across batches and is invalidated by graph
             mutations; see :meth:`prepare_parallel` / :meth:`close_pool`.
             Single-query batches fall back to sequential execution
-            (nothing to shard).
-        shard_policy:
-            Parallel mode only: ``"round_robin"`` (default), ``"cost"``
-            (degree/hub-proximity-estimated balancing) or ``"affinity"``
-            (repeated queries pin to the same worker) — see
-            :class:`repro.parallel.ShardPolicy`.
+            (nothing to shard).  The batch is sharded round-robin and
+            every result carries its full
+            :class:`~repro.core.types.QueryStats`, exactly as in
+            sequential mode.
+
+            When the pool fails a batch even after its in-place healing
+            (crash budget exhausted, a replacement worker that would not
+            start, a blown ``batch_timeout``), the engine prunes the dead
+            pool, retries the batch once on a fresh pool, and if that
+            fails too, falls back to the sequential path (bit-identical
+            results, just slower).  A circuit breaker counts these
+            batch-level pool failures; past :attr:`pool_failure_limit`
+            the engine stops attempting parallel execution entirely (see
+            :attr:`parallel_degraded` / :meth:`reset_parallel_breaker`).
         worker_context:
             Parallel mode only: multiprocessing start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``, or ``None`` for the platform
             default).
-        stats:
-            What batch statistics to collect — ``"per-query"`` (default:
-            every result carries its full
-            :class:`~repro.core.types.QueryStats`), ``"aggregate"`` (one
-            batch-level aggregate on :attr:`last_batch_stats`; in parallel
-            mode each shard ships a single merged ``QueryStats`` instead
-            of per-query counter arrays, and rebuilt results carry empty
-            stats) or ``"none"`` (no stats at all;
-            :attr:`last_batch_stats` is set to
-            :data:`~repro.core.types.STATS_UNAVAILABLE`, never a zeroed
-            object).  In parallel mode the knob directly shrinks the IPC
-            payload; sequentially it only selects what
-            :attr:`last_batch_stats` records (per-query stats cost nothing
-            to keep on in-process results).
-        on_pool_failure:
-            Parallel mode only — what to do when the pool fails a batch
-            even after its in-place healing (crash budget exhausted, a
-            replacement worker that would not start, a blown
-            ``batch_timeout``):
-
-            * ``"retry"`` (default): build one fresh pool and retry the
-              batch in parallel; if that fails too, fall back to the
-              sequential path (bit-identical results, just slower).
-            * ``"sequential"``: skip the retry, fall back immediately.
-            * ``"raise"``: propagate the typed error to the caller.
-
-            Under ``"retry"``/``"sequential"`` a circuit breaker counts
-            batch-level pool failures; past
-            :attr:`pool_failure_limit` the engine stops attempting
-            parallel execution entirely (see :attr:`parallel_degraded` /
-            :meth:`reset_parallel_breaker`).  Every fallback prunes the
-            dead pool first, so no later batch can dispatch to corpses.
         batch_timeout:
             Parallel mode only: wall-clock seconds one pool batch may
             take before the stuck workers are killed and the batch is
@@ -1006,18 +970,12 @@ class ReverseKRanksEngine:
         list of QueryResult
             One result per query, in input order.
         """
-        check_stats_mode(stats)
         batch = list(queries)
         kind = self.validate_batch(batch, k, algorithm)
 
         if not is_positive_int(workers):
             raise ParallelExecutionError(
                 f"workers must be a positive integer, got {workers!r}"
-            )
-        if on_pool_failure not in ("retry", "sequential", "raise"):
-            raise ParallelExecutionError(
-                f"on_pool_failure must be 'retry', 'sequential' or 'raise', "
-                f"got {on_pool_failure!r}"
             )
         # Reset the per-batch telemetry *before* dispatch: a parallel
         # batch that degrades to the sequential fallback (or escapes with
@@ -1054,39 +1012,24 @@ class ReverseKRanksEngine:
                 if cache_size and cache_size > 0:
                     dispatch = list(dict.fromkeys(batch))
                 if len(dispatch) >= max(1, self.parallel_min_batch):
-                    # The breaker only gates the degrading modes; a caller
-                    # that asked for raw errors keeps getting real attempts.
-                    attempt = (
-                        on_pool_failure == "raise" or not self.parallel_degraded
-                    )
+                    # One attempt plus one retry on a fresh pool, unless
+                    # the circuit breaker is (or becomes) open.
                     unique = None
-                    if attempt:
+                    for attempt in range(2):
+                        if self.parallel_degraded:
+                            break
+                        if attempt:
+                            self._m_parallel_retries.inc()
                         try:
                             unique = self._query_many_parallel(
                                 dispatch, k, kind, bounds, workers,
-                                shard_policy, worker_context, stats,
-                                batch_timeout,
+                                worker_context, batch_timeout,
                             )
+                            break
                         except (WorkerCrashError, WorkerTimeoutError):
                             # _query_many_parallel already pruned the pool.
                             self.pool_failures += 1
                             self._m_pool_failures.inc()
-                            if on_pool_failure == "raise":
-                                raise
-                            if (
-                                on_pool_failure == "retry"
-                                and not self.parallel_degraded
-                            ):
-                                self._m_parallel_retries.inc()
-                                try:
-                                    unique = self._query_many_parallel(
-                                        dispatch, k, kind, bounds, workers,
-                                        shard_policy, worker_context, stats,
-                                        batch_timeout,
-                                    )
-                                except (WorkerCrashError, WorkerTimeoutError):
-                                    self.pool_failures += 1
-                                    self._m_pool_failures.inc()
                     if unique is not None:
                         self._m_batches_parallel.inc()
                         self._m_queries.labels(algorithm=kind.value).inc(
@@ -1106,7 +1049,7 @@ class ReverseKRanksEngine:
                 # path, whose LRU serves the duplicates.
 
             results = self._query_many_sequential(
-                batch, k, kind, bounds, cache_size, stats
+                batch, k, kind, bounds, cache_size
             )
             if path == "sequential":
                 self._m_batches_sequential.inc()
@@ -1120,7 +1063,6 @@ class ReverseKRanksEngine:
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
         cache_size: Optional[int],
-        stats: str,
     ) -> List[QueryResult]:
         """The in-process batch path (also the parallel fallback).
 
@@ -1151,13 +1093,10 @@ class ReverseKRanksEngine:
                 results.append(result)
             if cache is not None:
                 span.set(cache_hits=cache_hits)
-        if stats == "none":
-            self.last_batch_stats = STATS_UNAVAILABLE
-        else:
-            aggregated = QueryStats()
-            for result in results:
-                aggregated.merge(result.stats)
-            self.last_batch_stats = aggregated
+        aggregated = QueryStats()
+        for result in results:
+            aggregated.merge(result.stats)
+        self.last_batch_stats = aggregated
         self.last_batch_ipc_bytes = 0
         return results
 
@@ -1235,10 +1174,9 @@ class ReverseKRanksEngine:
 
         Opens once :attr:`pool_failures` reaches
         :attr:`pool_failure_limit` (a limit of ``0`` disables the
-        breaker).  While open, ``query_many(workers=N,
-        on_pool_failure="retry"|"sequential")`` serves every batch on
-        the bit-identical sequential path; :meth:`reset_parallel_breaker`
-        closes it again.
+        breaker).  While open, ``query_many(workers=N)`` serves every
+        batch on the bit-identical sequential path;
+        :meth:`reset_parallel_breaker` closes it again.
         """
         limit = self.pool_failure_limit
         return limit > 0 and self.pool_failures >= limit
@@ -1369,9 +1307,7 @@ class ReverseKRanksEngine:
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
         workers: int,
-        shard_policy: str,
         worker_context: Optional[str],
-        stats_mode: str,
         batch_timeout: Optional[float] = None,
     ) -> List[QueryResult]:
         from repro.parallel import ShardPlanner
@@ -1379,25 +1315,18 @@ class ReverseKRanksEngine:
         tracer = self.tracer
         with tracer.span("engine.pool_ensure", workers=workers):
             pool = self._ensure_pool(workers, worker_context)
-        with tracer.span("engine.plan", policy=shard_policy) as plan_span:
-            planner = ShardPlanner(pool.num_workers, policy=shard_policy)
-            plan = planner.plan(
-                batch,
-                graph=self.compact_graph(),
-                index=self._index if kind is AlgorithmKind.INDEXED else None,
-            )
+        with tracer.span("engine.plan") as plan_span:
+            plan = ShardPlanner(pool.num_workers).plan(batch)
             skew = plan.skew()
-            plan_span.set(policy=plan.policy.value, skew=skew)
-        policy = plan.policy.value
-        self._m_shard_plans.labels(policy=policy).inc()
-        self._m_shard_skew.labels(policy=policy).observe(skew)
+            plan_span.set(skew=skew)
+        self._m_shard_plans.inc()
+        self._m_shard_skew.observe(skew)
         try:
             with tracer.span(
-                "engine.pool_dispatch",
-                shards=len(plan.non_empty()), policy=policy,
+                "engine.pool_dispatch", shards=len(plan.non_empty())
             ) as dispatch_span:
                 outcome = pool.run_batch(
-                    plan, k, kind, bounds=bounds, stats_mode=stats_mode,
+                    plan, k, kind, bounds=bounds,
                     timeout=batch_timeout,
                     crash_retries=self.pool_crash_retries,
                     trace_id=tracer.trace_id if tracer.enabled else None,
@@ -1430,11 +1359,7 @@ class ReverseKRanksEngine:
             # merged shard learning is not master-local drift.
             if self._pool_index_revision is not None:
                 self._pool_index_revision += self._index.revision - before
-        # "none" means never collected — mark it unavailable rather than
-        # presenting a zeroed QueryStats as if the batch did no work.
-        self.last_batch_stats = (
-            outcome.stats if outcome.stats is not None else STATS_UNAVAILABLE
-        )
+        self.last_batch_stats = outcome.stats
         self.last_batch_ipc_bytes = outcome.ipc_bytes
         return outcome.results
 

@@ -1018,14 +1018,6 @@ class HubIndex:
         """Total nodes settled by explorations from ``node``."""
         return self._explored.get(node, 0)
 
-    def reverse_rank_count(self, target: NodeId) -> int:
-        """How many Reverse-Rank-Dictionary entries seed queries for ``target``.
-
-        Cheaper than ``len(known_reverse_ranks(target))`` (no sort); used
-        by the cost-estimating shard planner as its hub-proximity signal.
-        """
-        return len(self._reverse.get(target, ()))
-
     # ------------------------------------------------------------------
     # Query-time surface (called by the framework)
     # ------------------------------------------------------------------

@@ -12,63 +12,12 @@ __all__ = [
     "QueryStats",
     "QueryResult",
     "PRUNED",
-    "STATS_MODES",
-    "STATS_UNAVAILABLE",
-    "check_stats_mode",
 ]
 
 #: Sentinel returned by the rank refinement when the node was pruned
 #: (its rank is guaranteed to exceed the current kRank bound).  The paper's
 #: pseudo-code returns ``-1``.
 PRUNED = -1
-
-#: Legal values of the batch ``stats`` knob: ``"per-query"`` keeps full
-#: per-query counters on every result, ``"aggregate"`` collapses them to
-#: one batch-level :class:`QueryStats` (in parallel mode: one per shard on
-#: the wire), ``"none"`` drops them entirely.
-STATS_MODES = ("per-query", "aggregate", "none")
-
-
-def check_stats_mode(mode: object) -> str:
-    """Validate a batch ``stats`` knob value, returning it unchanged."""
-    if mode not in STATS_MODES:
-        raise ValueError(
-            f"stats must be one of {STATS_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-class _StatsUnavailable:
-    """Singleton marking batch stats that were deliberately not collected.
-
-    Distinct from ``None`` ("no batch has run yet") and from a zeroed
-    :class:`QueryStats` (which would silently read as "the batch did no
-    work"): with ``stats="none"`` the counters were never recorded, and
-    consumers must be able to tell.  Falsy, so ``if engine.last_batch_stats``
-    guards keep working.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "_StatsUnavailable":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "STATS_UNAVAILABLE"
-
-    def __reduce__(self):
-        return (_StatsUnavailable, ())
-
-
-#: The singleton instance assigned to ``engine.last_batch_stats`` after a
-#: ``stats="none"`` batch.
-STATS_UNAVAILABLE = _StatsUnavailable()
 
 
 @dataclass(frozen=True, order=True)

@@ -9,9 +9,10 @@ per-object counters that previously had to be collected by hand through
 * :class:`Gauge` — settable float, ``set(value)`` / ``inc`` / ``dec``;
 * :class:`Histogram` — fixed cumulative buckets, ``observe(value)``.
 
-Each family optionally declares label names; ``family.labels(policy="cost")``
-returns (and memoises) the child for that label combination.  A family with
-no labels *is* its own child — ``family.inc()`` works directly.
+Each family optionally declares label names;
+``family.labels(path="parallel")`` returns (and memoises) the child for
+that label combination.  A family with no labels *is* its own child —
+``family.inc()`` works directly.
 
 Concurrency: family creation takes the registry lock; every child guards its
 hot-path mutation with its own ``threading.Lock``, so increments from the

@@ -8,7 +8,7 @@ indexed refinement (Algorithm 4).  This package supplies the execution
 substrate that exploits the former and reconciles the latter:
 
 * :mod:`repro.parallel.planner` — :class:`ShardPlanner`, deterministic
-  batch chunking (round-robin, cost-estimated, cache-affinity);
+  round-robin batch chunking;
 * :mod:`repro.parallel.worker` — the spawn-safe worker process entry
   point (a private engine per worker, rebuilt from one pickled graph
   compilation + hub-index snapshot, then kept in step with the master
@@ -18,8 +18,8 @@ substrate that exploits the former and reconciles the latter:
   shutdown;
 * :mod:`repro.parallel.codec` — :class:`ShardResultCodec`, the flat-array
   transport of shard results (ranks as doubles, entry nodes as CSR
-  indexes, per-query offsets, stats payload selected by the ``stats``
-  knob) that replaced per-object result pickling;
+  indexes, per-query offsets, per-query stats counters) that replaced
+  per-object result pickling;
 * :mod:`repro.parallel.merge` — deterministic reassembly of shard
   results in input order (decoding the flat blocks against the parent's
   compilation, header-validated first), with aggregated
@@ -39,14 +39,13 @@ from repro.parallel.merge import (
     ShardOutput,
     merge_shard_outputs,
 )
-from repro.parallel.planner import Shard, ShardPlan, ShardPlanner, ShardPolicy
+from repro.parallel.planner import Shard, ShardPlan, ShardPlanner
 from repro.parallel.pool import WorkerPool
 
 __all__ = [
     "Shard",
     "ShardPlan",
     "ShardPlanner",
-    "ShardPolicy",
     "ShardOutput",
     "ShardResultBlock",
     "ShardResultCodec",

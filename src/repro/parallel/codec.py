@@ -12,8 +12,7 @@ objects only at the parent-side boundary.
 Wire format (one :class:`ShardResultBlock` per shard)
 -----------------------------------------------------
 header
-    ``num_queries``, ``k``, ``algorithm`` label (shared by the batch) and
-    the ``stats_mode`` the block was encoded under.
+    ``num_queries``, ``k`` and ``algorithm`` label (shared by the batch).
 offsets : ``array('q')``, length ``num_queries + 1``
     Query ``i``'s result entries occupy ``[offsets[i], offsets[i+1])`` of
     the entry buffers; ``offsets[0] == 0`` and ``offsets[-1]`` equals the
@@ -26,15 +25,12 @@ nodes : ``array('q')``
     :class:`~repro.graph.csr.CompactGraph` compilation — both sides hold
     digest-verified copies of the same compilation, so indexes round-trip
     exactly and no node identifier is ever pickled.
-stats payload (by ``stats_mode``)
-    * ``"per-query"`` — ``counters``: ``array('q')`` of
-      :data:`COUNTERS_PER_QUERY` ints per query (the eight scalar
-      :class:`QueryStats` counters followed by the four ``bound_wins``
-      slots in :data:`BOUND_WIN_KEYS` order) plus ``elapsed``:
-      ``array('d')`` of per-query wall-clock seconds;
-    * ``"aggregate"`` — ``shard_stats``: one :class:`QueryStats` merged
-      over the whole shard;
-    * ``"none"`` — nothing.
+counters : ``array('q')``
+    :data:`COUNTERS_PER_QUERY` ints per query: the eight scalar
+    :class:`QueryStats` counters followed by the four ``bound_wins``
+    slots in :data:`BOUND_WIN_KEYS` order.
+elapsed : ``array('d')``
+    One wall-clock seconds value per query.
 
 :meth:`ShardResultBlock.validate` checks the header against the buffer
 lengths **before** any field is trusted — a truncated or corrupted block
@@ -46,14 +42,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.types import (
-    QueryResult,
-    QueryStats,
-    RankedNode,
-    check_stats_mode,
-)
+from repro.core.types import QueryResult, QueryStats, RankedNode
 from repro.errors import ParallelExecutionError
 
 __all__ = [
@@ -81,7 +72,7 @@ COUNTER_FIELDS = (
 #: absent" coincide and the dict round-trips exactly.
 BOUND_WIN_KEYS = ("parent", "height", "count", "index")
 
-#: Ints per query in the ``counters`` buffer of per-query mode.
+#: Ints per query in the ``counters`` buffer.
 COUNTERS_PER_QUERY = len(COUNTER_FIELDS) + len(BOUND_WIN_KEYS)
 
 
@@ -92,13 +83,11 @@ class ShardResultBlock:
     num_queries: int
     k: int
     algorithm: str
-    stats_mode: str
     offsets: array
     ranks: array
     nodes: array
-    counters: Optional[array] = None
-    elapsed: Optional[array] = None
-    shard_stats: Optional[QueryStats] = None
+    counters: array
+    elapsed: array
 
     # ------------------------------------------------------------------
     def payload_bytes(self) -> int:
@@ -106,23 +95,16 @@ class ShardResultBlock:
 
         The honest transport measure the bench reports: the dense data
         that actually scales with the batch (pickle framing and the tiny
-        fixed header are excluded; the aggregate ``shard_stats`` object is
-        charged a nominal constant).
+        fixed header are excluded).
         """
-        total = (
+        return (
             self.offsets.itemsize * len(self.offsets)
             + self.ranks.itemsize * len(self.ranks)
             + self.nodes.itemsize * len(self.nodes)
+            + self.counters.itemsize * len(self.counters)
+            + self.elapsed.itemsize * len(self.elapsed)
             + len(self.algorithm)
         )
-        if self.counters is not None:
-            total += self.counters.itemsize * len(self.counters)
-        if self.elapsed is not None:
-            total += self.elapsed.itemsize * len(self.elapsed)
-        if self.shard_stats is not None:
-            # One QueryStats per *shard*: 8 scalars + elapsed + bound_wins.
-            total += 96
-        return total
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -136,18 +118,13 @@ class ShardResultBlock:
         ------
         ParallelExecutionError
             When the offsets table, the entry buffers, or the stats
-            payload disagree with the header (a truncated or corrupted
+            buffers disagree with the header (a truncated or corrupted
             transport buffer).
         """
         if not isinstance(self.num_queries, int) or self.num_queries < 0:
             raise ParallelExecutionError(
                 f"shard result block header is corrupt: num_queries="
                 f"{self.num_queries!r}"
-            )
-        if self.stats_mode not in ("per-query", "aggregate", "none"):
-            raise ParallelExecutionError(
-                f"shard result block header is corrupt: stats_mode="
-                f"{self.stats_mode!r}"
             )
         offsets = self.offsets
         if len(offsets) != self.num_queries + 1:
@@ -174,28 +151,22 @@ class ShardResultBlock:
                 f"declare {total_entries} entries but ranks={len(self.ranks)} "
                 f"nodes={len(self.nodes)}"
             )
-        if self.stats_mode == "per-query":
-            if (
-                self.counters is None
-                or len(self.counters) != COUNTERS_PER_QUERY * self.num_queries
-            ):
-                have = None if self.counters is None else len(self.counters)
-                raise ParallelExecutionError(
-                    f"shard result block per-query counters are truncated: "
-                    f"want {COUNTERS_PER_QUERY * self.num_queries} ints, "
-                    f"have {have}"
-                )
-            if self.elapsed is None or len(self.elapsed) != self.num_queries:
-                have = None if self.elapsed is None else len(self.elapsed)
-                raise ParallelExecutionError(
-                    f"shard result block elapsed buffer is truncated: want "
-                    f"{self.num_queries} doubles, have {have}"
-                )
-        elif self.stats_mode == "aggregate":
-            if not isinstance(self.shard_stats, QueryStats):
-                raise ParallelExecutionError(
-                    "shard result block is missing its aggregate QueryStats"
-                )
+        if (
+            self.counters is None
+            or len(self.counters) != COUNTERS_PER_QUERY * self.num_queries
+        ):
+            have = None if self.counters is None else len(self.counters)
+            raise ParallelExecutionError(
+                f"shard result block per-query counters are truncated: "
+                f"want {COUNTERS_PER_QUERY * self.num_queries} ints, "
+                f"have {have}"
+            )
+        if self.elapsed is None or len(self.elapsed) != self.num_queries:
+            have = None if self.elapsed is None else len(self.elapsed)
+            raise ParallelExecutionError(
+                f"shard result block elapsed buffer is truncated: want "
+                f"{self.num_queries} doubles, have {have}"
+            )
 
 
 class ShardResultCodec:
@@ -204,54 +175,37 @@ class ShardResultCodec:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def encode(
-        results: Sequence[QueryResult],
-        csr,
-        stats_mode: str = "per-query",
-    ) -> ShardResultBlock:
+    def encode(results: Sequence[QueryResult], csr) -> ShardResultBlock:
         """Pack ``results`` (evaluated against ``csr``) into flat buffers."""
-        check_stats_mode(stats_mode)
         index_of = csr.index_of
         offsets = array("q", [0])
         ranks = array("d")
         nodes = array("q")
+        counters = array("q")
+        elapsed = array("d")
         for result in results:
             for entry in result.entries:
                 ranks.append(entry.rank)
                 nodes.append(index_of(entry.node))
             offsets.append(len(ranks))
-
-        counters: Optional[array] = None
-        elapsed: Optional[array] = None
-        shard_stats: Optional[QueryStats] = None
-        if stats_mode == "per-query":
-            counters = array("q")
-            elapsed = array("d")
-            for result in results:
-                stats = result.stats
-                for field in COUNTER_FIELDS:
-                    counters.append(getattr(stats, field))
-                bound_wins = stats.bound_wins
-                for key in BOUND_WIN_KEYS:
-                    counters.append(bound_wins.get(key, 0))
-                elapsed.append(stats.elapsed_seconds)
-        elif stats_mode == "aggregate":
-            shard_stats = QueryStats()
-            for result in results:
-                shard_stats.merge(result.stats)
+            stats = result.stats
+            for field in COUNTER_FIELDS:
+                counters.append(getattr(stats, field))
+            bound_wins = stats.bound_wins
+            for key in BOUND_WIN_KEYS:
+                counters.append(bound_wins.get(key, 0))
+            elapsed.append(stats.elapsed_seconds)
 
         first = results[0] if results else None
         return ShardResultBlock(
             num_queries=len(results),
             k=first.k if first is not None else 0,
             algorithm=first.algorithm if first is not None else "",
-            stats_mode=stats_mode,
             offsets=offsets,
             ranks=ranks,
             nodes=nodes,
             counters=counters,
             elapsed=elapsed,
-            shard_stats=shard_stats,
         )
 
     # ------------------------------------------------------------------
@@ -293,7 +247,6 @@ class ShardResultCodec:
         nodes = block.nodes
         counters = block.counters
         elapsed = block.elapsed
-        per_query = block.stats_mode == "per-query"
 
         results: List[QueryResult] = []
         for position, query in enumerate(queries):
@@ -308,16 +261,15 @@ class ShardResultCodec:
                     )
                 entries.append(RankedNode.make(node_at(node_index), ranks[slot]))
             stats = QueryStats()
-            if per_query:
-                base = position * COUNTERS_PER_QUERY
-                for offset, field in enumerate(COUNTER_FIELDS):
-                    setattr(stats, field, counters[base + offset])
-                wins_base = base + len(COUNTER_FIELDS)
-                for offset, key in enumerate(BOUND_WIN_KEYS):
-                    value = counters[wins_base + offset]
-                    if value:
-                        stats.bound_wins[key] = value
-                stats.elapsed_seconds = elapsed[position]
+            base = position * COUNTERS_PER_QUERY
+            for offset, field in enumerate(COUNTER_FIELDS):
+                setattr(stats, field, counters[base + offset])
+            wins_base = base + len(COUNTER_FIELDS)
+            for offset, key in enumerate(BOUND_WIN_KEYS):
+                value = counters[wins_base + offset]
+                if value:
+                    stats.bound_wins[key] = value
+            stats.elapsed_seconds = elapsed[position]
             results.append(
                 QueryResult(
                     query=query,

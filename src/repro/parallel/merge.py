@@ -9,8 +9,7 @@ tests) or — the pool's wire path — as flat
 rich results, so a truncated or corrupted buffer fails loudly before any
 position is trusted.  Results are slotted back by the batch positions
 their shard carried, the per-query
-:class:`~repro.core.types.QueryStats` (or the shards' pre-aggregated
-stats, under ``stats="aggregate"``) are combined into one batch-level
+:class:`~repro.core.types.QueryStats` are combined into one batch-level
 view, and the workers' hub-index learning deltas are returned sorted by
 shard index — so a last-writer-wins merge into the master index applies
 them in the same order every run.
@@ -52,11 +51,8 @@ class ParallelBatchResult:
 
     #: One result per query, in the original batch order.
     results: List[QueryResult]
-    #: All per-query (or shard-aggregated) counters accumulated into one
-    #: batch-level QueryStats; ``None`` when the batch ran ``stats="none"``
-    #: — deliberately not a zeroed QueryStats, which would misread as "the
-    #: batch did no work".
-    stats: Optional[QueryStats]
+    #: All per-query counters accumulated into one batch-level QueryStats.
+    stats: QueryStats
     #: Learning deltas in shard order (empty unless delta collection was on).
     deltas: List[object] = field(default_factory=list)
     #: How many shards carried work.
@@ -94,8 +90,7 @@ def merge_shard_outputs(
     """
     slots: List[Optional[QueryResult]] = [None] * batch_size
     filled = 0
-    stats: Optional[QueryStats] = QueryStats()
-    stats_dropped = False
+    stats = QueryStats()
     ipc_bytes = 0
     ordered = sorted(outputs, key=lambda output: output.shard_index)
     for output in ordered:
@@ -125,13 +120,6 @@ def merge_shard_outputs(
                 block, csr, output.queries, validated=True
             )
             ipc_bytes += block.payload_bytes()
-            if block.stats_mode == "aggregate":
-                stats.merge(block.shard_stats)
-            elif block.stats_mode == "none":
-                stats_dropped = True
-            shard_stats_merged = block.stats_mode != "per-query"
-        else:
-            shard_stats_merged = False
         if len(output.positions) != len(results):
             raise ParallelExecutionError(
                 f"shard {output.shard_index} returned {len(results)} "
@@ -149,8 +137,7 @@ def merge_shard_outputs(
                 )
             slots[position] = result
             filled += 1
-            if not shard_stats_merged:
-                stats.merge(result.stats)
+            stats.merge(result.stats)
     if filled != batch_size:
         missing = [position for position, slot in enumerate(slots) if slot is None]
         raise ParallelExecutionError(
@@ -161,7 +148,7 @@ def merge_shard_outputs(
     traces = [output.trace for output in ordered if output.trace is not None]
     return ParallelBatchResult(
         results=slots,
-        stats=None if stats_dropped else stats,
+        stats=stats,
         deltas=deltas,
         shards=len(ordered),
         ipc_bytes=ipc_bytes,

@@ -6,40 +6,21 @@ queries it should evaluate *and their positions in the original batch*, so
 the merger can reassemble results in input order no matter which shard
 finishes first.
 
-Three chunking policies are provided (:class:`ShardPolicy`):
-
-* ``round_robin`` — position ``i`` goes to shard ``i mod n``.  Zero
-  planning cost, good balance for homogeneous batches; the default.
-* ``cost`` — queries are ordered by a per-query cost estimate and placed
-  greedily on the currently lightest shard (longest-processing-time
-  scheduling).  The estimate combines the query node's degree (low-degree
-  nodes sit in sparse regions where the SDS-tree must grow deeper before
-  finding ``k`` candidates) with hub proximity (queries the hub index
-  already holds Reverse-Rank-Dictionary seeds for start with a tight
-  ``kRank`` and finish early).
-* ``affinity`` — a query always lands on the same shard, decided by a
-  seed-stable hash of the node identifier (``zlib.crc32`` of its ``repr``,
-  *not* the builtin ``hash``, which is randomised per process for
-  strings).  Repeated queries therefore hit the same worker, whose hub
-  index has already learned them (Algorithm 4) — the parallel analogue of
-  the engine's LRU result cache.
-
-All policies are deterministic: the same batch, graph and index state
-produce the same plan, which keeps parallel runs reproducible.
+Sharding is round-robin: position ``i`` goes to shard ``i mod n``.  It
+costs nothing to plan, balances homogeneous batches to within one query,
+and is deterministic, which keeps parallel runs reproducible.
 """
 
 from __future__ import annotations
 
-import enum
-import zlib
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.errors import ParallelExecutionError, is_positive_int
 
 NodeId = Hashable
 
-__all__ = ["ShardPolicy", "Shard", "ShardPlan", "ShardPlanner", "chunk_evenly"]
+__all__ = ["Shard", "ShardPlan", "ShardPlanner", "chunk_evenly"]
 
 
 def chunk_evenly(items: Sequence, parts: int) -> List[List]:
@@ -69,17 +50,6 @@ def chunk_evenly(items: Sequence, parts: int) -> List[List]:
     return chunks
 
 
-class ShardPolicy(str, enum.Enum):
-    """Identifier of a batch-chunking policy."""
-
-    ROUND_ROBIN = "round_robin"
-    COST = "cost"
-    AFFINITY = "affinity"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
 @dataclass(frozen=True)
 class Shard:
     """One worker's slice of a batch: queries plus their batch positions."""
@@ -96,7 +66,6 @@ class Shard:
 class ShardPlan:
     """The full assignment of a batch to ``num_shards`` worker slots."""
 
-    policy: ShardPolicy
     num_shards: int
     shards: Tuple[Shard, ...]
 
@@ -113,11 +82,9 @@ class ShardPlan:
         """Largest shard size over the ideal even share (>= 1.0).
 
         ``1.0`` is a perfectly balanced plan; ``2.0`` means the busiest
-        worker got twice its fair share of queries, so (cost estimates
-        aside) the batch's critical path is ~2x the balanced one.  The
-        engine observes this per plan into the
-        ``repro_shard_skew_ratio{policy=...}`` histogram, the raw
-        material for the ROADMAP's policy-picking cost model.
+        worker got twice its fair share of queries, so the batch's
+        critical path is ~2x the balanced one.  The engine observes this
+        per plan into the ``repro_shard_skew_ratio`` histogram.
         """
         total = self.num_queries
         if total == 0 or self.num_shards <= 0:
@@ -127,32 +94,19 @@ class ShardPlan:
 
 
 class ShardPlanner:
-    """Deterministically assigns a query batch to worker slots.
+    """Deterministically assigns a query batch to worker slots, round-robin.
 
     Parameters
     ----------
     num_shards:
         How many slots (normally the pool's worker count) to plan for.
-    policy:
-        A :class:`ShardPolicy` or its string value.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        policy: Union[ShardPolicy, str] = ShardPolicy.ROUND_ROBIN,
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if not is_positive_int(num_shards):
             raise ParallelExecutionError(
                 f"num_shards must be a positive integer, got {num_shards!r}"
             )
-        try:
-            self._policy = ShardPolicy(policy)
-        except ValueError:
-            raise ParallelExecutionError(
-                f"unknown shard policy {policy!r}; expected one of "
-                f"{[p.value for p in ShardPolicy]}"
-            ) from None
         self._num_shards = num_shards
 
     @property
@@ -160,32 +114,14 @@ class ShardPlanner:
         """How many worker slots plans are built for."""
         return self._num_shards
 
-    @property
-    def policy(self) -> ShardPolicy:
-        """The chunking policy."""
-        return self._policy
-
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        queries: Sequence[NodeId],
-        graph=None,
-        index=None,
-    ) -> ShardPlan:
-        """Assign ``queries`` (an ordered batch) to shards.
-
-        ``graph`` and ``index`` feed the ``cost`` policy's estimate (a
-        degree lookup and a Reverse-Rank-Dictionary count per query) and
-        are ignored by the other policies; either may be ``None``, in
-        which case that cost signal degrades gracefully.
-        """
-        batch = list(queries)
-        if self._policy is ShardPolicy.ROUND_ROBIN:
-            buckets = self._round_robin(batch)
-        elif self._policy is ShardPolicy.AFFINITY:
-            buckets = self._affinity(batch)
-        else:
-            buckets = self._cost_balanced(batch, graph, index)
+    def plan(self, queries: Sequence[NodeId]) -> ShardPlan:
+        """Assign ``queries`` (an ordered batch) to shards round-robin."""
+        buckets: List[List[Tuple[int, NodeId]]] = [
+            [] for _ in range(self._num_shards)
+        ]
+        for position, query in enumerate(queries):
+            buckets[position % self._num_shards].append((position, query))
         shards = tuple(
             Shard(
                 index=shard_index,
@@ -194,78 +130,4 @@ class ShardPlanner:
             )
             for shard_index, bucket in enumerate(buckets)
         )
-        return ShardPlan(
-            policy=self._policy, num_shards=self._num_shards, shards=shards
-        )
-
-    # ------------------------------------------------------------------
-    def _round_robin(self, batch) -> List[List[Tuple[int, NodeId]]]:
-        buckets: List[List[Tuple[int, NodeId]]] = [
-            [] for _ in range(self._num_shards)
-        ]
-        for position, query in enumerate(batch):
-            buckets[position % self._num_shards].append((position, query))
-        return buckets
-
-    def _affinity(self, batch) -> List[List[Tuple[int, NodeId]]]:
-        buckets: List[List[Tuple[int, NodeId]]] = [
-            [] for _ in range(self._num_shards)
-        ]
-        for position, query in enumerate(batch):
-            buckets[self.affinity_shard(query)].append((position, query))
-        return buckets
-
-    def affinity_shard(self, query: NodeId) -> int:
-        """The shard the affinity policy pins ``query`` to.
-
-        Stable across processes and interpreter runs (unlike builtin
-        ``hash``), so a resharded service keeps routing a repeated query
-        to the worker that has already learned it.
-        """
-        return zlib.crc32(repr(query).encode("utf-8")) % self._num_shards
-
-    def _cost_balanced(self, batch, graph, index) -> List[List[Tuple[int, NodeId]]]:
-        costs = [
-            (self.estimate_cost(query, graph, index), position, query)
-            for position, query in enumerate(batch)
-        ]
-        # Longest-processing-time: heaviest first onto the lightest shard.
-        # Ties break on batch position (stable) and then lowest shard
-        # index, keeping the plan deterministic.
-        costs.sort(key=lambda item: (-item[0], item[1]))
-        loads = [0.0] * self._num_shards
-        buckets: List[List[Tuple[int, NodeId]]] = [
-            [] for _ in range(self._num_shards)
-        ]
-        for cost, position, query in costs:
-            lightest = min(range(self._num_shards), key=lambda s: (loads[s], s))
-            loads[lightest] += cost
-            buckets[lightest].append((position, query))
-        # Within each shard, evaluate in original batch order (cache- and
-        # learning-friendly, and deterministic).
-        for bucket in buckets:
-            bucket.sort(key=lambda item: item[0])
-        return buckets
-
-    @staticmethod
-    def estimate_cost(query: NodeId, graph=None, index=None) -> float:
-        """Relative cost estimate of one reverse k-ranks query.
-
-        Baseline 1.0 per query, inflated by up to +1.0 for low-degree
-        query nodes (deeper SDS-trees) and deflated by Reverse-Rank
-        seeds the hub index already holds for the query (early ``kRank``
-        tightening).  The absolute scale is irrelevant — only ratios
-        steer the balancing.
-        """
-        cost = 1.0
-        if graph is not None:
-            try:
-                degree = graph.degree(query)
-            except Exception:
-                degree = 0
-            cost += 1.0 / (1.0 + degree)
-        if index is not None:
-            counter = getattr(index, "reverse_rank_count", None)
-            if counter is not None:
-                cost /= 1.0 + counter(query)
-        return cost
+        return ShardPlan(num_shards=self._num_shards, shards=shards)

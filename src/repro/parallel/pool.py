@@ -26,19 +26,18 @@ which is what keeps the master's affected-source test in
 
 Graph transport
 ---------------
-By default the pool publishes the compilation's frozen CSR buffers into a
+The pool publishes the compilation's frozen CSR buffers into a
 :mod:`multiprocessing.shared_memory` segment
 (:func:`~repro.graph.shm.share_compact_graph`) and ships workers only the
 tiny :class:`~repro.graph.shm.SharedGraphHandle`: each worker *maps* the
 graph (digest-verified attach, near-zero startup payload, O(1) extra RSS
 per worker) instead of unpickling a private copy — the difference between
-"2 workers" and "2x the graph in RAM" at the huge scale tier.  Pass
-``share_graph=False`` to force the legacy pickled-copy transport, or
-``share_graph=True`` to require the shared one (startup then fails
-loudly where shared memory is unavailable instead of silently falling
-back).  The segment is owned by the pool and unlinked on *every* exit
-path: normal :meth:`close`, worker crash, context-manager exception and
-the ``__del__`` safety net.
+"2 workers" and "2x the graph in RAM" at the huge scale tier.  Only when
+creating the segment raises :class:`OSError` (no writable shared memory
+on the platform) do workers receive pickled copies instead.  The segment
+is owned by the pool and unlinked on *every* exit path: normal
+:meth:`close`, worker crash, context-manager exception and the
+``__del__`` safety net.
 
 Lifecycle guarantees
 --------------------
@@ -103,7 +102,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.core.config import AlgorithmKind
-from repro.core.types import check_stats_mode
 from repro.errors import (
     ParallelExecutionError,
     WorkerCrashError,
@@ -174,8 +172,8 @@ class WorkerPool:
     ----------
     graph:
         A :class:`~repro.graph.csr.CompactGraph` compilation, shipped to
-        workers over the shared-memory or pickled transport (see the
-        module docstring).
+        workers over shared memory, or pickled where that is unavailable
+        (see the module docstring).
     workers:
         Number of worker processes (>= 1).
     index:
@@ -200,11 +198,6 @@ class WorkerPool:
         by default: a replacement starts from a warmed payload, so a
         slot that is not ready quickly is wedged, and waiting the full
         startup budget would stall the in-flight batch.
-    share_graph:
-        ``None`` (default): share the CSR buffers via shared memory when
-        the platform supports it, falling back to pickled copies.
-        ``True``: require shared memory (raise otherwise).  ``False``:
-        always ship pickled copies.
     crash_retries:
         Default number of worker deaths :meth:`run_batch` heals from
         (respawn + re-dispatch) before giving up on a batch; ``0``
@@ -227,7 +220,6 @@ class WorkerPool:
         context: Optional[str] = None,
         start_timeout: float = 60.0,
         respawn_timeout: float = 10.0,
-        share_graph: Optional[bool] = None,
         crash_retries: int = 2,
         registry=None,
         graph_update: Optional[Dict[str, object]] = None,
@@ -325,9 +317,7 @@ class WorkerPool:
         )
         self._m_batch_seconds = metrics.histogram(
             "repro_pool_batch_seconds",
-            "Wall-clock seconds per pool batch (dispatch to merge), by "
-            "shard policy.",
-            labels=("policy",),
+            "Wall-clock seconds per pool batch (dispatch to merge).",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
         ipc = metrics.counter(
@@ -348,18 +338,12 @@ class WorkerPool:
         self._m_index_snapshots = index_syncs.labels(kind="snapshot")
         self._m_index_deltas = index_syncs.labels(kind="delta")
         try:
-            if share_graph is not False:
-                try:
-                    self._graph_owner = share_compact_graph(graph)
-                except Exception as exc:
-                    if share_graph is True:
-                        raise ParallelExecutionError(
-                            "share_graph=True but publishing the graph to "
-                            f"shared memory failed: {exc}"
-                        ) from exc
-                    # Auto mode: platforms without (writable) shared
-                    # memory fall back to the pickled transport.
-                    self._graph_owner = None
+            try:
+                self._graph_owner = share_compact_graph(graph)
+            except OSError:
+                # No (writable) shared memory on this platform: fall
+                # back to the pickled transport.
+                self._graph_owner = None
             init_bytes = build_init_payload(
                 None if self._graph_owner is not None else graph,
                 index_state=(
@@ -494,7 +478,6 @@ class WorkerPool:
         algorithm,
         bounds=None,
         collect_deltas: Optional[bool] = None,
-        stats_mode: str = "per-query",
         timeout: Optional[float] = None,
         crash_retries: Optional[int] = None,
         trace_id: Optional[str] = None,
@@ -503,10 +486,9 @@ class WorkerPool:
 
         Shard ``i`` of the plan runs on worker ``i mod num_workers`` (the
         identity mapping when the plan was built for this pool's worker
-        count, which keeps the affinity policy's pinning honest); workers
-        echo the shard index back, so attribution never depends on
-        arrival order — which is what makes re-dispatching a dead
-        worker's shards to its replacement safe.
+        count); workers echo the shard index back, so attribution never
+        depends on arrival order — which is what makes re-dispatching a
+        dead worker's shards to its replacement safe.
 
         ``collect_deltas`` defaults to "whenever the workers hold an
         index and the algorithm is indexed" — exactly when there is
@@ -516,10 +498,6 @@ class WorkerPool:
         into the master.  A batch that raises may leave workers knowing
         more than the master, so the caller must ship a snapshot
         (:meth:`update_index`) before relying on the replicas again.
-        ``stats_mode`` selects what stats payload
-        the shard result blocks carry back (see
-        :mod:`repro.parallel.codec`); with ``"none"`` the merged batch's
-        ``stats`` is ``None``.
 
         ``timeout`` bounds the batch in wall-clock seconds; ``None``
         waits indefinitely (liveness-polled, so crashes still surface).
@@ -553,7 +531,6 @@ class WorkerPool:
                 "cannot run a batch on a closed WorkerPool"
             )
         kind = AlgorithmKind(algorithm)
-        check_stats_mode(stats_mode)
         if collect_deltas is None:
             collect_deltas = self.has_index and kind is AlgorithmKind.INDEXED
         if crash_retries is None:
@@ -578,7 +555,6 @@ class WorkerPool:
                     kind.value,
                     bounds,
                     bool(collect_deltas),
-                    stats_mode,
                     trace_id,
                 )
             )
@@ -709,9 +685,7 @@ class WorkerPool:
                     else None,
                 )
         self._m_batches.inc()
-        self._m_batch_seconds.labels(policy=plan.policy.value).observe(
-            time.perf_counter() - batch_started
-        )
+        self._m_batch_seconds.observe(time.perf_counter() - batch_started)
         if merged.ipc_bytes:
             self._m_ipc_result.inc(merged.ipc_bytes)
         return merged

@@ -39,7 +39,7 @@ Message protocol (all tuples, queue-pickled)
 --------------------------------------------
 * parent -> worker: tagged tuples —
   ``("query", job_id, forwarded, shard_index, positions, queries, k,
-  algorithm_value, bounds, collect_delta, stats_mode, trace_id)`` for a
+  algorithm_value, bounds, collect_delta, trace_id)`` for a
   query shard (``trace_id`` is ``None`` unless the parent batch is being
   traced — see :mod:`repro.obs.trace`), ``("hubs", job_id, hubs,
   explore_limit, capacity)`` for a hub-index build shard, ``("index",
@@ -243,14 +243,14 @@ class _WorkerState:
 
     def run_shard(
         self, shard_index, positions, queries, k, algorithm, bounds,
-        collect_delta, stats_mode="per-query", trace_id=None,
+        collect_delta, trace_id=None,
     ):
         """Evaluate one query shard; returns ``(shard_index, positions, block, delta, trace)``.
 
         ``block`` is the shard's results packed into flat array buffers
-        by :class:`~repro.parallel.codec.ShardResultCodec` under
-        ``stats_mode`` — the worker's engine *is* the CSR compilation, so
-        entry nodes leave as integer indexes, never pickled identifiers.
+        by :class:`~repro.parallel.codec.ShardResultCodec` — the worker's
+        engine *is* the CSR compilation, so entry nodes leave as integer
+        indexes, never pickled identifiers.
 
         ``trace_id`` (non-``None`` only for traced parent batches)
         enables the worker engine's tracer for exactly this shard: the
@@ -284,10 +284,8 @@ class _WorkerState:
                     if collect_delta and index is not None
                     else None
                 )
-            with tracer.span("worker.encode", stats_mode=stats_mode):
-                block = ShardResultCodec.encode(
-                    results, self.engine.graph, stats_mode=stats_mode
-                )
+            with tracer.span("worker.encode"):
+                block = ShardResultCodec.encode(results, self.engine.graph)
         trace = tracer.last_trace["root"] if trace_id is not None else None
         return shard_index, tuple(positions), block, delta, trace
 
@@ -390,12 +388,12 @@ def worker_main(
                 if tag == "query":
                     (
                         forwarded, shard_index, positions, queries, k,
-                        algorithm, bounds, collect_delta, stats_mode, trace_id,
+                        algorithm, bounds, collect_delta, trace_id,
                     ) = task[2:]
                     state.absorb(forwarded)
                     payload = state.run_shard(
                         shard_index, positions, queries, k, algorithm, bounds,
-                        collect_delta, stats_mode, trace_id,
+                        collect_delta, trace_id,
                     )
                 elif tag == "hubs":
                     hubs, explore_limit, capacity = task[2:]

@@ -34,6 +34,7 @@ import signal
 import sys
 from typing import List, Optional
 
+from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.bootstrap import parse_fixture, prepare_engine
 from repro.serve.journal import DurableIndexStore
@@ -129,16 +130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="SECONDS",
         help="deadline per parallel batch dispatch; a batch that "
-        "overruns it kills the stuck workers and fails over per "
-        "--on-pool-failure (default: no deadline)",
-    )
-    parser.add_argument(
-        "--on-pool-failure",
-        default="retry",
-        choices=("retry", "sequential", "raise"),
-        help="what a worker-pool crash/timeout does to the batch: retry "
-        "on a healed pool, fall back to in-process sequential "
-        "execution, or surface the error (default: retry)",
+        "overruns it kills the stuck workers, is retried once on a "
+        "fresh pool, then answered sequentially (default: no deadline)",
     )
     parser.add_argument(
         "--compact-bytes",
@@ -161,6 +154,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "it at runtime via the 'trace' op)",
     )
     args = parser.parse_args(argv)
+    # Validated before the (possibly long) engine preparation, so a bad
+    # setting fails at startup even when no index build would catch it.
+    try:
+        config = ServeConfig(
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_pending=args.max_pending,
+            workers=args.workers,
+            worker_context=args.worker_context,
+            default_k=args.default_k,
+            default_algorithm=args.default_algorithm,
+            batch_timeout_s=args.batch_timeout,
+        )
+    except ServeError as exc:
+        parser.error(str(exc))
 
     if args.fixture:
         workload = parse_fixture(args.fixture)
@@ -204,17 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             flush=True,
         )
 
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_pending=args.max_pending,
-        workers=args.workers,
-        worker_context=args.worker_context,
-        default_k=args.default_k,
-        default_algorithm=args.default_algorithm,
-        batch_timeout_s=args.batch_timeout,
-        on_pool_failure=args.on_pool_failure,
-    )
     server = QueryServer(
         engine,
         config=config,

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import ReverseKRanksEngine
 from repro.core.config import AlgorithmKind
-from repro.errors import ProtocolError, ReproError, ServeError
+from repro.errors import ProtocolError, ReproError, ServeError, is_positive_int
 from repro.serve.journal import DurableIndexStore
 from repro.serve.protocol import recv_message, send_message
 
@@ -96,17 +96,11 @@ class ServeConfig:
     ``batch_timeout_s``
         Wall-clock bound on one coalesced batch's *parallel* execution;
         a pool batch that exceeds it has its stuck workers killed and is
-        handled per ``on_pool_failure``.  ``None`` (default) waits
-        indefinitely (worker crashes still surface via liveness
-        polling).
-    ``on_pool_failure``
-        The engine's graceful-degradation mode (see
-        :meth:`~repro.core.engine.ReverseKRanksEngine.query_many`):
-        ``"retry"`` (default) retries on a fresh pool then falls back to
-        bit-identical sequential execution, ``"sequential"`` falls back
-        immediately, ``"raise"`` fails the affected requests.  With
-        ``"retry"``/``"sequential"`` the server keeps answering
-        correctly while the pool heals (or stays degraded).
+        retried on a fresh pool, then answered sequentially (see
+        :meth:`~repro.core.engine.ReverseKRanksEngine.query_many`), so
+        the server keeps answering correctly while the pool heals (or
+        stays degraded).  ``None`` (default) waits indefinitely (worker
+        crashes still surface via liveness polling).
     """
 
     max_batch: int = 64
@@ -117,7 +111,6 @@ class ServeConfig:
     default_k: int = 1
     default_algorithm: str = "dynamic"
     batch_timeout_s: Optional[float] = None
-    on_pool_failure: str = "retry"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -135,11 +128,24 @@ class ServeConfig:
                 f"batch_timeout_s must be > 0 (or None), got "
                 f"{self.batch_timeout_s}"
             )
-        if self.on_pool_failure not in ("retry", "sequential", "raise"):
+        # Settings every request relies on: a bad one would boot a
+        # server that fails each query instead of failing at startup.
+        if not is_positive_int(self.workers):
             raise ServeError(
-                f"on_pool_failure must be 'retry', 'sequential' or 'raise', "
-                f"got {self.on_pool_failure!r}"
+                f"workers must be a positive integer, got {self.workers!r}"
             )
+        if not is_positive_int(self.default_k):
+            raise ServeError(
+                f"default_k must be a positive integer, got {self.default_k!r}"
+            )
+        try:
+            AlgorithmKind(self.default_algorithm)
+        except ValueError:
+            raise ServeError(
+                f"default_algorithm must be one of "
+                f"{[kind.value for kind in AlgorithmKind]}, got "
+                f"{self.default_algorithm!r}"
+            ) from None
 
 
 class _PendingRequest:
@@ -428,8 +434,6 @@ class _Batcher:
                         workers=self._config.workers,
                         worker_context=self._config.worker_context,
                         cache_size=len(queries),
-                        stats="none",
-                        on_pool_failure=self._config.on_pool_failure,
                         batch_timeout=self._config.batch_timeout_s,
                     )
                 finally:

@@ -112,7 +112,6 @@ def test_chaos_phases_serve_correctly_and_heal(random_gnp, reference):
         max_wait_ms=2.0,
         max_pending=256,
         batch_timeout_s=1.0,
-        on_pool_failure="retry",
     )
     with QueryServer(engine, config=config) as server:
         host, port = server.address

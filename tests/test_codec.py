@@ -4,9 +4,8 @@ Covers the wire-format contract (entry order, rank values, node identity
 and QueryStats all survive the array round trip), the degenerate shapes
 (empty result sets, k exceeding the candidate count, empty shards), the
 header-first validation that makes truncated buffers fail loudly before
-any batch position is trusted, the ``stats`` knob's three modes at engine
-level — including ``stats="none"`` marking ``last_batch_stats``
-explicitly unavailable — and the mid-batch worker-crash path carrying
+any batch position is trusted, per-query stats surviving a parallel
+batch at engine level, and the mid-batch worker-crash path carrying
 shard position info.
 """
 
@@ -22,7 +21,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ReverseKRanksEngine
-from repro.core.types import QueryStats, STATS_UNAVAILABLE
 from repro.errors import ParallelExecutionError, WorkerCrashError
 from repro.graph import CompactGraph, Graph
 from repro.parallel import (
@@ -60,11 +58,10 @@ def _batch(graph, queries, k, algorithm="dynamic"):
 # Round trips
 # ----------------------------------------------------------------------
 class TestRoundTrip:
-    @pytest.mark.parametrize("mode", ["per-query", "aggregate", "none"])
-    def test_entries_round_trip_bit_identical(self, random_gnp, mode):
+    def test_entries_round_trip_bit_identical(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
         csr, results = _batch(random_gnp, queries, 4)
-        block = ShardResultCodec.encode(results, csr, stats_mode=mode)
+        block = ShardResultCodec.encode(results, csr)
         decoded = ShardResultCodec.decode(block, csr, queries)
         assert [r.query for r in decoded] == queries
         assert [r.k for r in decoded] == [r.k for r in results]
@@ -76,39 +73,20 @@ class TestRoundTrip:
 
     def test_per_query_stats_round_trip_exactly(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        csr, results = _batch(random_gnp, queries, 4)
-        block = ShardResultCodec.encode(results, csr, stats_mode="per-query")
-        decoded = ShardResultCodec.decode(block, csr, queries)
-        assert [r.stats.as_dict() for r in decoded] == [
-            r.stats.as_dict() for r in results
-        ]
-
-    def test_aggregate_mode_ships_one_merged_stats_object(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        csr, results = _batch(random_gnp, queries, 4)
-        block = ShardResultCodec.encode(results, csr, stats_mode="aggregate")
-        expected = QueryStats()
-        for result in results:
-            expected.merge(result.stats)
-        assert block.counters is None and block.elapsed is None
-        assert block.shard_stats.as_dict() == expected.as_dict()
-        decoded = ShardResultCodec.decode(block, csr, queries)
-        # Rebuilt results deliberately carry fresh (empty) stats.
-        assert all(r.stats.rank_refinements == 0 for r in decoded)
-
-    def test_stats_payload_shrinks_with_the_knob(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:8]
-        csr, results = _batch(random_gnp, queries, 4)
-        per_query = ShardResultCodec.encode(results, csr, "per-query")
-        aggregate = ShardResultCodec.encode(results, csr, "aggregate")
-        none = ShardResultCodec.encode(results, csr, "none")
-        assert per_query.payload_bytes() > aggregate.payload_bytes()
-        assert aggregate.payload_bytes() > none.payload_bytes()
-
-    def test_invalid_stats_mode_rejected(self, random_gnp):
-        csr, results = _batch(random_gnp, sorted(random_gnp.nodes(), key=repr)[:2], 2)
-        with pytest.raises(ValueError):
-            ShardResultCodec.encode(results, csr, stats_mode="bogus")
+        engine = ReverseKRanksEngine(random_gnp)
+        engine.build_index(num_hubs=3, capacity=8)
+        csr = engine.compact_graph()
+        # Indexed results also fill the index-only counters (answered by
+        # the index, index bound wins), which no parallel differential
+        # compares: worker replicas legitimately save different work.
+        for algorithm in ("dynamic", "indexed"):
+            results = engine.query_many(queries, 4, algorithm=algorithm)
+            block = ShardResultCodec.encode(results, csr)
+            decoded = ShardResultCodec.decode(block, csr, queries)
+            assert [r.stats.as_dict() for r in decoded] == [
+                r.stats.as_dict() for r in results
+            ]
+        assert any(r.stats.bound_wins.get("index") for r in results)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +97,7 @@ class TestEdgeCases:
         # Node 20 reaches nothing and nothing reaches it: entries == [].
         csr, results = _batch(islands_graph, [20], 2)
         assert results[0].entries == []
-        block = ShardResultCodec.encode(results, csr, stats_mode="per-query")
+        block = ShardResultCodec.encode(results, csr)
         decoded = ShardResultCodec.decode(block, csr, [20])
         assert decoded[0].entries == []
         assert decoded[0].k == 2
@@ -131,14 +109,13 @@ class TestEdgeCases:
         # k=6 but query 10's component holds only 2 other nodes.
         csr, results = _batch(islands_graph, [10, 11], 6)
         assert all(0 < len(r.entries) < 6 for r in results)
-        for mode in ("per-query", "aggregate", "none"):
-            block = ShardResultCodec.encode(results, csr, stats_mode=mode)
-            decoded = ShardResultCodec.decode(block, csr, [10, 11])
-            assert [
-                [(e.node, e.rank) for e in r.entries] for r in decoded
-            ] == [[(e.node, e.rank) for e in r.entries] for r in results]
-            assert all(r.k == 6 for r in decoded)
-            assert all(not r.is_full() for r in decoded)
+        block = ShardResultCodec.encode(results, csr)
+        decoded = ShardResultCodec.decode(block, csr, [10, 11])
+        assert [
+            [(e.node, e.rank) for e in r.entries] for r in decoded
+        ] == [[(e.node, e.rank) for e in r.entries] for r in results]
+        assert all(r.k == 6 for r in decoded)
+        assert all(not r.is_full() for r in decoded)
 
     def test_empty_shard_encodes_and_decodes(self, random_gnp):
         csr = CompactGraph.from_graph(random_gnp)
@@ -157,7 +134,7 @@ class TestBlockValidation:
         csr, results = _batch(random_gnp, queries, 3)
         self.csr = csr
         self.queries = queries
-        return ShardResultCodec.encode(results, csr, stats_mode="per-query")
+        return ShardResultCodec.encode(results, csr)
 
     def test_valid_block_passes(self, block):
         block.validate()
@@ -189,11 +166,6 @@ class TestBlockValidation:
         with pytest.raises(ParallelExecutionError, match="counters"):
             broken.validate()
 
-    def test_missing_aggregate_stats_fail(self, block):
-        broken = replace(block, stats_mode="aggregate", counters=None, elapsed=None)
-        with pytest.raises(ParallelExecutionError, match="aggregate"):
-            broken.validate()
-
     def test_out_of_range_node_index_fails_decode(self, block):
         poisoned = array("q", block.nodes)
         poisoned[0] = self.csr.num_nodes + 7
@@ -211,7 +183,7 @@ class TestBlockValidation:
 class TestMergeValidatesHeaderFirst:
     def _encoded_output(self, graph, queries, positions, **overrides):
         csr, results = _batch(graph, queries, 3)
-        block = ShardResultCodec.encode(results, csr, stats_mode="per-query")
+        block = ShardResultCodec.encode(results, csr)
         if overrides:
             block = replace(block, **overrides)
         return csr, ShardOutput(
@@ -272,63 +244,9 @@ class TestMergeValidatesHeaderFirst:
 
 
 # ----------------------------------------------------------------------
-# Engine-level stats knob
+# Engine-level per-query stats
 # ----------------------------------------------------------------------
 class TestEngineStatsKnob:
-    def test_invalid_stats_value_rejected(self, random_gnp):
-        engine = ReverseKRanksEngine(random_gnp)
-        with pytest.raises(ValueError):
-            engine.query_many([0, 1], 2, stats="sometimes")
-
-    def test_sequential_stats_none_marks_unavailable_not_zeroed(self, random_gnp):
-        engine = ReverseKRanksEngine(random_gnp)
-        queries = sorted(random_gnp.nodes(), key=repr)[:4]
-        engine.query_many(queries, 3, stats="none")
-        assert engine.last_batch_stats is STATS_UNAVAILABLE
-        assert not engine.last_batch_stats  # falsy, but not a zeroed object
-        assert not isinstance(engine.last_batch_stats, QueryStats)
-        # A subsequent counted batch replaces the marker.
-        engine.query_many(queries, 3)
-        assert isinstance(engine.last_batch_stats, QueryStats)
-        assert engine.last_batch_stats.rank_refinements > 0
-
-    @needs_fork
-    def test_parallel_stats_none_marks_unavailable(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        with ReverseKRanksEngine(random_gnp) as engine:
-            results = engine.query_many(
-                queries, 3, workers=2, worker_context=FAST_CONTEXT, stats="none"
-            )
-            assert engine.last_batch_stats is STATS_UNAVAILABLE
-            assert engine.last_batch_ipc_bytes > 0
-            sequential = engine.query_many(queries, 3)
-        assert [r.as_pairs() for r in results] == [
-            r.as_pairs() for r in sequential
-        ]
-
-    @needs_fork
-    def test_parallel_aggregate_matches_per_query_totals(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:8]
-        with ReverseKRanksEngine(random_gnp) as engine:
-            engine.query_many(
-                queries, 3, workers=2, worker_context=FAST_CONTEXT,
-                stats="per-query",
-            )
-            per_query_stats = engine.last_batch_stats
-            per_query_bytes = engine.last_batch_ipc_bytes
-            engine.query_many(
-                queries, 3, workers=2, worker_context=FAST_CONTEXT,
-                stats="aggregate",
-            )
-            aggregate_stats = engine.last_batch_stats
-            aggregate_bytes = engine.last_batch_ipc_bytes
-        per_query_view = per_query_stats.as_dict()
-        aggregate_view = aggregate_stats.as_dict()
-        per_query_view.pop("elapsed_seconds")
-        aggregate_view.pop("elapsed_seconds")
-        assert per_query_view == aggregate_view
-        assert aggregate_bytes < per_query_bytes
-
     @needs_fork
     def test_parallel_per_query_results_carry_exact_stats(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]

@@ -16,7 +16,6 @@ import pytest
 
 from repro import faults
 from repro.core import ReverseKRanksEngine
-from repro.errors import ParallelExecutionError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsError,
@@ -336,28 +335,6 @@ class TestEngineObservability:
             # A fresh aggregate, not the parallel batch's leftover.
             assert engine.last_batch_stats is not parallel_stats
 
-    @needs_fork
-    def test_fallback_batches_counted_with_path_label(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        faults.configure("worker.before_task=crash", seed=3)
-        with ReverseKRanksEngine(random_gnp) as engine:
-            engine.query_many(
-                queries, 3, algorithm="dynamic", workers=2,
-                worker_context=FAST_CONTEXT, on_pool_failure="sequential",
-            )
-            registry = engine.registry
-            assert (
-                registry.sample(
-                    "repro_query_batches_total",
-                    {"path": "sequential_fallback"},
-                )
-                == 1.0
-            )
-            assert engine.sequential_fallbacks == 1
-            # The fallback batch ran in-process: nothing crossed the IPC
-            # boundary, so the per-batch byte field must say so.
-            assert engine.last_batch_ipc_bytes == 0
-
 
 # ----------------------------------------------------------------------
 # Cross-process span stitching + pool/planner metrics
@@ -370,7 +347,7 @@ class TestSpanStitching:
             engine.tracer.enabled = True
             engine.query_many(
                 queries, 3, algorithm="dynamic", workers=2,
-                shard_policy="cost", worker_context=FAST_CONTEXT,
+                worker_context=FAST_CONTEXT,
             )
             trace = engine.last_trace
             registry = engine.registry
@@ -403,11 +380,8 @@ class TestSpanStitching:
             for child in root["children"]
             if child["name"] == "engine.plan"
         )
-        assert plan_span["meta"]["policy"] == "cost"
         assert plan_span["meta"]["skew"] >= 1.0
-        assert registry.sample(
-            "repro_shard_plans_total", {"policy": "cost"}
-        ) == 1.0
+        assert registry.sample("repro_shard_plans_total") == 1.0
         assert registry.sample(
             "repro_ipc_bytes_total", {"direction": "result"}
         ) == dispatch["meta"]["ipc_bytes"]
@@ -455,19 +429,6 @@ class TestChaosMetrics:
         # failure was declared.
         assert registry.sample("repro_pool_failures_total") == 0.0
         assert health["pool_failures"] == 0
-
-    def test_timeout_counter_reaches_registry(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:4]
-        faults.configure("worker.before_result=sleep(30)", seed=7)
-        with ReverseKRanksEngine(random_gnp) as engine:
-            with pytest.raises(ParallelExecutionError):
-                engine.query_many(
-                    queries, 3, algorithm="dynamic", workers=2,
-                    worker_context=FAST_CONTEXT, batch_timeout=0.5,
-                    on_pool_failure="raise",
-                )
-            assert engine.registry.sample("repro_worker_timeouts_total") >= 1
-            assert engine.pool_health()["worker_timeouts"] >= 1
 
 
 # ----------------------------------------------------------------------

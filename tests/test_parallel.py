@@ -23,7 +23,6 @@ from repro.graph import CompactGraph
 from repro.parallel import (
     ShardOutput,
     ShardPlanner,
-    ShardPolicy,
     WorkerPool,
     merge_shard_outputs,
 )
@@ -38,6 +37,15 @@ needs_spawn = pytest.mark.skipif(not HAVE_SPAWN, reason="spawn start method unav
 
 #: Start method used by the bulk of the process tests (fast to start).
 FAST_CONTEXT = "fork" if HAVE_FORK else None
+
+#: The README's pool-exhaustion rows: (failpoint armed before the pool
+#: starts, or ``None`` to SIGKILL a live worker; batch deadline; how many
+#: sequential fallbacks the batch takes).
+POOL_FAILURE_ROWS = {
+    "crash-budget-exhausted-once": (None, None, 0),
+    "crash-budget-exhausted-twice": ("worker.before_task=crash", None, 1),
+    "batch-deadline-blown": ("worker.before_result=sleep(30)", 0.5, 1),
+}
 
 
 # ----------------------------------------------------------------------
@@ -60,53 +68,11 @@ class TestShardPlanner:
             for position, query in zip(shard.positions, shard.queries):
                 assert batch[position] == query
 
-    def test_affinity_is_stable_across_planners_and_processes(self):
-        planner_a = ShardPlanner(4, policy="affinity")
-        planner_b = ShardPlanner(4, policy=ShardPolicy.AFFINITY)
-        for query in ["x", "y", 17, (1, 2)]:
-            assert planner_a.affinity_shard(query) == planner_b.affinity_shard(query)
-        plan = planner_a.plan(["x", "y", "x", "y", "x"])
-        shard_of = {}
-        for shard in plan.shards:
-            for query in shard.queries:
-                shard_of.setdefault(query, shard.index)
-                assert shard_of[query] == shard.index  # repeats pinned
-
-    def test_cost_policy_balances_and_covers(self, random_gnp):
-        csr = CompactGraph.from_graph(random_gnp)
-        batch = sorted(random_gnp.nodes(), key=repr)
-        plan = ShardPlanner(3, policy="cost").plan(batch, graph=csr)
-        positions = sorted(
-            position for shard in plan.shards for position in shard.positions
-        )
-        assert positions == list(range(len(batch)))
-        loads = [
-            sum(ShardPlanner.estimate_cost(query, csr) for query in shard.queries)
-            for shard in plan.shards
-        ]
-        # LPT keeps the spread below one maximal item's cost.
-        assert max(loads) - min(loads) <= max(
-            ShardPlanner.estimate_cost(query, csr) for query in batch
-        )
-
-    def test_cost_policy_prefers_index_known_queries(self, random_gnp):
-        engine = ReverseKRanksEngine(random_gnp)
-        index = engine.build_index(num_hubs=4, capacity=8)
-        seeded = max(
-            random_gnp.nodes(), key=lambda node: index.reverse_rank_count(node)
-        )
-        assert index.reverse_rank_count(seeded) > 0
-        cheap = ShardPlanner.estimate_cost(seeded, random_gnp, index)
-        plain = ShardPlanner.estimate_cost(seeded, random_gnp, None)
-        assert cheap < plain
-
     def test_invalid_parameters_raise_typed_errors(self):
         with pytest.raises(ParallelExecutionError):
             ShardPlanner(0)
         with pytest.raises(ParallelExecutionError):
             ShardPlanner(True)
-        with pytest.raises(ParallelExecutionError):
-            ShardPlanner(2, policy="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -171,16 +137,13 @@ class TestMergeShardOutputs:
 @needs_fork
 class TestEngineParallel:
     @pytest.mark.parametrize("kind", ["naive", "static", "dynamic"])
-    @pytest.mark.parametrize("policy", ["round_robin", "cost", "affinity"])
-    def test_parallel_matches_sequential_bit_identical(
-        self, random_gnp, kind, policy
-    ):
+    def test_parallel_matches_sequential_bit_identical(self, random_gnp, kind):
         queries = sorted(random_gnp.nodes(), key=repr)[:8]
         with ReverseKRanksEngine(random_gnp) as engine:
             sequential = engine.query_many(queries, 4, algorithm=kind)
             parallel = engine.query_many(
                 queries, 4, algorithm=kind, workers=2,
-                shard_policy=policy, worker_context=FAST_CONTEXT,
+                worker_context=FAST_CONTEXT,
             )
         assert [result.as_pairs() for result in parallel] == [
             result.as_pairs() for result in sequential
@@ -293,40 +256,69 @@ class TestEngineParallel:
         engine.query_many(queries[:1], 2, workers=2)
         assert engine._pool is None
 
-    def test_engine_prunes_dead_pool_and_recovers_on_retry(self, random_gnp):
-        # The satellite regression: after a WorkerCrashError escapes, the
-        # cached pool MUST be discarded so the next query_many never
-        # dispatches to dead workers.  Healing is disabled
-        # (pool_crash_retries=0, on_pool_failure="raise") to let the
-        # crash escape at all.
+    @pytest.mark.parametrize("row", list(POOL_FAILURE_ROWS))
+    def test_pool_failure_table(self, random_gnp, row):
+        """The README's pool-exhaustion rows, one per failure.
+
+        A batch-level pool failure is retried once on a fresh pool; a
+        second failure falls back to the sequential path.  Either way
+        the answers equal a fresh sequential engine's.  The crash budget
+        is 0 so that a single worker death exhausts it.
+        """
+        from repro import faults
+
+        failpoint, batch_timeout, fallbacks = POOL_FAILURE_ROWS[row]
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        with ReverseKRanksEngine(random_gnp) as engine:
-            engine.pool_crash_retries = 0
-            engine.query_many(
-                queries, 3, algorithm="dynamic", workers=2,
-                worker_context=FAST_CONTEXT,
-            )
-            first_pids = set(engine._pool.worker_pids)
-            os.kill(engine._pool.worker_pids[0], signal.SIGKILL)
-            deadline = time.time() + 5.0
-            while engine._pool._processes[0].is_alive() and time.time() < deadline:
-                time.sleep(0.05)
-            with pytest.raises(WorkerCrashError):
-                engine.query_many(
+        reference = ReverseKRanksEngine(random_gnp).query_many(
+            queries, 3, algorithm="dynamic"
+        )
+        fallback = {"path": "sequential_fallback"}
+        try:
+            with ReverseKRanksEngine(random_gnp) as engine:
+                engine.pool_crash_retries = 0
+                if failpoint is None:
+                    pool = engine.prepare_parallel(2, FAST_CONTEXT)
+                    first_pids = set(pool.worker_pids)
+                    os.kill(pool.worker_pids[0], signal.SIGKILL)
+                    deadline = time.time() + 5.0
+                    while (
+                        pool._processes[0].is_alive()
+                        and time.time() < deadline
+                    ):
+                        time.sleep(0.05)
+                else:
+                    # Armed before any pool exists, so every forked worker
+                    # of the attempt and of the retry inherits it.
+                    faults.configure(failpoint)
+                registry = engine.registry
+                before = registry.sample("repro_query_batches_total", fallback)
+                results = engine.query_many(
                     queries, 3, algorithm="dynamic", workers=2,
-                    worker_context=FAST_CONTEXT, on_pool_failure="raise",
+                    worker_context=FAST_CONTEXT, batch_timeout=batch_timeout,
                 )
-            assert engine._pool is None  # crashed pool was dropped
-            assert engine.pool_health()["worker_crashes"] >= 1
-            retried = engine.query_many(  # retry builds a fresh pool
-                queries, 3, algorithm="dynamic", workers=2,
-                worker_context=FAST_CONTEXT, on_pool_failure="raise",
-            )
-            assert not (set(engine._pool.worker_pids) & first_pids)
-            sequential = engine.query_many(queries, 3, algorithm="dynamic")
-        assert [result.as_pairs() for result in retried] == [
-            result.as_pairs() for result in sequential
+                after = registry.sample("repro_query_batches_total", fallback)
+                assert engine.parallel_retries == 1
+                assert after - before == fallbacks
+                if fallbacks:
+                    assert engine._pool is None  # dead pools pruned
+                    assert engine.last_batch_ipc_bytes == 0
+                else:
+                    assert engine.pool_health()["worker_crashes"] >= 1
+                    assert not set(engine._pool.worker_pids) & first_pids
+                if batch_timeout is not None:
+                    assert registry.sample("repro_worker_timeouts_total") >= 1
+                    assert engine.pool_health()["worker_timeouts"] >= 1
+        finally:
+            faults.clear()
+        assert [r.as_pairs() for r in results] == [
+            r.as_pairs() for r in reference
         ]
+        for expected, actual in zip(reference, results):
+            expected_view = expected.stats.as_dict()
+            actual_view = actual.stats.as_dict()
+            expected_view.pop("elapsed_seconds")
+            actual_view.pop("elapsed_seconds")
+            assert expected_view == actual_view
 
     def test_engine_heals_worker_crash_in_place(self, random_gnp):
         # Default semantics: a mid-batch worker death is absorbed by the

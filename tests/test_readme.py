@@ -2,7 +2,8 @@
 
 Its first three ``python`` blocks form one script (graph, every algorithm
 through ``engine.query``, a bichromatic query, a cached ``query_many``
-batch); the later blocks are fragments.  The expected output is what the
+batch), and the fourth (*Parallel execution*) continues it on a worker
+pool; the later blocks are fragments.  The expected output is what the
 quickstart has always printed.
 """
 
@@ -17,12 +18,18 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def run_quickstart():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     namespace = {}
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        exec(compile("\n".join(blocks[:3]), str(README), "exec"), namespace)
+        exec(
+            compile("\n".join(python_blocks()[:3]), str(README), "exec"),
+            namespace,
+        )
     return printed.getvalue().splitlines(), namespace
 
 
@@ -63,3 +70,23 @@ def test_readme_quickstart_output():
         [("b", 1), ("c", 3)],
     ]
     assert batch[3] is batch[0]  # the repeated query is a cache hit
+
+
+def test_readme_parallel_example_matches_sequential():
+    _, namespace = run_quickstart()
+    exec(compile(python_blocks()[3], str(README), "exec"), namespace)
+    engine = namespace["engine"]
+    # The batch really ran on the pool, and the with-block closed it.
+    path = {"path": "parallel"}
+    assert engine.registry.sample("repro_query_batches_total", path) == 1
+    assert engine._pool is None
+    sequential = engine.query_many(
+        namespace["queries"], k=2, algorithm="dynamic", workers=1
+    )
+    parallel = namespace["results"]
+    assert [r.as_pairs() for r in parallel] == [
+        r.as_pairs() for r in sequential
+    ]
+    assert [r.stats.rank_refinements for r in parallel] == [
+        r.stats.rank_refinements for r in sequential
+    ]

@@ -367,11 +367,25 @@ class TestConfigAndBootstrap:
             {"max_batch": 0},
             {"max_wait_ms": -1.0},
             {"max_pending": 0},
+            {"workers": 0},
+            {"workers": True},
+            {"default_k": 0},
+            {"default_algorithm": "bogus"},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ServeError):
             ServeConfig(**kwargs)
+
+    def test_cli_rejects_bad_config_before_startup(self, capsys):
+        from repro.serve.__main__ import main
+
+        # A usage error (exit 2) before the engine is prepared, not a
+        # traceback from whatever first trips over the bad value.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fixture", "path:12", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "workers must be a positive integer" in capsys.readouterr().err
 
     def test_parse_fixture_specs(self):
         workload = parse_fixture("gnp:40:9")
@@ -507,7 +521,6 @@ class TestFaultTolerance:
         [
             {"batch_timeout_s": 0.0},
             {"batch_timeout_s": -1.0},
-            {"on_pool_failure": "nonsense"},
         ],
     )
     def test_bad_fault_config_rejected(self, kwargs):

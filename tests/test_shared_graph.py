@@ -222,21 +222,46 @@ class TestPoolTransport:
             assert len(outcome.results) == len(queries)
         assert pool.shared_segment_name not in _repro_segments()
 
-    def test_pickled_fallback_matches_shared_results(self, random_gnp):
+    def test_pickled_fallback_matches_shared_results(
+        self, random_gnp, monkeypatch
+    ):
         csr = CompactGraph.from_graph(random_gnp)
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
         plan = ShardPlanner(2).plan(queries)
-        with WorkerPool(
-            csr, workers=2, context=FAST_CONTEXT, share_graph=False
-        ) as pickled_pool:
+        with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as shared_pool:
+            shared = shared_pool.run_batch(plan, 3, "dynamic")
+
+        def no_shared_memory(graph):
+            raise OSError("no shared memory on this platform")
+
+        # The one path to the pickled transport: creating the segment
+        # fails with OSError.
+        monkeypatch.setattr(
+            "repro.parallel.pool.share_compact_graph", no_shared_memory
+        )
+        with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as pickled_pool:
             assert not pickled_pool.uses_shared_graph
             assert pickled_pool.shared_segment_name is None
             pickled = pickled_pool.run_batch(plan, 3, "dynamic")
-        with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as shared_pool:
-            shared = shared_pool.run_batch(plan, 3, "dynamic")
         assert [result.as_pairs() for result in shared.results] == [
             result.as_pairs() for result in pickled.results
         ]
+
+    def test_other_publish_errors_are_not_swallowed(
+        self, random_gnp, monkeypatch
+    ):
+        def broken_publish(graph):
+            raise RuntimeError("bug while publishing")
+
+        monkeypatch.setattr(
+            "repro.parallel.pool.share_compact_graph", broken_publish
+        )
+        with pytest.raises(RuntimeError, match="bug while publishing"):
+            WorkerPool(
+                CompactGraph.from_graph(random_gnp),
+                workers=2,
+                context=FAST_CONTEXT,
+            )
 
     def test_shared_startup_payload_is_graph_size_independent(self):
         # The whole point of the transport: worker startup bytes must not
