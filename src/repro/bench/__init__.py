@@ -1,26 +1,28 @@
-"""Benchmark subsystem: seeded workloads, timing harness, trajectory report.
+"""Benchmark subsystem: seeded workloads, work-counter harness, trajectory report.
 
-The paper's central claim is performance, so this package supplies the
-measurement infrastructure the reproduction is judged against:
+This package reproduces the paper's machine-independent experiment — how
+much work each algorithm does (rank refinements, settled nodes, pruning
+and index hits) on the same query batch:
 
 * :mod:`repro.bench.workloads` — seeded, parametric workload generators
   (path / grid / G(n,p) / power-law / bichromatic / road-like lattice)
   plus :func:`~repro.bench.workloads.dataset_workload` for real
   SNAP/DIMACS files;
-* :mod:`repro.bench.harness` — warmup-and-repetition timing of all four
-  :class:`~repro.core.config.AlgorithmKind`\\ s with in-run cross-validation
-  against the naive baseline;
+* :mod:`repro.bench.harness` — one run of each workload's batch per
+  :class:`~repro.core.config.AlgorithmKind`, summing its
+  :class:`~repro.core.types.QueryStats` counters, with in-run
+  cross-validation;
 * :mod:`repro.bench.report` — the ``BENCH_core.json`` schema and writer;
 * :mod:`repro.bench.diff` — ``python -m repro.bench.diff OLD NEW``, the
-  report comparator CI uses as its speed-regression gate;
+  exact report comparator;
 * ``python -m repro.bench`` — the CLI (see :mod:`repro.bench.__main__`),
-  with ``--smoke`` for the CI-sized run, ``--scale default,large,huge``
-  up to the shared-memory-worker lattice tier (sampled naive baseline),
-  ``--dataset`` for real edge-list/DIMACS files and ``--index-cache``
-  for hub-index warm restarts.
+  with ``--scale smoke|default|large|huge`` and ``--dataset`` for real
+  edge-list/DIMACS files.
+
+End-to-end speed is measured separately, by ``e2ebench/``.
 """
 
-from repro.bench.harness import AlgorithmTiming, WorkloadResult, run_suite, run_workload
+from repro.bench.harness import AlgorithmCounters, WorkloadResult, run_suite, run_workload
 from repro.bench.report import build_report, render_table, write_report
 from repro.bench.workloads import (
     WORKLOAD_FAMILIES,
@@ -28,19 +30,15 @@ from repro.bench.workloads import (
     bichromatic_workload,
     build_suite,
     dataset_workload,
-    default_suite,
     gnp_workload,
     grid_workload,
-    huge_suite,
-    large_suite,
     lattice_workload,
     path_workload,
     powerlaw_workload,
-    smoke_suite,
 )
 
 __all__ = [
-    "AlgorithmTiming",
+    "AlgorithmCounters",
     "WorkloadResult",
     "run_workload",
     "run_suite",
@@ -57,8 +55,4 @@ __all__ = [
     "lattice_workload",
     "dataset_workload",
     "build_suite",
-    "smoke_suite",
-    "default_suite",
-    "large_suite",
-    "huge_suite",
 ]

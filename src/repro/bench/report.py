@@ -1,63 +1,38 @@
 """Benchmark report assembly and the ``BENCH_core.json`` writer.
 
-The JSON schema (``schema_version`` 1)::
+The JSON schema (``schema_version`` 2)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "generated_by": "repro.bench",
-      "created_at": "2026-07-30T12:00:00Z",       # UTC, ISO-8601
+      "created_at": "2026-10-18T12:00:00Z",       # UTC, ISO-8601
       "environment": {"python": "...", "platform": "..."},
-      "config": {"scale": "smoke", "repetitions": 1, "warmup": 0,
-                 "seed": 0, "families": [...]},
+      "config": {"scale": "default", "seed": 0, "families": [...]},
       "workloads": [
         {
-          "name": "gnp-n120", "family": "gnp",
+          "name": "gnp-n120", "family": "gnp",   # Workload.describe()
           "num_nodes": 120, "num_edges": 362, "directed": false,
           "bichromatic": false, "num_queries": 4, "k": 8, "seed": 0,
           "params": {...},
           "algorithms": {
-            "naive":   {"mean_seconds": ..., "best_seconds": ...,
-                        "per_query_seconds": ..., "repetitions_seconds": [...],
-                        "rank_refinements": ..., "validated": true,
-                        "speedup_vs_naive": 1.0},
-            "static":  {...}, "dynamic": {...},
-            "indexed": {..., "index_build_seconds": ...}
+            "naive":   {"counters": {"rank_refinements": 476, ...}},
+            "static":  {"counters": {...}},
+            "dynamic": {"counters": {...}},
+            "indexed": {"counters": {...}}      # or {"skipped": "why"}
           }
         }, ...
       ]
     }
 
-``validated`` is ``true`` only when the algorithm's batch results were
-checked against the naive baseline during the run.
+A row's ``counters`` are the summed :class:`~repro.core.types.QueryStats`
+fields of one run of the workload's query batch, ``elapsed_seconds``
+left out and ``bound_wins`` keys sorted.  A report is only written when
+every row passed in-run validation.  Large-scale workloads add
+``naive_sample`` / ``index_params`` to their metadata.
 
-Large-scale workloads add ``naive_sample`` / ``index_params`` to the
-workload metadata; their naive timing carries ``sampled_candidates`` and
-``estimated_full_seconds`` (the extrapolated exhaustive batch cost that
-``speedup_vs_naive`` is computed against), and ``validated`` there means
-the exact-rank spot checks plus pairwise algorithm agreement passed.  When
-the run used ``--index-cache``, the indexed timing records ``index_cache``
-as ``"hit"`` or ``"miss"``.
-
-Runs with a ``--workers`` axis record, per algorithm row, the worker
-count that executed its timed batches (``workers``, 1 = in-process) and —
-for parallel rows, keyed ``name@wN`` — the direct process-scaling factor
-``speedup_vs_serial`` (same-run single-process batch time over this
-row's) plus ``ipc_bytes_per_query``, the flat result-payload bytes per
-query that crossed the process boundary in one batch (reported by the
-shard result codec; shrinks under ``--stats aggregate`` / ``none``,
-which the config records as ``stats``).  Parallel rows also carry the
-graph-transport facts: ``graph_shared`` (``true`` when the workers
-mapped the shared-memory CSR segment instead of unpickling a private
-graph copy) and ``startup_payload_bytes`` (the pickled worker init
-payload — under the shared transport the graph contributes a fixed
-~200-byte handle instead of its full pickle; an adopted hub index's
-snapshot still travels by value).  Workloads that ran a parallel
-pass additionally carry ``parallel_consistent``: ``true`` iff every
-parallel batch was rank-identical to its sequential reference; when the
-run also *built* a hub index (no cache hit), ``parallel_index_consistent``
-records that a pool-built index exported byte-identical state to the
-sequential build.  All additions are backwards-compatible optional
-fields, so the schema version stays 1.
+Nothing under ``workloads`` depends on the machine or the clock, so two
+runs of the same code write byte-identical ``workloads`` sections;
+``created_at`` and ``environment`` sit outside it.
 """
 
 from __future__ import annotations
@@ -73,11 +48,21 @@ from repro.bench.harness import WorkloadResult
 
 __all__ = ["SCHEMA_VERSION", "build_report", "write_report", "render_table"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Default report location — the repo-root trajectory file every later
-#: optimisation PR is judged against.
+#: change to the algorithms is compared against.
 DEFAULT_REPORT_NAME = "BENCH_core.json"
+
+#: ``(column title, counter)`` pairs shown by :func:`render_table`.
+_TABLE_COLUMNS = (
+    ("refine", "rank_refinements"),
+    ("settled", "refinement_nodes_settled"),
+    ("pops", "tree_pops"),
+    ("bound", "pruned_by_bound"),
+    ("index", "answered_by_index"),
+    ("check", "pruned_by_check_dictionary"),
+)
 
 
 def build_report(
@@ -109,52 +94,19 @@ def write_report(
     return target.resolve()
 
 
-def _format_seconds(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if value < 1e-3:
-        return f"{value * 1e6:.0f}us"
-    if value < 1.0:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value:.3f}s"
-
-
 def render_table(report: Dict[str, object]) -> str:
-    """A compact per-workload summary table for the CLI."""
-    lines = []
-    header = (
-        f"{'workload':<20} {'algo':<12} {'mean/query':>10} "
-        f"{'speedup':>8} {'vs-w1':>7} {'refine':>7} {'ok':>3}"
+    """A compact per-workload counter table for the CLI."""
+    header = f"{'workload':<20} {'algo':<8}" + "".join(
+        f" {title:>9}" for title, _ in _TABLE_COLUMNS
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    any_sampled = False
+    lines = [header, "-" * len(header)]
     for workload in report["workloads"]:
-        for name, timing in workload["algorithms"].items():
-            if timing.get("skipped"):
-                lines.append(
-                    f"{workload['name']:<20} {name:<12} {'skipped':>10}"
-                )
+        for name, row in workload["algorithms"].items():
+            prefix = f"{workload['name']:<20} {name:<8}"
+            if "skipped" in row:
+                lines.append(f"{prefix} {'skipped':>9}")
                 continue
-            label = name
-            if timing.get("sampled_candidates") is not None:
-                label = f"{name}*"
-                any_sampled = True
-            speedup = timing.get("speedup_vs_naive")
-            serial = timing.get("speedup_vs_serial")
-            validated = timing.get("validated")
-            refinements = timing.get("rank_refinements")
-            lines.append(
-                f"{workload['name']:<20} {label:<12} "
-                f"{_format_seconds(timing.get('per_query_seconds')):>10} "
-                f"{(f'{speedup:.1f}x' if speedup else '-'):>8} "
-                f"{(f'{serial:.2f}x' if serial else '-'):>7} "
-                f"{(refinements if refinements is not None else '-'):>7} "
-                f"{('y' if validated else '-'):>3}"
-            )
-    if any_sampled:
-        lines.append(
-            "* baseline timed on a candidate sample; speedups are vs its "
-            "extrapolated exhaustive cost"
-        )
+            lines.append(prefix + "".join(
+                f" {row['counters'][counter]:>9}" for _, counter in _TABLE_COLUMNS
+            ))
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 A *workload* bundles a synthetic graph, a deterministic set of query nodes
 and a result size ``k`` — everything :func:`repro.bench.harness.run_workload`
-needs to time the four algorithms against each other.  Six graph families
+needs to count the four algorithms' work against each other.  Six graph families
 mirror the shapes the paper's experiments stress:
 
 * ``path``        — the worst case for rank locality (long chains);
@@ -43,10 +43,6 @@ __all__ = [
     "dataset_workload",
     "WORKLOAD_FAMILIES",
     "build_suite",
-    "smoke_suite",
-    "default_suite",
-    "large_suite",
-    "huge_suite",
 ]
 
 
@@ -55,9 +51,9 @@ class Workload:
     """One benchmark unit: a graph plus the queries to run against it.
 
     ``naive_sample`` marks a *large-scale* workload: the naive baseline is
-    timed on (and spot-validated against) that many deterministically
-    sampled candidates instead of all ``|V| - 1`` — exhaustive brute force
-    at thousands of nodes would dominate the suite by hours.
+    not run, and the other algorithms are spot-validated against the
+    exact ranks of that many deterministically sampled candidates instead
+    — exhaustive brute force at thousands of nodes takes minutes.
     ``index_params`` optionally bounds the hub-index build
     (``num_hubs`` / ``explore_limit``) so index construction stays
     proportionate at scale.
@@ -352,8 +348,8 @@ def dataset_workload(
     The graph loads through :func:`repro.graph.io.load_dataset` (format
     auto-detected), queries are sampled deterministically from ``seed``,
     and the scale knobs default by graph size: beyond
-    ``_SAMPLED_NAIVE_THRESHOLD`` nodes the naive baseline is sampled
-    (24 candidates) and the hub index uses the ``"auto"`` budget — the
+    ``_SAMPLED_NAIVE_THRESHOLD`` nodes naive is replaced by a 24-candidate
+    exact-rank sample and the hub index uses the ``"auto"`` budget — the
     same treatment the synthetic large/huge presets get.  Pass explicit
     ``naive_sample`` / ``index_params`` to override.  This is the
     function behind the bench CLI's ``--dataset`` flag.
@@ -384,7 +380,7 @@ def dataset_workload(
 
 
 #: Node count above which :func:`dataset_workload` defaults to a sampled
-#: naive baseline and the ``"auto"`` hub budget.
+#: exact-rank check instead of naive, and to the ``"auto"`` hub budget.
 _SAMPLED_NAIVE_THRESHOLD = 512
 
 
@@ -440,9 +436,9 @@ WORKLOAD_FAMILIES: Dict[str, Callable[..., Workload]] = {
 
 #: Per-family size parameters for the built-in scales.  The ``large`` scale
 #: (n in the thousands) only became affordable once the SDS-tree and
-#: refinement loops ran array-specialised on the CSR backend; its naive
-#: baseline is *sampled* (``naive_sample`` candidates, timing extrapolated)
-#: because exhaustive brute force at that size runs for hours, and its
+#: refinement loops ran array-specialised on the CSR backend; it skips the
+#: naive baseline and checks against ``naive_sample`` candidates' exact
+#: ranks because exhaustive brute force at that size runs for minutes, and its
 #: hub-index builds resolve the scale-aware ``"auto"`` budget
 #: (:func:`repro.core.hubs.hub_budget`) instead of a fixed hub count that
 #: cannot serve every size.  The ``huge`` scale (n in the 10\ :sup:`4`–
@@ -559,23 +555,3 @@ def build_suite(
                 )
             workloads.append(generator(seed=seed, **params))
     return workloads
-
-
-def smoke_suite(seed: int = 0) -> List[Workload]:
-    """The tiny CI suite (all five families, seconds to run)."""
-    return build_suite(scale="smoke", seed=seed)
-
-
-def default_suite(seed: int = 0) -> List[Workload]:
-    """The standard suite behind ``python -m repro.bench``."""
-    return build_suite(scale="default", seed=seed)
-
-
-def large_suite(seed: int = 0) -> List[Workload]:
-    """The thousands-of-nodes suite (sampled naive baseline)."""
-    return build_suite(scale="large", seed=seed)
-
-
-def huge_suite(seed: int = 0) -> List[Workload]:
-    """The huge-scale tier: road-network-like lattices, ``"auto"`` budgets."""
-    return build_suite(scale="huge", seed=seed)

@@ -62,6 +62,7 @@ from repro.errors import (
     is_positive_int,
 )
 from repro.graph.csr import CompactGraph
+from repro.graph.graph import _check_weight
 from repro.graph.overlay import OverlayGraph
 from repro.graph.partition import BichromaticPartition
 from repro.obs.metrics import MetricsRegistry
@@ -559,6 +560,10 @@ class ReverseKRanksEngine:
             On a malformed operation tuple (checked before anything is
             applied), or when the engine's graph is a compiled
             ``CompactGraph`` (immutable).
+        InvalidWeightError
+            On an ``add_edge`` weight ``Graph.add_edge`` would reject
+            (negative, NaN, infinite or not a number; also checked before
+            anything is applied).
         BichromaticError
             On a bichromatic engine.
         EdgeNotFoundError / NodeNotFoundError
@@ -591,6 +596,8 @@ class ReverseKRanksEngine:
             if tag == "add_node" and len(op) == 2:
                 continue
             if tag == "add_edge" and len(op) in (3, 4):
+                if len(op) == 4 and op[1] != op[2]:
+                    _check_weight(op[3])  # as Graph.add_edge; loops exempt
                 continue
             if tag == "remove_edge" and len(op) == 3:
                 continue
@@ -1147,9 +1154,9 @@ class ReverseKRanksEngine:
 
         :meth:`query_many` creates the pool lazily, which folds process
         startup — spawn can take seconds — into the first batch.  Callers
-        that time batches (the benchmark harness) call this first.  If the
-        engine holds a hub index, its current state is snapshotted into
-        the workers.  Returns the pool.
+        that time batches call this first.  If the engine holds a hub
+        index, its current state is snapshotted into the workers.
+        Returns the pool.
         """
         return self._ensure_pool(workers, worker_context)
 

@@ -489,9 +489,9 @@ class HubIndex:
             except Exception as exc:
                 # EOFError/UnpicklingError/AttributeError/...: anything
                 # the unpickler throws at a half-written or bit-rotted
-                # payload surfaces as the domain error, so callers (and
-                # the bench --index-cache path) can fall back to a
-                # rebuild instead of crashing on stdlib internals.
+                # payload surfaces as the domain error, so callers can
+                # catch that one error and fall back to a rebuild
+                # instead of crashing on stdlib internals.
                 raise IndexParameterError(
                     f"{path!s} is truncated or corrupted after its magic "
                     f"prefix ({type(exc).__name__}: {exc}); delete it and "

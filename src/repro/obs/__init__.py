@@ -9,8 +9,7 @@ Two halves:
   process-global default from :func:`get_registry`.
 * :mod:`repro.obs.trace` — a per-batch span :class:`Tracer` whose trace
   ids ride the worker task tuples so worker-side spans stitch back into
-  one tree per batch (``engine.last_trace``, serve ``trace`` op, bench
-  ``--trace-dir``).
+  one tree per batch (``engine.last_trace``, serve ``trace`` op).
 
 See the README "Observability" section for the metric catalogue and the
 trace JSON schema.
@@ -26,7 +25,7 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     get_registry,
 )
-from repro.obs.trace import NOOP_SPAN, Tracer, summarize_trace
+from repro.obs.trace import NOOP_SPAN, Tracer
 
 __all__ = [
     "Counter",
@@ -38,6 +37,5 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
     "Tracer",
-    "summarize_trace",
     "NOOP_SPAN",
 ]

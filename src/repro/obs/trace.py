@@ -41,7 +41,7 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Tracer", "summarize_trace", "NOOP_SPAN"]
+__all__ = ["Tracer", "NOOP_SPAN"]
 
 
 class _NoopSpan:
@@ -187,36 +187,3 @@ class Tracer:
                 "trace_id": self.trace_id,
                 "root": node.to_dict(self._root_start),
             }
-
-
-def summarize_trace(
-    trace: Optional[Dict[str, Any]], top: int = 5
-) -> List[Dict[str, Any]]:
-    """Top-``top`` span names by inclusive time: the bench ``trace_summary``.
-
-    Accepts either the ``{"trace_id", "root"}`` envelope or a bare span
-    dict; attached worker subtrees are included.  Inclusive time means a
-    parent's total contains its children — the ranking answers "which
-    phases is the batch inside", not "which leaf burns CPU".
-    """
-    if not trace:
-        return []
-    totals: Dict[str, List[float]] = {}
-
-    def walk(span: Any) -> None:
-        if not isinstance(span, dict):
-            return
-        name = span.get("name")
-        if isinstance(name, str):
-            entry = totals.setdefault(name, [0.0, 0])
-            entry[0] += float(span.get("duration_s") or 0.0)
-            entry[1] += 1
-        for child in span.get("children", ()):
-            walk(child)
-
-    walk(trace.get("root", trace))
-    ranked = sorted(totals.items(), key=lambda item: (-item[1][0], item[0]))
-    return [
-        {"name": name, "total_s": total, "count": int(count)}
-        for name, (total, count) in ranked[:top]
-    ]

@@ -3,8 +3,8 @@
 The pool used to pickle one full :class:`~repro.core.types.QueryResult` —
 entries, per-query :class:`~repro.core.types.QueryStats`, label — per
 query back through the result queue.  At smoke/default sizes that
-per-object transport *dominates* parallel batches (the committed
-``speedup_vs_serial`` ≪ 1 rows).  Like Tuffy's materialisation of
+per-object transport *dominated* parallel batches (2-worker batches ran
+slower than the in-process ones).  Like Tuffy's materialisation of
 inference state into flat relational buffers, the fix is to ship a whole
 shard as a handful of dense ``array`` buffers and rebuild the rich
 objects only at the parent-side boundary.

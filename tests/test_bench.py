@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
+import multiprocessing
+import os
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +21,17 @@ from repro.bench import (
     build_suite,
     dataset_workload,
     gnp_workload,
-    huge_suite,
     lattice_workload,
     powerlaw_workload,
     render_table,
+    run_suite,
     run_workload,
-    smoke_suite,
 )
 from repro.bench.__main__ import main as bench_main
-from repro.errors import WorkloadError
+from repro.bench.diff import main as diff_main
+from repro.core import ReverseKRanksEngine
+from repro.core.validation import results_equivalent
+from repro.errors import CrossValidationError, WorkloadError
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +58,7 @@ def test_workloads_are_deterministic():
 
 
 def test_smoke_suite_covers_every_family():
-    suite = smoke_suite()
+    suite = build_suite(scale="smoke")
     assert [workload.family for workload in suite] == list(WORKLOAD_FAMILIES)
     for workload in suite:
         assert workload.num_nodes <= 32
@@ -126,9 +137,6 @@ def test_huge_scale_presets_use_auto_budgets():
     # Every large preset also defers to the budget policy now.
     for family, params in _SCALES["large"].items():
         assert params["index_params"]["num_hubs"] == "auto", family
-    # Materialising the side=320 lattice is a bench-only cost; huge_suite
-    # itself is exercised by the slow-marked smoke below.
-    assert callable(huge_suite)
 
 
 def test_dataset_workload_reads_edge_list(tmp_path):
@@ -141,8 +149,8 @@ def test_dataset_workload_reads_edge_list(tmp_path):
     assert workload.params["path"] == str(path)
     # Small graphs keep the exhaustive naive baseline.
     assert workload.naive_sample is None
-    result = run_workload(workload, repetitions=1, warmup=0)
-    assert result.algorithms["naive"].validated is True
+    result = run_workload(workload)
+    assert result.algorithms["naive"].counters["rank_refinements"] == 3 * 2
 
 
 def test_combined_scales_concatenate_suites():
@@ -153,28 +161,65 @@ def test_combined_scales_concatenate_suites():
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
+REPO_ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = REPO_ROOT / "BENCH_core.json"
+REGENERATE = "python -m repro.bench --scale default,large,huge"
+ALGORITHMS = ("naive", "static", "dynamic", "indexed")
+
+
 @pytest.fixture(scope="module")
 def tiny_result():
     workload = gnp_workload(num_nodes=18, avg_degree=4.0, seed=2, num_queries=2, k=2)
-    return run_workload(workload, repetitions=2, warmup=1)
+    return run_workload(workload)
 
 
-def test_harness_times_all_four_algorithms(tiny_result):
-    assert set(tiny_result.algorithms) == {"naive", "static", "dynamic", "indexed"}
-    for name, timing in tiny_result.algorithms.items():
-        assert len(timing.repetitions) == 2
-        assert timing.mean_seconds is not None and timing.mean_seconds >= 0
-        assert timing.best_seconds <= max(timing.repetitions)
-        assert timing.validated is True, name
-    assert tiny_result.algorithms["indexed"].index_build_seconds is not None
+def test_harness_counts_all_four_algorithms(tiny_result):
+    assert set(tiny_result.algorithms) == set(ALGORITHMS)
+    for name, row in tiny_result.algorithms.items():
+        assert row.skipped is None, name
+        assert "elapsed_seconds" not in row.counters
+        assert row.as_dict() == {"counters": row.counters}
+    # Naive's counters are fixed by the workload: one refinement per
+    # candidate and query, nothing else.
+    naive = tiny_result.algorithms["naive"].counters
+    assert naive["rank_refinements"] == (18 - 1) * 2
+    assert all(
+        value in (0, {}) for key, value in naive.items()
+        if key != "rank_refinements"
+    )
+    dynamic = tiny_result.algorithms["dynamic"].counters
+    assert dynamic["rank_refinements"] < naive["rank_refinements"]
+    assert list(dynamic["bound_wins"]) == sorted(dynamic["bound_wins"])
+
+
+def test_run_workload_takes_only_the_workload():
+    assert list(inspect.signature(run_workload).parameters) == ["workload"]
+    assert list(inspect.signature(run_suite).parameters) == [
+        "workloads", "progress",
+    ]
+
+
+def test_indexed_row_counts_one_batch_on_a_fresh_index():
+    # No warm-up: the row is the freshly built index plus what the one
+    # batch learns, so a second batch on the same index does less work.
+    workload = gnp_workload(num_nodes=40, avg_degree=4.0, seed=3, num_queries=4, k=3)
+    row = run_workload(workload).algorithms["indexed"].counters
+    engine = ReverseKRanksEngine(workload.graph)
+    engine.build_index(capacity=16)
+    engine.query_many(workload.queries, workload.k, algorithm="indexed")
+    first = engine.last_batch_stats
+    assert row["rank_refinements"] == first.rank_refinements
+    assert row["answered_by_index"] == first.answered_by_index
+    engine.query_many(workload.queries, workload.k, algorithm="indexed")
+    assert engine.last_batch_stats.rank_refinements < first.rank_refinements
 
 
 def test_harness_skips_indexed_on_bichromatic():
     workload = build_suite(families=["bichromatic"], scale="smoke")[0]
-    result = run_workload(workload, repetitions=1, warmup=0)
+    result = run_workload(workload)
     assert result.algorithms["indexed"].skipped
-    assert not result.algorithms["indexed"].repetitions
-    assert result.algorithms["dynamic"].validated is True
+    assert result.algorithms["indexed"].counters is None
+    assert result.algorithms["dynamic"].counters["rank_refinements"] > 0
 
 
 def test_harness_samples_naive_on_large_workloads():
@@ -182,134 +227,46 @@ def test_harness_samples_naive_on_large_workloads():
         num_nodes=36, avg_degree=4.0, seed=5, num_queries=2, k=3,
         naive_sample=10, index_params={"num_hubs": 3, "explore_limit": 18},
     )
-    result = run_workload(workload, repetitions=1, warmup=0)
+    result = run_workload(workload)
+    # Naive is never run or extrapolated here; its fixed counters and the
+    # sample size are named in the skip reason instead.
     naive = result.algorithms["naive"]
-    assert naive.sampled_candidates == 10
-    # Extrapolation scales the sampled batch to all |V| - 1 candidates.
-    assert naive.estimated_full_seconds == pytest.approx(
-        naive.mean_seconds * (36 - 1) / 10
-    )
-    assert naive.validated is True
-    # Optimised algorithms are spot-checked against the sampled exact
-    # ranks (and each other) and still count as validated.
+    assert naive.counters is None
+    assert "(n-1)*|Q| = 70 rank refinements" in naive.skipped
+    assert "10 sampled candidates" in naive.skipped
+    # The optimised rows passed the sampled exact-rank and pairwise checks.
     for name in ("static", "dynamic", "indexed"):
-        timing = result.algorithms[name]
-        assert timing.validated is True, name
-        assert timing.speedup_vs_naive is not None
+        assert result.algorithms[name].counters["rank_refinements"] > 0, name
     payload = result.as_dict()
-    assert payload["algorithms"]["naive"]["sampled_candidates"] == 10
-    assert payload["algorithms"]["naive"]["estimated_full_seconds"] > 0
+    assert payload["algorithms"]["naive"] == {"skipped": naive.skipped}
+    assert payload["naive_sample"] == 10
 
 
-def test_harness_index_cache_round_trip(tmp_path):
-    workload = gnp_workload(num_nodes=24, avg_degree=4.0, seed=7, num_queries=2, k=2)
-    cold = run_workload(
-        workload, repetitions=1, warmup=0, index_cache=tmp_path
+def test_harness_rejects_wrong_answers(monkeypatch):
+    from repro.bench import harness
+
+    workload = gnp_workload(num_nodes=30, avg_degree=4.0, seed=5, num_queries=2, k=3)
+    monkeypatch.setattr(
+        harness, "results_equivalent", lambda expected, actual: False
     )
-    assert cold.algorithms["indexed"].index_cache == "miss"
-    assert list(tmp_path.glob("*.hubindex"))
+    with pytest.raises(CrossValidationError, match="disagrees with naive"):
+        run_workload(workload)
+    monkeypatch.undo()
 
-    # Workloads regenerate deterministically, so a fresh graph object with
-    # the same mutation history accepts the cached index.
-    rebuilt = gnp_workload(num_nodes=24, avg_degree=4.0, seed=7, num_queries=2, k=2)
-    warm = run_workload(
-        rebuilt, repetitions=1, warmup=0, index_cache=tmp_path
+    sampled = gnp_workload(
+        num_nodes=30, avg_degree=4.0, seed=5, num_queries=2, k=3, naive_sample=29
     )
-    assert warm.algorithms["indexed"].index_cache == "hit"
-    assert warm.algorithms["indexed"].validated is True
+    real = harness._exact_sample_ranks
 
+    def shifted(*args):
+        return {
+            query: {node: rank + 0.5 for node, rank in ranks.items()}
+            for query, ranks in real(*args).items()
+        }
 
-# ----------------------------------------------------------------------
-# Workers axis
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def workers_axis_result():
-    workload = gnp_workload(
-        num_nodes=24, avg_degree=4.0, seed=4, num_queries=4, k=3
-    )
-    return run_workload(workload, repetitions=1, warmup=0, workers=(1, 2))
-
-
-def test_workers_axis_adds_suffixed_rows(workers_axis_result):
-    algorithms = workers_axis_result.algorithms
-    assert {"naive", "static", "dynamic", "indexed"} <= set(algorithms)
-    for name in ("naive", "static", "dynamic", "indexed"):
-        assert algorithms[name].workers == 1
-        parallel = algorithms[f"{name}@w2"]
-        assert parallel.workers == 2
-        assert parallel.validated is True
-        assert len(parallel.repetitions) == 1
-        assert parallel.speedup_vs_serial is not None
-        assert parallel.speedup_vs_naive is not None
-    assert workers_axis_result.parallel_consistent is True
-
-
-def test_workers_axis_report_fields(workers_axis_result):
-    report = build_report([workers_axis_result], config={"workers": [1, 2]})
-    (workload,) = report["workloads"]
-    assert workload["parallel_consistent"] is True
-    assert workload["algorithms"]["dynamic"]["workers"] == 1
-    parallel = workload["algorithms"]["dynamic@w2"]
-    assert parallel["workers"] == 2
-    assert parallel["speedup_vs_serial"] > 0
-    table = render_table(report)
-    assert "dynamic@w2" in table
-    json.dumps(report)
-
-
-def test_single_parallel_workers_value_keys_rows_plainly():
-    workload = gnp_workload(
-        num_nodes=20, avg_degree=4.0, seed=6, num_queries=3, k=2
-    )
-    result = run_workload(workload, repetitions=1, warmup=0, workers=2)
-    assert set(result.algorithms) == {"naive", "static", "dynamic", "indexed"}
-    for name, timing in result.algorithms.items():
-        assert timing.workers == 2, name
-        assert timing.validated is True, name
-    # The sequential reference was computed untimed; the check still ran.
-    assert result.parallel_consistent is True
-
-
-def test_workers_axis_skips_sampled_naive_retiming():
-    workload = gnp_workload(
-        num_nodes=36, avg_degree=4.0, seed=5, num_queries=2, k=3,
-        naive_sample=10, index_params={"num_hubs": 3, "explore_limit": 18},
-    )
-    result = run_workload(workload, repetitions=1, warmup=0, workers=(1, 2))
-    assert result.algorithms["naive"].sampled_candidates == 10
-    assert result.algorithms["naive@w2"].skipped
-    assert result.algorithms["dynamic@w2"].validated is True
-    assert result.parallel_consistent is True
-
-
-def test_workers_axis_rejects_bad_values():
-    workload = gnp_workload(num_nodes=18, seed=2, num_queries=2, k=2)
-    with pytest.raises(WorkloadError):
-        run_workload(workload, repetitions=1, warmup=0, workers=0)
-    with pytest.raises(WorkloadError):
-        run_workload(workload, repetitions=1, warmup=0, workers=(1, -2))
-
-
-def test_cli_workers_axis(tmp_path):
-    output = tmp_path / "bench.json"
-    exit_code = bench_main(
-        ["--smoke", "--families", "path", "--workers", "1,2",
-         "--output", str(output), "--quiet"]
-    )
-    assert exit_code == 0
-    report = json.loads(output.read_text())
-    assert report["config"]["workers"] == [1, 2]
-    (workload,) = report["workloads"]
-    assert workload["parallel_consistent"] is True
-    assert "dynamic@w2" in workload["algorithms"]
-
-
-def test_cli_rejects_malformed_workers(tmp_path, capsys):
-    exit_code = bench_main(
-        ["--smoke", "--workers", "two", "--output", str(tmp_path / "x.json")]
-    )
-    assert exit_code == 2
-    assert "--workers" in capsys.readouterr().err
+    monkeypatch.setattr(harness, "_exact_sample_ranks", shifted)
+    with pytest.raises(CrossValidationError, match="exact rank"):
+        run_workload(sampled)
 
 
 # ----------------------------------------------------------------------
@@ -317,18 +274,15 @@ def test_cli_rejects_malformed_workers(tmp_path, capsys):
 # ----------------------------------------------------------------------
 def test_report_schema(tiny_result):
     report = build_report([tiny_result], config={"scale": "test"})
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["config"]["scale"] == "test"
     (workload,) = report["workloads"]
-    # One traversal backend: nothing to name, nothing to cross-check.
+    assert workload["name"] == "gnp-n18"
     assert "backend" not in workload
-    assert "backend_consistent" not in workload
-    for name in ("naive", "static", "dynamic", "indexed"):
-        timing = workload["algorithms"][name]
-        assert timing["mean_seconds"] >= 0
-        assert timing["per_query_seconds"] >= 0
-        assert timing["validated"] is True
-    assert workload["algorithms"]["naive"]["speedup_vs_naive"] == 1.0
+    for name in ALGORITHMS:
+        assert set(workload["algorithms"][name]) == {"counters"}
+    # No wall-clock anywhere under "workloads".
+    assert "seconds" not in json.dumps(report["workloads"])
     table = render_table(report)
     assert "gnp-n18" in table and "naive" in table
     json.dumps(report)  # must be JSON-serialisable as-is
@@ -336,62 +290,70 @@ def test_report_schema(tiny_result):
 
 def test_cli_smoke_writes_report(tmp_path, capsys):
     output = tmp_path / "BENCH_core.json"
-    exit_code = bench_main(["--smoke", "--output", str(output), "--quiet"])
+    exit_code = bench_main(["--scale", "smoke", "--output", str(output), "--quiet"])
     assert exit_code == 0
     report = json.loads(output.read_text())
-    assert report["schema_version"] == 1
-    assert report["config"]["scale"] == "smoke"
-    families = {workload["family"] for workload in report["workloads"]}
-    assert len(families) >= 3
+    assert report["schema_version"] == 2
+    assert report["config"] == {
+        "scale": "smoke", "seed": 0, "families": list(WORKLOAD_FAMILIES),
+    }
     for workload in report["workloads"]:
         algorithms = workload["algorithms"]
-        assert {"naive", "static", "dynamic", "indexed"} <= set(algorithms)
-        for name, timing in algorithms.items():
-            if timing.get("skipped"):
-                continue
-            assert timing["mean_seconds"] >= 0
-            assert timing["validated"] is True
+        assert list(algorithms) == list(ALGORITHMS)
+        for name, row in algorithms.items():
+            assert set(row) in ({"counters"}, {"skipped"}), (workload["name"], name)
+
+
+def test_cli_flags_are_the_fixed_protocol(capsys):
+    with pytest.raises(SystemExit):
+        bench_main(["--help"])
+    with pytest.raises(SystemExit):
+        diff_main(["--help"])
+    usages = re.findall(r"^usage: (.*?)\n\n", capsys.readouterr().out, re.M | re.S)
+    bench_usage, diff_usage = (set(re.findall(r"--[a-z-]+", u)) for u in usages)
+    assert bench_usage == {
+        "--scale", "--families", "--dataset", "--directed", "--seed",
+        "--output", "--quiet",
+    }
+    assert diff_usage == {"--quiet"}
+    assert usages[1].split()[-2:] == ["old", "new"]
+
+
+def test_counters_identical_across_hash_seeds(tmp_path):
+    sections = []
+    for hash_seed in ("0", "1"):
+        output = tmp_path / f"bench-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro.bench", "--scale", "smoke",
+             "--output", str(output), "--quiet"],
+            check=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        sections.append(output.read_bytes().split(b'"workloads"')[1])
+    assert sections[0] == sections[1]
 
 
 def test_cli_family_subset(tmp_path):
     output = tmp_path / "bench.json"
     exit_code = bench_main(
-        ["--smoke", "--families", "path,grid", "--output", str(output), "--quiet"]
+        ["--scale", "smoke", "--families", "path,grid", "--output", str(output),
+         "--quiet"]
     )
     assert exit_code == 0
     report = json.loads(output.read_text())
     assert [workload["family"] for workload in report["workloads"]] == ["path", "grid"]
 
 
-def test_cli_scale_overrides_smoke_timing_defaults(tmp_path):
-    # --scale overrides --smoke wholesale: the resolved scale, not the
-    # flag, picks the repetition/warmup defaults, so `--smoke --scale
-    # smoke` stays cold/fast while any other --scale gets the full 3+1.
-    output = tmp_path / "bench.json"
-    exit_code = bench_main(
-        ["--smoke", "--scale", "smoke", "--families", "path",
-         "--output", str(output), "--quiet"]
-    )
-    assert exit_code == 0
-    config = json.loads(output.read_text())["config"]
-    assert (config["repetitions"], config["warmup"]) == (1, 0)
-
-    exit_code = bench_main(
-        ["--smoke", "--scale", "default", "--families", "path",
-         "--output", str(output), "--quiet"]
-    )
-    assert exit_code == 0
-    config = json.loads(output.read_text())["config"]
-    assert config["scale"] == "default"
-    assert (config["repetitions"], config["warmup"]) == (3, 1)
-
-
 def test_cli_rejects_unknown_family(tmp_path, capsys):
     exit_code = bench_main(
-        ["--smoke", "--families", "nope", "--output", str(tmp_path / "x.json")]
+        ["--scale", "smoke", "--families", "nope", "--output", str(tmp_path / "x.json")]
     )
     assert exit_code == 2
     assert "unknown workload family" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_cli_dataset_run(tmp_path):
@@ -399,8 +361,7 @@ def test_cli_dataset_run(tmp_path):
     dataset.write_text("0 1 1.0\n1 2 1.5\n2 3 1.0\n3 4 2.0\n4 0 1.0\n")
     output = tmp_path / "bench.json"
     exit_code = bench_main(
-        ["--dataset", str(dataset), "--repetitions", "1", "--warmup", "0",
-         "--output", str(output), "--quiet"]
+        ["--dataset", str(dataset), "--output", str(output), "--quiet"]
     )
     assert exit_code == 0
     report = json.loads(output.read_text())
@@ -421,117 +382,88 @@ def test_cli_dataset_missing_file_fails_cleanly(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Huge-tier smoke (slow)
+# The committed trajectory
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "scale",
+    [
+        "default",
+        pytest.param("large", marks=pytest.mark.slow),
+        pytest.param("huge", marks=pytest.mark.slow),
+    ],
+)
+def test_committed_trajectory_reproduces(scale, tmp_path, capsys):
+    fresh = tmp_path / f"BENCH_{scale}.json"
+    assert bench_main(["--scale", scale, "--output", str(fresh), "--quiet"]) == 0
+    committed = {w["name"] for w in json.loads(COMMITTED.read_text())["workloads"]}
+    missing = [
+        w["name"] for w in json.loads(fresh.read_text())["workloads"]
+        if w["name"] not in committed
+    ]
+    assert not missing, (
+        f"workloads {missing} are not in BENCH_core.json; regenerate it with "
+        f"`{REGENERATE}`"
+    )
+    capsys.readouterr()
+    code = diff_main([str(COMMITTED), str(fresh), "--quiet"])
+    assert code == 0, (
+        f"the {scale} counters no longer match BENCH_core.json; if the change "
+        f"is intended, regenerate it with `{REGENERATE}`:\n"
+        + capsys.readouterr().err
+    )
+
+
+def test_committed_trajectory_diff_catches_a_moved_counter(tmp_path, capsys):
+    report = json.loads(COMMITTED.read_text())
+    moved = copy.deepcopy(report)
+    moved["workloads"][0]["algorithms"]["dynamic"]["counters"]["tree_pops"] += 1
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(moved))
+    assert diff_main([str(COMMITTED), str(path), "--quiet"]) == 1
+    assert "dynamic: tree_pops" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Huge tier: shared-memory graph and sharded index build (slow)
+# ----------------------------------------------------------------------
+def _counters(result):
+    stats = result.stats.as_dict()
+    stats.pop("elapsed_seconds")
+    return stats
+
+
 @pytest.mark.slow
 def test_huge_tier_smoke_shares_graph_and_parallel_index():
-    # A scaled-down huge-tier run: same preset shape (lattice + sampled
-    # naive + auto budgets + workers axis) on an affordable side=40
-    # lattice.  Asserts the three huge-tier facts end to end: workers map
-    # the shared-memory graph, the pool-built hub index is bit-identical
-    # to the sequential build, and every parallel batch matches its
-    # sequential reference.
-    workload = lattice_workload(
-        side=40, num_queries=2, k=8, naive_sample=12,
-        index_params={"num_hubs": "auto", "explore_limit": "auto"},
-    )
-    result = run_workload(workload, repetitions=1, warmup=0, workers=(1, 2))
-    assert result.parallel_consistent is True
-    assert result.parallel_index_consistent is True
-    parallel = result.algorithms["indexed@w2"]
-    assert parallel.graph_shared is True
-    assert parallel.startup_payload_bytes is not None
-    payload = result.as_dict()
-    assert payload["algorithms"]["indexed@w2"]["graph_shared"] is True
-    assert payload["parallel_index_consistent"] is True
-    json.dumps(payload)
-
-
-# ----------------------------------------------------------------------
-# Mutation axis (--mutation-rate)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def mutation_result():
-    workload = gnp_workload(
-        num_nodes=24, avg_degree=4.0, seed=6, num_queries=4, k=3
-    )
-    return run_workload(workload, repetitions=2, warmup=0, mutation_rate=0.5)
-
-
-def test_mutation_axis_adds_mut_rows(mutation_result):
-    algorithms = mutation_result.algorithms
-    for name in ("dynamic", "indexed"):
-        row = algorithms[f"{name}@mut"]
-        assert row.validated is True
-        assert len(row.repetitions) == 2
-        # Every repetition applied at least one effective update, and
-        # the counts were cross-checked against the repro.obs counters.
-        assert row.updates_applied >= 2
-        assert row.csr_recompactions is not None
-        assert row.pool_graph_syncs is not None
-        assert row.mean_seconds is not None and row.mean_seconds >= 0
-    # Plain rows are untouched by the pass and carry no update fields.
-    assert algorithms["dynamic"].updates_applied is None
-    assert mutation_result.mutation_consistent is True
-
-
-def test_mutation_axis_report_fields(mutation_result):
-    report = build_report([mutation_result], config={"mutation_rate": 0.5})
-    (workload,) = report["workloads"]
-    assert workload["mutation_consistent"] is True
-    row = workload["algorithms"]["dynamic@mut"]
-    assert row["updates_applied"] >= 2
-    assert "csr_recompactions" in row
-    assert "pool_graph_syncs" in row
-    json.dumps(report)
-
-
-def test_mutation_axis_rejects_bad_rate():
-    workload = gnp_workload(num_nodes=18, seed=2, num_queries=2, k=2)
-    with pytest.raises(WorkloadError):
-        run_workload(workload, repetitions=1, warmup=0, mutation_rate=-0.1)
-
-
-def test_mutation_axis_skips_bichromatic():
-    workload = build_suite(families=["bichromatic"], scale="smoke")[0]
-    result = run_workload(workload, repetitions=1, warmup=0, mutation_rate=0.5)
-    assert result.algorithms["dynamic@mut"].skipped
-    assert not result.algorithms["dynamic@mut"].repetitions
-    assert result.mutation_consistent is None
-
-
-def test_mutation_axis_with_workers_syncs_live_pool():
-    workload = gnp_workload(
-        num_nodes=24, avg_degree=4.0, seed=9, num_queries=4, k=3
-    )
-    result = run_workload(
-        workload, repetitions=1, warmup=0, workers=(1, 2), mutation_rate=0.5
-    )
-    assert result.mutation_consistent is True
-    for name in ("dynamic", "indexed"):
-        parallel = result.algorithms[f"{name}@mut@w2"]
-        assert parallel.workers == 2
-        assert parallel.validated is True
-        assert parallel.updates_applied >= 1
-    # The headline claim: across the pass, updates rode the in-place
-    # pool broadcast (a row after a threshold recompaction legitimately
-    # finds the pool closed, so the guarantee is pass-level).
-    mut_rows = [
-        timing for key, timing in result.algorithms.items() if "@mut" in key
-    ]
-    assert sum(row.pool_graph_syncs for row in mut_rows) >= 1
-
-
-def test_cli_mutation_rate(tmp_path):
-    output = tmp_path / "bench.json"
-    exit_code = bench_main(
-        ["--smoke", "--families", "gnp", "--mutation-rate", "0.5",
-         "--output", str(output), "--quiet"]
-    )
-    assert exit_code == 0
-    report = json.loads(output.read_text())
-    assert report["config"]["mutation_rate"] == 0.5
-    (workload,) = report["workloads"]
-    assert workload["mutation_consistent"] is True
-    assert "dynamic@mut" in workload["algorithms"]
-    assert "indexed@mut" in workload["algorithms"]
+    # The huge preset's own lattice (n = 102,400) through a 2-worker pool:
+    # the workers map the shared-memory graph, the sharded hub build is
+    # bit-identical to the sequential one, and parallel batches equal the
+    # sequential ones.
+    (workload,) = build_suite(scale="huge")
+    assert workload.num_nodes == 320 * 320
+    build = dict(workload.index_params, capacity=max(workload.k, 16))
+    context = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    sequential = ReverseKRanksEngine(workload.graph)
+    sequential_index = sequential.build_index(**build)
+    with ReverseKRanksEngine(workload.graph) as parallel:
+        assert parallel.prepare_parallel(2, context).uses_shared_graph is True
+        parallel_index = parallel.build_index(
+            workers=2, worker_context=context, **build
+        )
+        assert pickle.dumps(parallel_index.export_state()) == pickle.dumps(
+            sequential_index.export_state()
+        )
+        for algorithm in ("static", "dynamic", "indexed"):
+            want = sequential.query_many(
+                workload.queries, workload.k, algorithm=algorithm
+            )
+            got = parallel.query_many(
+                workload.queries, workload.k, algorithm=algorithm,
+                workers=2, worker_context=context,
+            )
+            assert parallel.last_batch_ipc_bytes > 0, algorithm
+            for expected, actual in zip(want, got):
+                if algorithm == "indexed":
+                    assert results_equivalent(expected, actual)
+                else:
+                    assert expected.as_pairs() == actual.as_pairs(), algorithm
+                    assert _counters(expected) == _counters(actual), algorithm

@@ -30,6 +30,7 @@ from repro.errors import (
     EdgeNotFoundError,
     GraphValidationError,
     IndexParameterError,
+    InvalidWeightError,
     NodeNotFoundError,
     ParallelExecutionError,
 )
@@ -240,6 +241,28 @@ class TestApplyUpdates:
             engine.apply_updates(batch)
         assert graph.version == version  # first op was NOT applied
         assert graph.has_edge(edges[0][0], edges[0][1])
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf"), "x"])
+    def test_invalid_weight_rejected_before_any_mutation(self, weight):
+        # A valid op ahead of the bad weight must not be applied either.
+        graph = Graph(name="grid-5x5")
+        for node in range(25):
+            if node % 5 < 4:
+                graph.add_edge(node, node + 1, 1.0 + node % 3)
+            if node < 20:
+                graph.add_edge(node, node + 5, 1.5)
+        engine = ReverseKRanksEngine(graph)
+        engine.build_index(capacity=4, num_hubs=3)
+        engine.query_many([0, 12], 3, algorithm="indexed")
+        version, num_edges = graph.version, graph.num_edges
+        compiled, revision = engine.compact_graph(), engine.index.revision
+        batch = [("add_edge", 0, 24, 2.0), ("add_edge", 1, 23, weight)]
+        with pytest.raises(InvalidWeightError):
+            engine.apply_updates(batch)
+        assert (graph.version, graph.num_edges) == (version, num_edges)
+        assert not graph.has_edge(0, 24)
+        assert engine.compact_graph() is compiled
+        assert engine.index.revision == revision
 
     def test_non_tuple_op_rejected(self):
         engine = ReverseKRanksEngine(_mutable_gnp(seed=5))

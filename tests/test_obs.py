@@ -23,7 +23,6 @@ from repro.obs import (
     NULL_REGISTRY,
     Tracer,
     get_registry,
-    summarize_trace,
 )
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -250,26 +249,6 @@ class TestTracer:
             pass
         assert tracer.last_trace["trace_id"] == "cafe1234"
 
-    def test_summarize_trace_top_spans(self):
-        trace = {
-            "trace_id": "x",
-            "root": {
-                "name": "root",
-                "start_offset_s": 0.0,
-                "duration_s": 10.0,
-                "children": [
-                    {"name": "a", "start_offset_s": 0.0, "duration_s": 4.0},
-                    {"name": "a", "start_offset_s": 4.0, "duration_s": 3.0},
-                    {"name": "b", "start_offset_s": 7.0, "duration_s": 1.0},
-                ],
-            },
-        }
-        summary = summarize_trace(trace, top=2)
-        assert summary == [
-            {"name": "root", "total_s": 10.0, "count": 1},
-            {"name": "a", "total_s": 7.0, "count": 2},
-        ]
-
 
 # ----------------------------------------------------------------------
 # Engine wiring: counters, staleness fix, trace plumbing
@@ -388,9 +367,6 @@ class TestSpanStitching:
         assert registry.sample(
             "repro_pool_batches_total"
         ) == 1.0
-        # The trace summary is computable and topped by the root span.
-        summary = summarize_trace(trace, top=5)
-        assert summary[0]["name"] == "engine.query_many"
 
     def test_untraced_parallel_batch_ships_no_trees(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
@@ -551,75 +527,3 @@ class TestJournalMetrics:
             store.record(self._delta(1))
         assert registry.sample("repro_journal_append_failures_total") == 1.0
         store.close()
-
-
-# ----------------------------------------------------------------------
-# Bench: --trace guard and diff compatibility (tier-1)
-# ----------------------------------------------------------------------
-class TestBenchTraceGuard:
-    def test_smoke_trace_produces_valid_span_json(self, tmp_path):
-        from repro.bench.__main__ import main as bench_main
-
-        trace_dir = tmp_path / "traces"
-        report_path = tmp_path / "report.json"
-        code = bench_main(
-            [
-                "--smoke",
-                "--families",
-                "path",
-                "--trace",
-                "--trace-dir",
-                str(trace_dir),
-                "--output",
-                str(report_path),
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        report = json.loads(report_path.read_text())
-        assert report["config"]["trace"] is True
-        rows = report["workloads"][0]["algorithms"]
-        for name, row in rows.items():
-            if row.get("skipped"):
-                continue
-            summary = row["trace_summary"]
-            assert summary[0]["name"] == "engine.query_many"
-            assert summary[0]["total_s"] > 0
-        traces = sorted(trace_dir.glob("*.trace.json"))
-        assert traces
-        for path in traces:
-            trace = json.loads(path.read_text())
-            assert set(trace) == {"trace_id", "root"}
-            root = trace["root"]
-            assert root["name"] == "engine.query_many"
-            assert root["duration_s"] > 0
-            for child in root.get("children", []):
-                assert child["duration_s"] <= root["duration_s"]
-
-    def test_diff_ignores_trace_fields(self):
-        from repro.bench.diff import compare_reports
-
-        def report(extra_fields):
-            return {
-                "workloads": [
-                    {
-                        "name": "w",
-                        "backend_consistent": True,
-                        "algorithms": {
-                            "dynamic": {
-                                "best_seconds": 0.5,
-                                "validated": True,
-                                **extra_fields,
-                            }
-                        },
-                    }
-                ]
-            }
-
-        old = report({})
-        new = report(
-            {"trace_summary": [{"name": "x", "total_s": 0.4, "count": 1}]}
-        )
-        rows, failures = compare_reports(old, new, tolerance=0.25)
-        assert failures == []
-        assert rows[0]["status"] == "ok"

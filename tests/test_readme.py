@@ -13,7 +13,13 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from repro.bench import __main__ as bench_cli
+from repro.bench import diff as diff_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -90,3 +96,28 @@ def test_readme_parallel_example_matches_sequential():
     assert [r.stats.rank_refinements for r in parallel] == [
         r.stats.rank_refinements for r in sequential
     ]
+
+
+def bench_commands():
+    """Every ``python -m repro.bench[.diff]`` line of README's bash blocks."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:3] in (
+                ["python", "-m", "repro.bench"],
+                ["python", "-m", "repro.bench.diff"],
+            ):
+                commands.append(words)
+    return commands
+
+
+def test_readme_bench_commands_parse():
+    commands = bench_commands()
+    assert len(commands) >= 5
+    for words in commands:
+        cli = bench_cli if words[2] == "repro.bench" else diff_cli
+        try:
+            cli._parse_args(words[3:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")
