@@ -255,7 +255,6 @@ def main(argv=None):
             workers=2,
             worker_context="fork",
             max_batch=32,
-            max_wait_ms=2.0,
             max_pending=max(64, args.clients * 4),
             batch_timeout_s=args.batch_timeout,
         )

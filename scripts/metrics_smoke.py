@@ -8,8 +8,8 @@ The in-process test suite covers every obs component; this script is the
    a seeded fixture graph with a durable state directory;
 2. drive concurrent queries through real sockets while scraping the
    plain-HTTP ``/metrics`` endpoint twice mid-load, asserting (a) every
-   required metric family is present in one scrape — batcher flush
-   causes, pool batch latency, worker respawn/timeout
+   required metric family is present in one scrape — batcher batch
+   sizes, pool batch latency, worker respawn/timeout
    counters, journal fsync latency, codec IPC bytes — and (b) the
    serve/query counters are monotone across the two scrapes;
 3. fetch the last batch trace via the framed-JSON ``trace`` op and
@@ -41,7 +41,6 @@ from repro.serve.client import ServeClient  # noqa: E402
 REQUIRED_FAMILIES = (
     "repro_serve_requests_total",
     "repro_serve_batches_total",
-    "repro_serve_flushes_total",
     "repro_serve_batch_queries_bucket",
     "repro_query_batches_total",
     "repro_queries_total",
@@ -83,8 +82,6 @@ def start_server(args, state_dir):
             "2",
             "--max-batch",
             "16",
-            "--max-wait-ms",
-            "4",
             "--default-algorithm",
             "indexed",
             "--default-k",

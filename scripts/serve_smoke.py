@@ -60,8 +60,6 @@ def start_server(args, state_dir):
             str(args.workers),
             "--max-batch",
             str(args.max_batch),
-            "--max-wait-ms",
-            "4",
             "--default-algorithm",
             "indexed",
             "--default-k",

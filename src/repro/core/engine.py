@@ -51,14 +51,17 @@ from repro.core.sds_static import static_reverse_k_ranks
 from repro.core.types import QueryResult, QueryStats
 from repro.errors import (
     BichromaticError,
+    EdgeNotFoundError,
     GraphValidationError,
     IndexParameterError,
     InvalidKError,
     InvalidQueryNodeError,
+    NodeNotFoundError,
     ParallelExecutionError,
     WorkerCrashError,
     WorkerTimeoutError,
     check_positive_k,
+    is_positive_finite,
     is_positive_int,
 )
 from repro.graph.csr import CompactGraph
@@ -110,6 +113,80 @@ _NO_INDEX_AVAILABLE = (
     "no hub index available; call build_index() or pass one to the engine "
     "before using the indexed algorithm"
 )
+
+
+def _check_updates(graph, ops: List[tuple]) -> None:
+    """Refuse a batch that would fail part-way, before anything mutates.
+
+    Checks each op's shape (and an ``add_edge`` weight, as
+    ``Graph.add_edge`` would), then replays the batch against the graph
+    without touching it: a ``remove_edge`` / ``remove_node`` of an edge
+    or node that is missing by then raises the ``EdgeNotFoundError`` /
+    ``NodeNotFoundError`` the graph itself would.  Only the batch's own
+    changes are tracked — nodes added or removed, edges added or
+    removed, and edges gone with a removed endpoint — so the cost is
+    linear in the batch, not the graph.
+    """
+    directed = graph.directed
+    nodes = {}  # node -> present after the ops so far
+    edges = {}  # edge key -> present after the ops so far
+    dropped = set()  # removed nodes: their edges in ``graph`` are gone
+    incident = {}  # node -> keys of the edges the batch added at it
+
+    def key(source, target):
+        return (source, target) if directed else frozenset((source, target))
+
+    def has_node(node) -> bool:
+        present = nodes.get(node)
+        return graph.has_node(node) if present is None else present
+
+    def has_edge(source, target) -> bool:
+        if not (has_node(source) and has_node(target)):
+            return False
+        present = edges.get(key(source, target))
+        if present is not None:
+            return present
+        if source in dropped or target in dropped:
+            return False
+        return graph.has_edge(source, target)
+
+    for position, op in enumerate(ops):
+        if not isinstance(op, tuple) or not op:
+            raise GraphValidationError(
+                f"update {position} is not an operation tuple: {op!r}"
+            )
+        tag = op[0]
+        if tag == "add_node" and len(op) == 2:
+            nodes[op[1]] = True
+        elif tag == "add_edge" and len(op) in (3, 4):
+            source, target = op[1], op[2]
+            if source == target:
+                continue  # self loops are no-ops; their weight is exempt
+            if len(op) == 4:
+                _check_weight(op[3])
+            nodes[source] = nodes[target] = True
+            edge = key(source, target)
+            edges[edge] = True
+            incident.setdefault(source, []).append(edge)
+            incident.setdefault(target, []).append(edge)
+        elif tag == "remove_edge" and len(op) == 3:
+            if not has_edge(op[1], op[2]):
+                raise EdgeNotFoundError(op[1], op[2])
+            edges[key(op[1], op[2])] = False
+        elif tag == "remove_node" and len(op) == 2:
+            node = op[1]
+            if not has_node(node):
+                raise NodeNotFoundError(node)
+            nodes[node] = False
+            dropped.add(node)
+            for edge in incident.pop(node, ()):
+                edges[edge] = False
+        else:
+            raise GraphValidationError(
+                f"update {position} is malformed: {op!r} (expected "
+                "('add_node', n), ('add_edge', u, v[, w]), "
+                "('remove_edge', u, v) or ('remove_node', n))"
+            )
 
 
 class ReverseKRanksEngine:
@@ -554,24 +631,27 @@ class ReverseKRanksEngine:
         rebuild's (the differential fuzz suite pins both, ranks and
         ``QueryStats`` counters).
 
+        The batch is all-or-nothing: every operation is checked against
+        the graph as the batch's own earlier operations leave it before
+        anything is applied, so a batch that raises changes nothing —
+        not the graph, its version, the compilation, the index or the
+        pool.
+
         Raises
         ------
         GraphValidationError
-            On a malformed operation tuple (checked before anything is
-            applied), or when the engine's graph is a compiled
-            ``CompactGraph`` (immutable).
+            On a malformed operation tuple, or when the engine's graph is
+            a compiled ``CompactGraph`` (immutable).
         InvalidWeightError
             On an ``add_edge`` weight ``Graph.add_edge`` would reject
-            (negative, NaN, infinite or not a number; also checked before
-            anything is applied).
+            (negative, NaN, infinite or not a number).
         BichromaticError
             On a bichromatic engine.
         EdgeNotFoundError / NodeNotFoundError
-            From ``remove_edge`` / ``remove_node`` of a missing edge or
-            node.  The batch is *not* transactional: operations before
-            the failing one stay applied, and the engine resynchronises
-            its caches (recompaction + conservative index repair + pool
-            teardown) before re-raising, so it remains consistent.
+            On a ``remove_edge`` / ``remove_node`` of an edge or node
+            that is missing by then (never there, or removed by an
+            earlier operation of the batch, an edge also with either
+            endpoint).
         """
         if self._partition is not None:
             raise BichromaticError(
@@ -587,27 +667,7 @@ class ReverseKRanksEngine:
                 "coordinator engine that owns the mutable Graph"
             )
         ops = list(updates)
-        for position, op in enumerate(ops):
-            if not isinstance(op, tuple) or not op:
-                raise GraphValidationError(
-                    f"update {position} is not an operation tuple: {op!r}"
-                )
-            tag = op[0]
-            if tag == "add_node" and len(op) == 2:
-                continue
-            if tag == "add_edge" and len(op) in (3, 4):
-                if len(op) == 4 and op[1] != op[2]:
-                    _check_weight(op[3])  # as Graph.add_edge; loops exempt
-                continue
-            if tag == "remove_edge" and len(op) == 3:
-                continue
-            if tag == "remove_node" and len(op) == 2:
-                continue
-            raise GraphValidationError(
-                f"update {position} is malformed: {op!r} (expected "
-                "('add_node', n), ('add_edge', u, v[, w]), "
-                "('remove_edge', u, v) or ('remove_node', n))"
-            )
+        _check_updates(graph, ops)
 
         pre_version = getattr(graph, "version", None)
         applied = 0
@@ -623,75 +683,67 @@ class ReverseKRanksEngine:
                 touched.add(node)
                 touched_order.append(node)
 
-        try:
-            for op in ops:
-                tag = op[0]
-                if tag == "add_node":
-                    node = op[1]
-                    if graph.has_node(node):
-                        noops += 1
-                        continue
-                    graph.add_node(node)
-                    appended.append(node)
-                    touch(node)
-                    applied += 1
-                elif tag == "add_edge":
+        for op in ops:
+            tag = op[0]
+            if tag == "add_node":
+                node = op[1]
+                if graph.has_node(node):
+                    noops += 1
+                    continue
+                graph.add_node(node)
+                appended.append(node)
+                touch(node)
+                applied += 1
+            elif tag == "add_edge":
+                source, target = op[1], op[2]
+                weight = op[3] if len(op) == 4 else 1.0
+                if source == target:
+                    noops += 1  # self loops never change a rank
+                    continue
+                new_source = not graph.has_node(source)
+                new_target = not graph.has_node(target)
+                before = graph.version
+                graph.add_edge(source, target, weight)
+                if graph.version == before:
+                    noops += 1
+                    continue
+                applied += 1
+                touch(source)
+                touch(target)
+                if new_source:
+                    appended.append(source)
+                if new_target:
+                    appended.append(target)
+                if graph.weight(source, target) == 0.0:
+                    zero_weight = True
+            else:
+                # remove_edge / remove_node: capture zero-weight
+                # involvement *before* the removal (see
+                # HubIndex.repair's soundness note).
+                if tag == "remove_edge":
                     source, target = op[1], op[2]
-                    weight = op[3] if len(op) == 4 else 1.0
-                    if source == target:
-                        noops += 1  # self loops never change a rank
-                        continue
-                    new_source = not graph.has_node(source)
-                    new_target = not graph.has_node(target)
-                    before = graph.version
-                    graph.add_edge(source, target, weight)
-                    if graph.version == before:
-                        noops += 1
-                        continue
+                    if graph.weight(source, target) == 0.0:
+                        zero_weight = True
+                    graph.remove_edge(source, target)
                     applied += 1
                     touch(source)
                     touch(target)
-                    if new_source:
-                        appended.append(source)
-                    if new_target:
-                        appended.append(target)
-                    if graph.weight(source, target) == 0.0:
+                else:  # remove_node
+                    node = op[1]
+                    neighbors = set(graph.neighbors(node))
+                    neighbors.update(graph.in_neighbors(node))
+                    if any(
+                        w == 0.0 for _, w in graph.neighbor_items(node)
+                    ) or any(
+                        w == 0.0 for _, w in graph.in_neighbor_items(node)
+                    ):
                         zero_weight = True
-                else:
-                    # remove_edge / remove_node: capture zero-weight
-                    # involvement *before* the removal (see
-                    # HubIndex.repair's soundness note).
-                    if tag == "remove_edge":
-                        source, target = op[1], op[2]
-                        if graph.weight(source, target) == 0.0:
-                            zero_weight = True
-                        graph.remove_edge(source, target)
-                        applied += 1
-                        touch(source)
-                        touch(target)
-                    else:  # remove_node
-                        node = op[1]
-                        if not graph.has_node(node):
-                            graph.remove_node(node)  # raises NodeNotFoundError
-                        neighbors = set(graph.neighbors(node))
-                        neighbors.update(graph.in_neighbors(node))
-                        if any(
-                            w == 0.0 for _, w in graph.neighbor_items(node)
-                        ) or any(
-                            w == 0.0 for _, w in graph.in_neighbor_items(node)
-                        ):
-                            zero_weight = True
-                        graph.remove_node(node)
-                        applied += 1
-                        removed.append(node)
-                        touch(node)
-                        for neighbor in neighbors:
-                            touch(neighbor)
-        except BaseException:
-            self._recover_after_partial_updates(
-                pre_version, touched_order, removed
-            )
-            raise
+                    graph.remove_node(node)
+                    applied += 1
+                    removed.append(node)
+                    touch(node)
+                    for neighbor in neighbors:
+                        touch(neighbor)
 
         post_version = getattr(graph, "version", None)
         if noops:
@@ -835,35 +887,6 @@ class ReverseKRanksEngine:
             graph_version=post_version,
         )
 
-    def _recover_after_partial_updates(
-        self,
-        pre_version: Optional[int],
-        touched_order: List[NodeId],
-        removed: List[NodeId],
-    ) -> None:
-        """Resynchronise caches after apply_updates died mid-batch.
-
-        Anything applied before the failing operation is real; the cheap,
-        always-sound recovery is a forced recompaction plus a
-        conservative index repair, leaving the engine consistent for the
-        caller's error handling.
-        """
-        if getattr(self._graph, "version", None) == pre_version:
-            return  # nothing effective happened before the failure
-        self._csr = None
-        self._overlay_base = None
-        self._overlay_touched = set()
-        self._overlay_appended = []
-        if self._index is not None:
-            self._index.repair(
-                touched_order,
-                search_graph=self.compact_graph(),
-                conservative=True,
-                removed_nodes=set(removed),
-            )
-            self._m_index_repairs.inc()
-        self.close_pool()
-
     # ------------------------------------------------------------------
     def query(
         self,
@@ -969,8 +992,9 @@ class ReverseKRanksEngine:
         batch_timeout:
             Parallel mode only: wall-clock seconds one pool batch may
             take before the stuck workers are killed and the batch is
-            treated as a pool failure (above).  ``None`` waits
-            indefinitely (crashes still surface via liveness polling).
+            treated as a pool failure (above).  A finite number above
+            zero, or ``None`` to wait indefinitely (crashes still
+            surface via liveness polling).
 
         Returns
         -------
@@ -983,6 +1007,14 @@ class ReverseKRanksEngine:
         if not is_positive_int(workers):
             raise ParallelExecutionError(
                 f"workers must be a positive integer, got {workers!r}"
+            )
+        # Checked before any pool work: a zero or negative deadline would
+        # fail every attempt (and count towards the circuit breaker), and
+        # nan would silently mean no deadline at all.
+        if batch_timeout is not None and not is_positive_finite(batch_timeout):
+            raise ParallelExecutionError(
+                f"batch_timeout must be a finite number > 0 (or None), "
+                f"got {batch_timeout!r}"
             )
         # Reset the per-batch telemetry *before* dispatch: a parallel
         # batch that degrades to the sequential fallback (or escapes with

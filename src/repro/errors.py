@@ -7,6 +7,8 @@ still being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for every exception raised by the :mod:`repro` package."""
@@ -98,6 +100,21 @@ def is_positive_int(value: object) -> bool:
     definition cannot drift between layers.
     """
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_positive_finite(value: object) -> bool:
+    """Whether ``value`` is a finite ``int``/``float`` above zero.
+
+    The predicate behind every timeout check: ``0``, negatives, ``nan``
+    (which compares false with everything, so it would mean "no
+    deadline") and ``inf`` are all refused, as is ``bool``.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 class IndexError_(ReproError):

@@ -5,9 +5,9 @@ The package turns the batch-oriented engine into a long-running service:
 * :mod:`repro.serve.protocol` — length-prefixed JSON framing (TCP or
   unix sockets, stdlib only);
 * :mod:`repro.serve.server` — :class:`QueryServer`: a threaded accept
-  loop whose single batcher thread coalesces concurrent client queries
-  into ``query_many`` batches under a max-latency window, with bounded
-  admission and explicit overload responses;
+  loop whose single batcher thread, whenever it is free, drains the
+  client queries that queued meanwhile into one ``query_many`` batch,
+  with bounded admission and explicit overload responses;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking
   client;
 * :mod:`repro.serve.journal` — :class:`DeltaJournal` and

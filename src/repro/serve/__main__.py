@@ -32,7 +32,7 @@ import argparse
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
@@ -79,7 +79,14 @@ def _int_or_auto(value: str):
     return value if value == "auto" else int(value)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parse_args(
+    argv: Optional[List[str]],
+) -> Tuple[argparse.Namespace, ServeConfig]:
+    """Parse the command line and validate the server settings.
+
+    A bad setting is a usage error (exit 2) here, before the possibly
+    long engine preparation, even when no index build would catch it.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Long-running reverse k-ranks query server.",
@@ -111,7 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("fork", "spawn", "forkserver"),
     )
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--max-pending", type=int, default=1024)
     parser.add_argument("--default-k", type=int, default=8)
     parser.add_argument("--default-algorithm", default="indexed")
@@ -154,12 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "it at runtime via the 'trace' op)",
     )
     args = parser.parse_args(argv)
-    # Validated before the (possibly long) engine preparation, so a bad
-    # setting fails at startup even when no index build would catch it.
     try:
         config = ServeConfig(
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_pending=args.max_pending,
             workers=args.workers,
             worker_context=args.worker_context,
@@ -169,7 +172,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except ServeError as exc:
         parser.error(str(exc))
+    return args, config
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args, config = _parse_args(argv)
     if args.fixture:
         workload = parse_fixture(args.fixture)
     else:

@@ -15,8 +15,9 @@ engines, both with a durable journal and both dispatching on the same
 worker-pool configuration — one with the configured ``max_batch``, one
 with ``max_batch=1`` (one query per pool dispatch and per fsync, the
 per-request baseline) — drives both with the same closed-loop workload
-at saturation, and prints the throughput ratio.  The batched server
-must win by >= 2x.
+at saturation, and prints the throughput ratio next to each side's
+batch count and queries per batch.  The batched server must win by
+>= 2x.
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ def compare_batching(
     num_clients: int,
     requests_per_client: int,
     max_batch: int,
-    max_wait_ms: float,
     workers: int = 2,
 ) -> dict:
     """Batched vs one-query-per-request server, same pool, same closed loop.
@@ -218,17 +218,18 @@ def compare_batching(
     Boots a fresh in-process server per configuration over identically
     built fixture engines, each with its own durable
     :class:`~repro.serve.journal.DurableIndexStore`, runs the same
-    closed-loop load against each, and returns both reports plus the
-    throughput ratio.
+    closed-loop load against each, and returns both reports — each with
+    the ``batches`` its server executed and its ``queries_per_batch`` —
+    plus the throughput ratio.
 
     Both sides dispatch on a ``workers``-way persistent pool and journal
     their learning with fsync at batch boundaries; the only difference
     is coalescing.  The baseline (``max_batch=1``,
     ``parallel_min_batch=1``) pays one pool round trip and one fsync
-    *per query*; the batched side amortises both — plus intra-window
-    dedupe — across every query the window coalesced.  The baseline
-    runs first so hub-index warm-up (the learned state starts equally
-    cold on both) cannot favour batching.
+    *per query*; the batched side amortises both — plus in-batch
+    dedupe — across every query that queued while the previous batch
+    ran.  The baseline runs first so hub-index warm-up (the learned
+    state starts equally cold on both) cannot favour batching.
     """
     import tempfile
     from pathlib import Path
@@ -238,6 +239,7 @@ def compare_batching(
     from repro.serve.server import QueryServer, ServeConfig
 
     reports = {}
+    counters = {}
     with tempfile.TemporaryDirectory(prefix="repro-compare-") as tmp:
         for label, batch_limit in (("unbatched", 1), ("batched", max_batch)):
             workload = parse_fixture(fixture)
@@ -250,7 +252,6 @@ def compare_batching(
                 engine.parallel_min_batch = 1
             config = ServeConfig(
                 max_batch=batch_limit,
-                max_wait_ms=max_wait_ms if batch_limit > 1 else 0.0,
                 max_pending=max(1024, num_clients * 4),
                 workers=workers,
             )
@@ -267,6 +268,9 @@ def compare_batching(
                     host=host,
                     port=port,
                 )
+                counters[label] = (
+                    server.batcher.batches, server.batcher.queries
+                )
             finally:
                 server.stop()
     ratio = (
@@ -275,18 +279,26 @@ def compare_batching(
         if reports["unbatched"].throughput_qps > 0
         else float("inf")
     )
+    sides = {
+        label: dict(
+            reports[label].as_dict(),
+            batches=batches,
+            queries_per_batch=round(queries / batches, 2) if batches else 0.0,
+        )
+        for label, (batches, queries) in counters.items()
+    }
     return {
         "fixture": fixture,
         "k": k,
         "algorithm": algorithm,
         "workers": workers,
-        "unbatched": reports["unbatched"].as_dict(),
-        "batched": reports["batched"].as_dict(),
+        "unbatched": sides["unbatched"],
+        "batched": sides["batched"],
         "throughput_ratio": round(ratio, 2),
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.loadgen",
         description="Closed-loop load generator for the repro query service.",
@@ -315,22 +327,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="self-hosted mode: boot batched vs unbatched servers over "
         "this fixture spec (family[:size[:seed]]) and print the "
-        "throughput ratio",
+        "throughput ratio and each side's queries per batch",
     )
     parser.add_argument(
         "--max-batch", type=int, default=64,
         help="batched side's coalescing ceiling (compare mode)",
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="batched side's flush window (compare mode)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2,
         help="pool width both servers dispatch on (compare mode)",
     )
     args = parser.parse_args(argv)
+    if not args.compare_batching and args.port is None and args.unix is None:
+        parser.error("need --port or --unix (or --compare-batching)")
+    return args
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parse_args(argv)
     if args.compare_batching:
         payload = compare_batching(
             args.compare_batching,
@@ -339,15 +353,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.clients,
             args.requests,
             args.max_batch,
-            args.max_wait_ms,
             workers=args.workers,
         )
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
 
-    if args.port is None and args.unix is None:
-        parser.error("need --port or --unix (or --compare-batching)")
     if args.queries:
         queries = [int(item) for item in args.queries.split(",")]
     else:

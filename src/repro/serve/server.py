@@ -6,9 +6,9 @@ queries from many concurrent clients.  Two ideas carry the design:
 
 * **Batch coalescing.**  Per-connection handler threads never touch the
   engine; they enqueue admitted requests with a single :class:`_Batcher`
-  thread, which flushes either when ``max_batch`` requests are pending or
-  ``max_wait_ms`` after the oldest arrival — a *max-latency window*, so a
-  lone query never waits longer than the window, while a burst is folded
+  thread, which drains whenever it is free: a batch is whatever queued
+  while the previous one ran (at most ``max_batch`` queries, oldest
+  first).  A lone query never waits for company, while a burst is folded
   into one :meth:`~repro.core.engine.ReverseKRanksEngine.query_many`
   call that amortises CSR reuse, hub-index learning, and (with
   ``workers > 1``) shard dispatch across every concurrent client.
@@ -24,12 +24,13 @@ queries from many concurrent clients.  Two ideas carry the design:
   batch it would have joined.
 
 Durability: with a :class:`~repro.serve.journal.DurableIndexStore`
-attached, each flushed batch's learning (captured with the master
+attached, each drained batch's learning (captured with the master
 index's learning log — which sees both sequential ``record_*`` calls and
 parallel merge-backs) is journalled **and fsynced before any of the
-batch's responses are released**.  A client that has seen its answer can
-therefore kill -9 the server and find the learning still there on
-restart; at most the in-flight, unanswered batch is lost.
+batch's responses are released** — group commit, one fsync per batch.
+A client that has seen its answer can therefore kill -9 the server and
+find the learning still there on restart; at most the in-flight,
+unanswered batch is lost.
 
 Protocol (length-prefixed JSON, :mod:`repro.serve.protocol`): requests
 are objects with an ``"op"`` key —
@@ -58,13 +59,18 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import ReverseKRanksEngine
 from repro.core.config import AlgorithmKind
-from repro.errors import ProtocolError, ReproError, ServeError, is_positive_int
+from repro.errors import (
+    ProtocolError,
+    ReproError,
+    ServeError,
+    is_positive_finite,
+    is_positive_int,
+)
 from repro.serve.journal import DurableIndexStore
 from repro.serve.protocol import recv_message, send_message
 
@@ -76,13 +82,9 @@ class ServeConfig:
     """Batching and admission knobs for :class:`QueryServer`.
 
     ``max_batch``
-        Flush as soon as this many queries are pending (the coalescing
-        ceiling).  ``1`` degenerates to one-query-per-request — the
-        baseline the closed-loop benchmark compares against.
-    ``max_wait_ms``
-        Flush at latest this long after the *oldest* pending query
-        arrived — the worst case batching adds to a lone query's
-        latency.
+        The most queries one drained batch hands the engine (the
+        coalescing ceiling).  ``1`` degenerates to one-query-per-request
+        — the baseline the closed-loop benchmark compares against.
     ``max_pending``
         Admission bound, counted in queries: a request whose queries
         would push the pending count past this is refused with an
@@ -99,12 +101,12 @@ class ServeConfig:
         retried on a fresh pool, then answered sequentially (see
         :meth:`~repro.core.engine.ReverseKRanksEngine.query_many`), so
         the server keeps answering correctly while the pool heals (or
-        stays degraded).  ``None`` (default) waits indefinitely (worker
-        crashes still surface via liveness polling).
+        stays degraded).  A finite number of seconds above zero, or
+        ``None`` (default) to wait indefinitely (worker crashes still
+        surface via liveness polling).
     """
 
     max_batch: int = 64
-    max_wait_ms: float = 5.0
     max_pending: int = 1024
     workers: int = 1
     worker_context: Optional[str] = None
@@ -113,30 +115,20 @@ class ServeConfig:
     batch_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServeError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
-        if self.max_pending < 1:
-            raise ServeError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ServeError(
-                f"batch_timeout_s must be > 0 (or None), got "
-                f"{self.batch_timeout_s}"
-            )
         # Settings every request relies on: a bad one would boot a
         # server that fails each query instead of failing at startup.
-        if not is_positive_int(self.workers):
+        for name in ("max_batch", "max_pending", "workers", "default_k"):
+            value = getattr(self, name)
+            if not is_positive_int(value):
+                raise ServeError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        if self.batch_timeout_s is not None and not is_positive_finite(
+            self.batch_timeout_s
+        ):
             raise ServeError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if not is_positive_int(self.default_k):
-            raise ServeError(
-                f"default_k must be a positive integer, got {self.default_k!r}"
+                f"batch_timeout_s must be a finite number > 0 (or None), "
+                f"got {self.batch_timeout_s!r}"
             )
         try:
             AlgorithmKind(self.default_algorithm)
@@ -171,14 +163,15 @@ class _PendingRequest:
 
 
 class _Batcher:
-    """The single engine-owning thread: coalesce, execute, journal, release.
+    """The single engine-owning thread: drain, execute, journal, release.
 
-    Handler threads call :meth:`submit`; this thread wakes on the first
-    pending request, sleeps out the remainder of its ``max_wait_ms``
-    window (flushing early when ``max_batch`` queries accumulate), then
-    drains everything pending, groups it by ``(k, algorithm)`` — requests
-    in one group share one ``query_many`` call — and journals the
-    learning before completing the requests.
+    Handler threads call :meth:`submit`.  Whenever this thread is free
+    and a request is pending, it takes at most ``max_batch`` queries,
+    oldest first, groups them by ``(k, algorithm)`` — requests in one
+    group share one ``query_many`` call — and journals the learning
+    before completing the requests.  A batch is thus whatever queued
+    while the previous one ran (group commit): no timer, and a request
+    that finds the thread idle runs at once.
     """
 
     def __init__(
@@ -194,15 +187,8 @@ class _Batcher:
         self._lock = threading.Condition()
         self._pending: List[_PendingRequest] = []
         self._pending_queries = 0
-        self._oldest_arrival: Optional[float] = None
         self._stopping = False
         self._paused = False
-        # "Hot" = the engine just finished a batch: anything pending now
-        # arrived while it was busy, so flush immediately instead of
-        # waiting out the window (the window is a latency cap for
-        # arrivals during idle, not a mandatory delay at saturation).
-        self._hot = False
-        self._idle = threading.Condition(self._lock)
         # Counters live in the metrics registry (shared with the engine
         # unless a dedicated one is injected); the legacy attribute names
         # (`batcher.batches` etc.) are properties over the same samples,
@@ -229,18 +215,9 @@ class _Batcher:
             "repro_serve_journal_failures_total",
             "Batches whose journal write failed (responses withheld).",
         )
-        flushes = metrics.counter(
-            "repro_serve_flushes_total",
-            "Batch flushes by trigger: max_batch reached (full), engine "
-            "just freed up (hot), or the latency window elapsed (window).",
-            labels=("cause",),
-        )
-        self._m_flush_full = flushes.labels(cause="full")
-        self._m_flush_hot = flushes.labels(cause="hot")
-        self._m_flush_window = flushes.labels(cause="window")
         self._m_batch_occupancy = metrics.histogram(
             "repro_serve_batch_queries",
-            "Queries drained per flushed batch (window occupancy).",
+            "Queries per drained batch.",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
         )
         self._thread = threading.Thread(
@@ -290,13 +267,11 @@ class _Batcher:
             self._pending.append(request)
             self._pending_queries += len(request.queries)
             self._m_requests.inc()
-            if self._oldest_arrival is None:
-                self._oldest_arrival = time.monotonic()
             self._lock.notify_all()
             return True
 
     def pause(self) -> None:
-        """Hold flushing (tests use this to build a deterministic batch)."""
+        """Hold draining (tests use this to build a deterministic batch)."""
         with self._lock:
             self._paused = True
 
@@ -304,19 +279,6 @@ class _Batcher:
         with self._lock:
             self._paused = False
             self._lock.notify_all()
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until nothing is pending (and no flush is mid-air)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while self._pending or self._pending_queries:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._idle.wait(remaining)
-            return True
 
     def stop(self) -> None:
         """Stop the thread; pending requests fail with a shutdown error."""
@@ -334,81 +296,45 @@ class _Batcher:
                 return
             self._execute(batch)
             with self._lock:
-                self._hot = True
                 # _pending_queries still counts the in-flight batch while
                 # it executes, so admission control covers queued + running
                 # work; release it only now.
                 self._pending_queries -= sum(
                     len(request.queries) for request in batch
                 )
-                if not self._pending and not self._pending_queries:
-                    self._idle.notify_all()
 
     def _collect(self) -> Optional[List[_PendingRequest]]:
-        """Wait out the batching window; return the drained batch.
+        """Wait until a request is pending; return the drained batch.
 
         Returns ``None`` exactly once, at shutdown, after failing any
         stragglers.
         """
-        window = self._config.max_wait_ms / 1000.0
         with self._lock:
-            while True:
-                if self._stopping:
-                    for request in self._pending:
-                        request.fail(ServeError("server is shutting down"))
-                    self._pending.clear()
-                    self._pending_queries = 0
-                    self._idle.notify_all()
-                    return None
-                if self._pending and not self._paused:
-                    elapsed = time.monotonic() - self._oldest_arrival
-                    full = self._pending_queries >= self._config.max_batch
-                    if full or self._hot or elapsed >= window:
-                        # Attribute the flush to its trigger, in the same
-                        # precedence the condition fires.
-                        if full:
-                            self._m_flush_full.inc()
-                        elif self._hot:
-                            self._m_flush_hot.inc()
-                        else:
-                            self._m_flush_window.inc()
-                        # Drain at most max_batch queries: the limit caps
-                        # the engine call (bounded batch latency), not
-                        # just the flush trigger — a backlog is worked
-                        # off in max_batch-sized chunks, immediately
-                        # (leftovers keep the stale window, so the next
-                        # iteration flushes without waiting).  A single
-                        # request larger than max_batch still goes
-                        # through whole; admission already vetted it.
-                        batch: List[_PendingRequest] = []
-                        taken = 0
-                        while self._pending:
-                            request = self._pending[0]
-                            size = len(request.queries)
-                            if batch and taken + size > self._config.max_batch:
-                                break
-                            batch.append(self._pending.pop(0))
-                            taken += size
-                        if not self._pending:
-                            self._oldest_arrival = None
-                        self._m_batch_occupancy.observe(taken)
-                        # _pending_queries intentionally left counting the
-                        # batch until execution finishes (see _run).
-                        return batch
-                    self._lock.wait(window - elapsed)
-                elif self._hot:
-                    # Responses were just released: closed-loop clients
-                    # resubmit within about one socket round trip.  Give
-                    # the stream that long before declaring it idle, so a
-                    # saturating load never pays the full window between
-                    # consecutive batches.
-                    self._lock.wait(max(0.001, window / 4))
-                    if not self._pending:
-                        self._hot = False
-                else:
-                    # Truly idle: the next arrival starts a fresh window
-                    # (it should coalesce with its burst, not flush alone).
-                    self._lock.wait()
+            while not self._stopping and (self._paused or not self._pending):
+                self._lock.wait()
+            if self._stopping:
+                for request in self._pending:
+                    request.fail(ServeError("server is shutting down"))
+                self._pending.clear()
+                self._pending_queries = 0
+                return None
+            # At most max_batch queries, oldest first: the limit caps the
+            # engine call (bounded batch latency), so a backlog is worked
+            # off in max_batch-sized chunks.  A single request larger
+            # than max_batch still goes through whole; admission already
+            # vetted it.
+            batch: List[_PendingRequest] = []
+            taken = 0
+            while self._pending:
+                size = len(self._pending[0].queries)
+                if batch and taken + size > self._config.max_batch:
+                    break
+                batch.append(self._pending.pop(0))
+                taken += size
+            self._m_batch_occupancy.observe(taken)
+            # _pending_queries intentionally left counting the batch until
+            # execution finishes (see _run).
+            return batch
 
     def _execute(self, batch: List[_PendingRequest]) -> None:
         """Run one drained batch group-by-group, journal, then release."""
@@ -425,7 +351,7 @@ class _Batcher:
             try:
                 try:
                     # cache_size=len(queries): concurrent clients asking
-                    # the same (query, k, algorithm) in one window share
+                    # the same (query, k, algorithm) in one batch share
                     # a single execution — coalescing's dedupe half.
                     results = self._engine.query_many(
                         queries,
@@ -533,7 +459,7 @@ class QueryServer:
 
     @property
     def batcher(self) -> _Batcher:
-        """The batcher (tests pause/resume it for deterministic flushes)."""
+        """The batcher (tests pause/resume it for deterministic batches)."""
         return self._batcher
 
     # ------------------------------------------------------------------
@@ -785,7 +711,6 @@ class QueryServer:
             "num_edges": graph.num_edges,
             "bichromatic": self._engine.is_bichromatic,
             "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
             "max_pending": config.max_pending,
             "workers": config.workers,
             "default_k": config.default_k,

@@ -109,7 +109,6 @@ def test_chaos_phases_serve_correctly_and_heal(random_gnp, reference):
     config = ServeConfig(
         workers=2,
         worker_context="fork",
-        max_wait_ms=2.0,
         max_pending=256,
         batch_timeout_s=1.0,
     )

@@ -20,7 +20,11 @@ rank-equivalent to a fresh engine over a same-hub rebuilt index, every
 worker's replica digest must equal the master's, and its index must
 match a pool-less twin given the same updates and the same learning —
 same repair deltas, same state, same dict orders.  (The learning stays
-on the learner so the checks on the first engine remain exact.)
+on the learner so the checks on the first engine remain exact.)  Some
+rounds first submit their batch with one invalid op added, which must
+raise and leave the engine exactly as it was (all-or-nothing updates);
+those ops come from a separate RNG, so every seed's valid batches are
+the same with or without them.
 
 One process pool per third seed → marked ``slow`` and excluded from the
 tier-1 ``-m "not slow"`` CI split, like ``test_fuzz_differential``.
@@ -38,6 +42,7 @@ import pytest
 from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.core.validation import results_equivalent
+from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graph import GraphBuilder
 
 from conftest import index_signature
@@ -120,6 +125,39 @@ def _mutation_batch(rng, shadow, fresh_ids):
     return ops
 
 
+def _invalid_op(bad, ops, shadow):
+    """``(position, op)``: an op that must fail inside ``ops``.
+
+    Either repeats one of the batch's removals after the whole batch
+    (when ``shadow``, the post-batch graph, confirms it is gone by
+    then), or removes a node or edge that never existed.
+    """
+    removals = [op for op in ops if op[0] in ("remove_edge", "remove_node")]
+    if removals and bad.random() < 0.5:
+        op = bad.choice(removals)
+        if op[0] == "remove_node" and not shadow.has_node(op[1]):
+            return len(ops), op
+        if op[0] == "remove_edge" and not shadow.has_edge(op[1], op[2]):
+            return len(ops), op
+    ghost = bad.choice(
+        [("remove_node", "ghost"), ("remove_edge", bad.choice(ops)[1], "ghost")]
+    )
+    return bad.randint(0, len(ops)), ghost
+
+
+def _engine_state(engine):
+    """What a failing update batch must leave exactly as it was."""
+    graph = engine.graph
+    pids = engine._pool.worker_pids if engine._pool is not None else None
+    return (
+        graph.version,
+        list(graph.edges()),
+        id(engine.compact_graph()),
+        engine.index.revision,
+        pids,
+    )
+
+
 def _pick_queries(rng, nodes, count):
     pool = sorted(nodes, key=repr)
     return rng.sample(pool, min(count, len(pool)))
@@ -157,6 +195,7 @@ def _learner_and_twin(seed, capacity):
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
 def test_incremental_equals_rebuild(seed):
     rng = random.Random(0x1C4E + seed)
+    bad = random.Random(0xBAD + seed)  # never perturbs ``rng``'s stream
     graph = _random_graph(rng)
     shadow = graph.copy()
     fresh_ids = itertools.count()
@@ -180,9 +219,15 @@ def test_incremental_equals_rebuild(seed):
 
         for round_number in range(rng.randint(2, 3)):
             ops = _mutation_batch(rng, shadow, fresh_ids)
+            context = f"seed={seed} round={round_number}"
+            if bad.random() < 0.4:
+                position, op = _invalid_op(bad, ops, shadow)
+                state = _engine_state(engine)
+                with pytest.raises((EdgeNotFoundError, NodeNotFoundError)):
+                    engine.apply_updates(ops[:position] + [op] + ops[position:])
+                assert _engine_state(engine) == state, (context, op)
             pool_alive = engine._pool is not None
             report = engine.apply_updates(ops)
-            context = f"seed={seed} round={round_number}"
             if parallel and pool_alive and report.applied and not report.recompacted:
                 # Satellite guarantee: the broadcast kept the same workers.
                 assert report.pool_synced, context

@@ -4,7 +4,7 @@ Unit-level coverage for the delta-overlay/index-repair machinery that
 ``engine.apply_updates`` composes: Graph version-counter pins (no-op
 mutations must not invalidate caches), OverlayGraph construction and
 side-table transport, apply_updates semantics (validation, no-op early
-return, recompaction triggers, partial-batch recovery), hub-index repair
+return, recompaction triggers, all-or-nothing batches), hub-index repair
 deltas and replica merging, and — under fork — the worker-pool graph
 broadcast that replaces teardown.  The end-to-end differential sweep
 lives in ``test_fuzz_mutation.py``.
@@ -340,54 +340,106 @@ class TestApplyUpdates:
         # Initial compile + threshold-forced recompile.
         assert recompactions.value == 2
 
-    def test_missing_edge_recovery_leaves_engine_consistent(self):
-        graph = _mutable_gnp(seed=11)
-        shadow = graph.copy()
-        engine = ReverseKRanksEngine(graph)
-        engine.build_index(num_hubs=3, capacity=8)
-        engine.compact_graph()
-        edges = sorted(graph.edges())
+    @needs_fork
+    def test_missing_edge_leaves_engine_unchanged(self):
+        """A failing batch is all-or-nothing: none of its ops applies.
 
-        batch = [
-            ("remove_edge", edges[0][0], edges[0][1]),  # applied, stays
-            ("remove_edge", "ghost", "ghost2"),  # raises mid-batch
-            ("add_edge", edges[1][0], edges[1][1], 0.1),  # never reached
-        ]
-        with pytest.raises(EdgeNotFoundError):
-            engine.apply_updates(batch)
-
-        # Non-transactional: op 0 stays applied; the engine resynchronised.
-        shadow.remove_edge(edges[0][0], edges[0][1])
-        assert not graph.has_edge(edges[0][0], edges[0][1])
-        reference = ReverseKRanksEngine(shadow)
-        reference.compact_graph()
-        queries = sample_queries(shadow, 4)
-        _assert_same_answers(engine, reference, queries, algorithm="dynamic")
-
-        # Tie-heavy graphs under a truncated explore_limit: the recovery's
-        # conservative repair must re-explore every hub on the compilation
-        # a rebuild uses, or it records other boundary-tie entries.
+        Tie-heavy graphs under a truncated explore_limit, where any
+        stray repair would record other boundary-tie entries than a
+        rebuild.
+        """
         for seed in range(3):
             graph = _tie_heavy_graph(seed)
             shadow = graph.copy()
-            engine = ReverseKRanksEngine(graph)
-            engine.build_index(num_hubs=4, explore_limit=7, capacity=8)
-            source, target, _ = sorted(graph.edges())[0]
+            with ReverseKRanksEngine(graph) as engine:
+                engine.build_index(num_hubs=4, explore_limit=7, capacity=8)
+                engine.prepare_parallel(2, "fork")
+                compiled = engine.compact_graph()
+                state = (
+                    graph.version,
+                    engine.index.revision,
+                    engine._pool.worker_pids,
+                )
+                source, target, _ = sorted(graph.edges())[0]
+                with pytest.raises(EdgeNotFoundError):
+                    engine.apply_updates(
+                        [
+                            ("remove_edge", source, target),  # valid
+                            ("add_edge", target, 0, 0.5),  # valid
+                            ("remove_edge", 0, 0),  # missing: a self loop
+                        ]
+                    )
+                assert graph.structurally_equal(shadow)
+                assert engine.compact_graph() is compiled
+                assert (
+                    graph.version,
+                    engine.index.revision,
+                    engine._pool.worker_pids,
+                ) == state
+                rebuilt = HubIndex.build(
+                    shadow, capacity=8, hubs=engine.index.hubs,
+                    explore_limit=7, backend=CompactGraph.from_graph(shadow),
+                )
+                assert index_signature(engine.index) == index_signature(
+                    rebuilt
+                )
+                reference = ReverseKRanksEngine(shadow, index=rebuilt)
+                _assert_same_answers(
+                    engine, reference, sample_queries(shadow, 4), k=4,
+                    algorithm="indexed",
+                )
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_batch_is_checked_against_its_own_earlier_ops(self, directed):
+        graph = _mutable_gnp(seed=11, directed=directed)
+        shadow = graph.copy()
+        engine = ReverseKRanksEngine(graph)
+        compiled = engine.compact_graph()
+        source, target, _ = sorted(graph.edges())[0]
+        into_source = next(iter(graph.in_neighbors(source)))
+        failing = [
+            # An edge goes with a removed endpoint, in either direction,
+            # and re-adding the node does not bring it back.
+            [("remove_node", source), ("remove_edge", source, target)],
+            [("remove_node", source), ("remove_edge", into_source, source)],
+            [
+                ("remove_node", source),
+                ("add_node", source),
+                ("remove_edge", source, target),
+            ],
+            [("remove_edge", source, target), ("remove_edge", source, target)],
+            [
+                ("add_edge", target, "new", 1.0),
+                ("remove_node", "new"),
+                ("remove_edge", target, "new"),
+            ],
+            [("remove_node", source), ("remove_node", source)],
+        ]
+        for batch in failing:
+            with pytest.raises((EdgeNotFoundError, NodeNotFoundError)):
+                engine.apply_updates(batch)
+            assert graph.structurally_equal(shadow), batch
+            assert engine.compact_graph() is compiled, batch
+        if not directed:
+            # One undirected edge, named from either end.
             with pytest.raises(EdgeNotFoundError):
                 engine.apply_updates(
-                    [("remove_edge", source, target), ("remove_edge", 0, 0)]
+                    [
+                        ("remove_edge", source, target),
+                        ("remove_edge", target, source),
+                    ]
                 )
-            shadow.remove_edge(source, target)
-            rebuilt = HubIndex.build(
-                shadow, capacity=8, hubs=engine.index.hubs, explore_limit=7,
-                backend=CompactGraph.from_graph(shadow),
-            )
-            assert index_signature(engine.index) == index_signature(rebuilt)
-            reference = ReverseKRanksEngine(shadow, index=rebuilt)
-            _assert_same_answers(
-                engine, reference, sample_queries(shadow, 4), k=4,
-                algorithm="indexed",
-            )
+            assert graph.structurally_equal(shadow)
+
+        # Adding then removing one edge succeeds: the removal sees the add.
+        batch = [("add_edge", target, "new", 1.0), ("remove_edge", target, "new")]
+        report = engine.apply_updates(batch)
+        shadow.add_edge(target, "new", 1.0)
+        shadow.remove_edge(target, "new")
+        assert report.applied == 2
+        assert graph.structurally_equal(shadow)
+        reference = ReverseKRanksEngine(shadow)
+        _assert_same_answers(engine, reference, sample_queries(shadow, 4))
 
     def test_missing_node_removal_raises(self):
         engine = ReverseKRanksEngine(_mutable_gnp(seed=12))

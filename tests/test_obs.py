@@ -425,7 +425,7 @@ class TestServeObservability:
         engine = ReverseKRanksEngine(path_graph, registry=registry)
         engine.build_index(num_hubs=3, capacity=8)
         store.install(engine.index)
-        config = ServeConfig(max_batch=4, max_wait_ms=2.0)
+        config = ServeConfig(max_batch=4)
         with QueryServer(
             engine, config=config, store=store, registry=registry
         ) as server:
@@ -441,7 +441,7 @@ class TestServeObservability:
         assert text == registry.render()
         for family in (
             "repro_serve_batches_total",
-            "repro_serve_flushes_total",
+            "repro_serve_batch_queries",
             "repro_queries_total",
             "repro_journal_appends_total",
         ):

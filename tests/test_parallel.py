@@ -256,6 +256,25 @@ class TestEngineParallel:
         engine.query_many(queries[:1], 2, workers=2)
         assert engine._pool is None
 
+    @pytest.mark.parametrize(
+        "timeout", [0, -1.0, float("nan"), float("inf"), True, "1"]
+    )
+    def test_bad_batch_timeout_rejected_before_pool_work(
+        self, random_gnp, timeout
+    ):
+        # Accepted, 0 and -1.0 each cost two pool failures (two such
+        # calls open the circuit breaker) and nan meant no deadline.
+        queries = sorted(random_gnp.nodes(), key=repr)[:4]
+        engine = ReverseKRanksEngine(random_gnp)
+        with pytest.raises(ParallelExecutionError, match="batch_timeout"):
+            engine.query_many(
+                queries, 2, workers=2, worker_context=FAST_CONTEXT,
+                batch_timeout=timeout,
+            )
+        assert engine.pool_failures == 0
+        assert engine._pool is None
+        assert not engine.parallel_degraded
+
     @pytest.mark.parametrize("row", list(POOL_FAILURE_ROWS))
     def test_pool_failure_table(self, random_gnp, row):
         """The README's pool-exhaustion rows, one per failure.

@@ -4,7 +4,8 @@ Its first three ``python`` blocks form one script (graph, every algorithm
 through ``engine.query``, a bichromatic query, a cached ``query_many``
 batch), and the fourth (*Parallel execution*) continues it on a worker
 pool; the later blocks are fragments.  The expected output is what the
-quickstart has always printed.
+quickstart has always printed.  Every documented CLI command (README's
+bash blocks, and CI's serve commands) must parse with its CLI's parser.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ import pytest
 
 from repro.bench import __main__ as bench_cli
 from repro.bench import diff as diff_cli
+from repro.serve import __main__ as serve_cli
+from repro.serve import loadgen as loadgen_cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def python_blocks():
@@ -98,10 +103,14 @@ def test_readme_parallel_example_matches_sequential():
     ]
 
 
+def bash_blocks():
+    return re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+
+
 def bench_commands():
     """Every ``python -m repro.bench[.diff]`` line of README's bash blocks."""
     commands = []
-    for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S):
+    for block in bash_blocks():
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             if words[:3] in (
@@ -121,3 +130,39 @@ def test_readme_bench_commands_parse():
             cli._parse_args(words[3:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(words)}")
+
+
+def serve_commands():
+    """Every ``python -m repro.serve[.loadgen]`` line of README's bash
+    blocks and of CI's workflow: environment-variable prefixes, a
+    trailing ``...`` placeholder and anything piped onwards dropped."""
+    commands = []
+    for text in bash_blocks() + [CI_WORKFLOW.read_text()]:
+        for line in text.replace("\\\n", " ").splitlines():
+            if "python -m repro.serve" not in line:
+                continue
+            words = shlex.split(line, comments=True)
+            while words and re.match(r"\w+=", words[0]):
+                words.pop(0)
+            if "|" in words:
+                words = words[:words.index("|")]
+            if words[-1:] == ["..."]:
+                words.pop()
+            if words[:3] in (
+                ["python", "-m", "repro.serve"],
+                ["python", "-m", "repro.serve.loadgen"],
+            ):
+                commands.append(words)
+    return commands
+
+
+def test_documented_serve_commands_parse():
+    commands = serve_commands()
+    assert sum(words[2] == "repro.serve" for words in commands) >= 3
+    assert sum(words[2] == "repro.serve.loadgen" for words in commands) >= 2
+    for words in commands:
+        cli = serve_cli if words[2] == "repro.serve" else loadgen_cli
+        try:
+            cli._parse_args(words[3:])
+        except SystemExit:
+            pytest.fail(f"command does not parse: {' '.join(words)}")

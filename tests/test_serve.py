@@ -91,7 +91,6 @@ class TestProtocol:
 def make_server(graph, store=None, **config_kwargs):
     engine = ReverseKRanksEngine(graph)
     engine.build_index(num_hubs=3, capacity=16)
-    config_kwargs.setdefault("max_wait_ms", 2.0)
     server = QueryServer(
         engine, config=ServeConfig(**config_kwargs), store=store
     )
@@ -281,9 +280,7 @@ class TestQueryServer:
         path = str(tmp_path / "serve.sock")
         engine = ReverseKRanksEngine(random_gnp)
         engine.build_index(num_hubs=3, capacity=16)
-        server = QueryServer(
-            engine, config=ServeConfig(max_wait_ms=2.0), unix_path=path
-        )
+        server = QueryServer(engine, unix_path=path)
         with server:
             with ServeClient(unix_path=path) as client:
                 assert client.ping()
@@ -322,9 +319,7 @@ class TestQueryServer:
         engine.build_index(num_hubs=3, capacity=16)
         store = DurableIndexStore(tmp_path / "state")
         store.install(engine.index)
-        server = QueryServer(
-            engine, config=ServeConfig(max_wait_ms=2.0), store=store
-        ).start()
+        server = QueryServer(engine, store=store).start()
         host, port = server.address
         queries = sample_queries(random_gnp, 4)
         with ServeClient(host=host, port=port) as client:
@@ -341,9 +336,7 @@ class TestQueryServer:
         engine.build_index(num_hubs=3, capacity=16)
         store = DurableIndexStore(tmp_path / "state")
         store.install(engine.index)
-        with QueryServer(
-            engine, config=ServeConfig(max_wait_ms=2.0), store=store
-        ) as server:
+        with QueryServer(engine, store=store) as server:
             host, port = server.address
             with ServeClient(host=host, port=port) as client:
                 client.query_many(
@@ -365,12 +358,16 @@ class TestConfigAndBootstrap:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_wait_ms": -1.0},
+            {"max_batch": 2.5},
             {"max_pending": 0},
             {"workers": 0},
             {"workers": True},
             {"default_k": 0},
             {"default_algorithm": "bogus"},
+            {"max_batch": True},
+            {"max_pending": "x"},
+            {"batch_timeout_s": float("nan")},
+            {"batch_timeout_s": float("inf")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -386,6 +383,12 @@ class TestConfigAndBootstrap:
             main(["--fixture", "path:12", "--workers", "0"])
         assert excinfo.value.code == 2
         assert "workers must be a positive integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fixture", "path:12", "--batch-timeout", "nan"])
+        assert excinfo.value.code == 2
+        assert "batch_timeout_s must be a finite number" in (
+            capsys.readouterr().err
+        )
 
     def test_parse_fixture_specs(self):
         workload = parse_fixture("gnp:40:9")
@@ -496,9 +499,7 @@ class TestFaultTolerance:
         store = DurableIndexStore(tmp_path / "state")
         store.install(engine.index)
         queries = sample_queries(random_gnp, 4)
-        with QueryServer(
-            engine, config=ServeConfig(max_wait_ms=2.0), store=store
-        ) as server:
+        with QueryServer(engine, store=store) as server:
             host, port = server.address
             faults.configure("journal.fsync=error*1")
             with ServeClient(host=host, port=port) as client:
