@@ -47,6 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import faults  # noqa: E402
 from repro.core import ReverseKRanksEngine  # noqa: E402
+from repro.core.hub_index import HubIndex  # noqa: E402
 from repro.serve.bootstrap import parse_fixture  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.journal import DurableIndexStore  # noqa: E402
@@ -147,7 +148,10 @@ def run_update_crash_phase(seed, summary, problems):
     ``pool_synced=False``) without surfacing an error, keep answering
     bit-identically to a from-scratch engine over an identically-mutated
     shadow graph, and — once the chaos is cleared — sync the next update
-    into a fresh pool in place.
+    into a fresh pool in place.  After each update the repaired hub index
+    (explored by the master alone after the crash, sharded over the pool
+    after the recovery) must equal a same-hub rebuild and answer indexed
+    queries as the rebuild does.
     """
     workload = parse_fixture("gnp:60:13")
     graph = workload.graph
@@ -156,13 +160,35 @@ def run_update_crash_phase(seed, summary, problems):
     engine.build_index(num_hubs=3, capacity=8)
     engine.parallel_min_batch = 1
     queries = sorted(graph.nodes())[:10]
-    phase = {"mismatches": 0, "degrades": 0, "in_place_syncs": 0}
+    phase = {
+        "mismatches": 0, "index_mismatches": 0, "degrades": 0,
+        "in_place_syncs": 0,
+    }
+
+    def signature(index):
+        # ``shadow`` counts its versions from its copy, so drop them.
+        state = index.export_state()
+        state.pop("graph_version")
+        return state
 
     def verify():
         reference = ReverseKRanksEngine(shadow)
-        reference.compact_graph()
+        backend = reference.compact_graph()
         expected = reference.query_many(queries, 6, algorithm="dynamic")
         actual = engine.query_many(queries, 6, algorithm="dynamic")
+        rebuilt = HubIndex.build(
+            shadow, capacity=8, hubs=engine.index.hubs, backend=backend
+        )
+        if signature(engine.index) != signature(rebuilt):
+            phase["index_mismatches"] += 1
+        reference.adopt_index(rebuilt)
+        expected += reference.query_many(queries, 6, algorithm="indexed")
+        # A copy of the repaired index answers: indexed queries learn,
+        # and a learned index would no longer equal the next rebuild.
+        probe = ReverseKRanksEngine(
+            graph, index=HubIndex.from_state(graph, engine.index.export_state())
+        )
+        actual += probe.query_many(queries, 6, algorithm="indexed")
         for want, got in zip(expected, actual):
             if want.as_pairs() != got.as_pairs():
                 phase["mismatches"] += 1
@@ -215,6 +241,11 @@ def run_update_crash_phase(seed, summary, problems):
         problems.append(
             f"update_crash: {phase['mismatches']} responses differed from "
             "the mutated-shadow reference"
+        )
+    if phase["index_mismatches"]:
+        problems.append(
+            "update_crash: the repaired index differed from a same-hub "
+            f"rebuild after {phase['index_mismatches']} of 2 updates"
         )
     summary["phases"]["update_crash"] = phase
 

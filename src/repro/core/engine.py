@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.bichromatic import (
     bichromatic_naive_reverse_k_ranks,
@@ -403,6 +403,14 @@ class ReverseKRanksEngine:
             "Incremental hub-index repairs performed after graph updates "
             "(instead of full index rebuilds).",
         )
+        repair_hubs = metrics.counter(
+            "repro_index_repair_hubs_total",
+            "Hubs a repair re-explored, or kept because their pre-batch "
+            "distances proved the update cannot change their row.",
+            labels=("outcome",),
+        )
+        self._m_repair_reexplored = repair_hubs.labels(outcome="reexplored")
+        self._m_repair_kept = repair_hubs.labels(outcome="kept")
         self._m_pool_graph_syncs = metrics.counter(
             "repro_pool_graph_syncs_total",
             "In-place worker-pool graph syncs (overlay broadcast instead "
@@ -594,10 +602,11 @@ class ReverseKRanksEngine:
           which point one recompaction folds it into a fresh base;
         * the hub index is repaired in place
           (:meth:`~repro.core.hub_index.HubIndex.repair`): only sources
-          whose exploration cone can reach a touched endpoint are
-          dropped and re-explored, and the resulting
-          :class:`~repro.core.hub_index.HubIndexDelta` is returned on
-          the report for journaling;
+          whose settled set holds a touched endpoint are dropped, and of
+          those hubs only the ones whose pre-batch distances cannot
+          prove the batch's net edge changes harmless are re-explored;
+          the resulting :class:`~repro.core.hub_index.HubIndexDelta` is
+          returned on the report for journaling;
         * a live worker pool receives the new side-table over its
           broadcast channel — the workers rebuild their overlay over the
           base they already hold, no teardown, no process churn.  While
@@ -677,11 +686,24 @@ class ReverseKRanksEngine:
         appended: List[NodeId] = []
         removed: List[NodeId] = []
         zero_weight = False
+        # Edge -> its weight before the batch (None: absent).
+        weights_before: Dict[Tuple[NodeId, NodeId], Optional[float]] = {}
 
         def touch(node: NodeId) -> None:
             if node not in touched:
                 touched.add(node)
                 touched_order.append(node)
+
+        def weight_of(source: NodeId, target: NodeId) -> Optional[float]:
+            if graph.has_edge(source, target):
+                return graph.weight(source, target)
+            return None
+
+        def note_edge(source: NodeId, target: NodeId) -> None:
+            if graph.directed or (target, source) not in weights_before:
+                weights_before.setdefault(
+                    (source, target), weight_of(source, target)
+                )
 
         for op in ops:
             tag = op[0]
@@ -702,6 +724,7 @@ class ReverseKRanksEngine:
                     continue
                 new_source = not graph.has_node(source)
                 new_target = not graph.has_node(target)
+                note_edge(source, target)
                 before = graph.version
                 graph.add_edge(source, target, weight)
                 if graph.version == before:
@@ -724,6 +747,7 @@ class ReverseKRanksEngine:
                     source, target = op[1], op[2]
                     if graph.weight(source, target) == 0.0:
                         zero_weight = True
+                    note_edge(source, target)
                     graph.remove_edge(source, target)
                     applied += 1
                     touch(source)
@@ -836,6 +860,11 @@ class ReverseKRanksEngine:
             explore = explore_on_pool
         index_delta = None
         if self._index is not None:
+            changes = []
+            for (source, target), weight in weights_before.items():
+                after = weight_of(source, target)
+                if after != weight:
+                    changes.append((source, target, weight, after))
             before = self._index.revision
             index_delta = self._index.repair(
                 touched_order,
@@ -843,8 +872,12 @@ class ReverseKRanksEngine:
                 conservative=zero_weight,
                 removed_nodes=removed_set,
                 explore=explore,
+                changes=changes,
             )
             self._m_index_repairs.inc()
+            reexplored, kept = self._index.last_repair
+            self._m_repair_reexplored.inc(len(reexplored))
+            self._m_repair_kept.inc(len(kept))
             if synced:
                 self._pool_index_revision += self._index.revision - before
         if pool is not None and explore is None:

@@ -37,6 +37,7 @@ import os
 import pickle
 import random
 import tempfile
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -77,6 +78,8 @@ NodeId = Hashable
 
 #: Placeholder source before the first run in :meth:`HubIndex._record_delta`.
 _NO_SOURCE = object()
+
+_INF = float("inf")
 
 __all__ = ["HubIndex", "HubIndexDelta"]
 
@@ -152,6 +155,8 @@ class HubIndex:
         "_check",
         "_explored",
         "_explore_limit",
+        "_dists",
+        "_last_repair",
         "_learning_log",
         "_revision",
     )
@@ -181,6 +186,12 @@ class HubIndex:
         #: :meth:`repair` re-explores affected hubs at this budget so a
         #: repaired index matches a from-scratch rebuild.
         self._explore_limit: Optional[int] = None
+        #: hub -> distances of its explored row, in settle order: the
+        #: node of rank ``r`` lies at ``dists[r - 1]``.  Only
+        #: :meth:`repair` reads them; they are never exported or saved.
+        self._dists: Dict[NodeId, array] = {}
+        #: (re-explored hubs, kept hubs) of the last :meth:`repair`
+        self._last_repair: Tuple[tuple, tuple] = ((), ())
         #: live :class:`HubIndexDelta` capturing record_* calls, or ``None``
         self._learning_log: Optional[HubIndexDelta] = None
         #: monotonic count of record_rank/record_exploration calls — the
@@ -322,44 +333,52 @@ class HubIndex:
 
     def explore_hubs(
         self, hubs, limit: int, search_graph=None
-    ) -> List[Tuple[NodeId, Dict[NodeId, int]]]:
+    ) -> List[Tuple[NodeId, Dict[NodeId, int], array]]:
         """Settle up to ``limit`` nodes around each hub, in order, recording them.
 
-        Returns the ``(hub, row)`` pairs recorded — ``row`` maps each
-        settled node to its exact rank, in settling order — so a pool
+        Returns the ``(hub, row, dists)`` triples recorded — ``row`` maps
+        each settled node to its exact rank, in settling order, and
+        ``dists`` holds their distances in the same order — so a pool
         worker can ship its share of a repair to the parent, which
         installs them with :meth:`merge_rows`.  ``search_graph`` (default:
         a compilation of the index's own graph) is what the explorations
         run on.
         """
         search_graph = as_compact(self._graph, search_graph)
-        return [(hub, self._explore_hub(hub, limit, search_graph)) for hub in hubs]
+        return [
+            (hub, *self._explore_hub(hub, limit, search_graph)) for hub in hubs
+        ]
 
     def _explore_hub(
         self, hub: NodeId, limit: int, search_graph
-    ) -> Dict[NodeId, int]:
+    ) -> Tuple[Dict[NodeId, int], array]:
         """Settle up to ``limit`` nodes around ``hub`` on the compilation
-        ``search_graph``; record and return the row."""
+        ``search_graph``; record the row and its distances, return both."""
         row: Dict[NodeId, int] = {}
-        for node, _, rank in compact_rank_stream(search_graph, hub):
+        dists = array("d")
+        for node, distance, rank in compact_rank_stream(search_graph, hub):
             row[node] = int(rank)
+            dists.append(distance)
             if len(row) >= limit:
                 break
-        self._record_row(hub, row)
-        self.record_exploration(hub, len(row))
-        return row
+        self.merge_rows([(hub, row, dists)])
+        return row, dists
 
     def merge_rows(self, rows) -> None:
-        """Record ``(hub, row)`` explorations, one whole row per hub.
+        """Record ``(hub, row, dists)`` explorations, one whole row per hub.
 
         Equivalent — values, dict insertion orders and :attr:`revision`
         — to the :meth:`record_rank` / :meth:`record_exploration` calls
         that exploring the hubs here, in the same order, would make.  The
         rows must describe this index's graph version; nothing checks it.
+        ``dists`` (the row's distances in settle order, or ``None``) is
+        kept for :meth:`repair`'s distance test.
         """
-        for hub, row in rows:
+        for hub, row, dists in rows:
             self._record_row(hub, row)
             self.record_exploration(hub, len(row))
+            if dists is not None:
+                self._dists[hub] = dists
 
     # ------------------------------------------------------------------
     # Persistence (stdlib-only; lets servers restart warm)
@@ -790,6 +809,7 @@ class HubIndex:
                             del reverse[target]
         self._check.pop(source, None)
         self._explored.pop(source, None)
+        self._dists.pop(source, None)
         self._revision += 1
 
     def repair(
@@ -799,6 +819,7 @@ class HubIndex:
         conservative: bool = False,
         removed_nodes=(),
         explore=None,
+        changes=None,
     ) -> HubIndexDelta:
         """Incrementally repair the index after a graph mutation.
 
@@ -840,12 +861,57 @@ class HubIndex:
         still cheaper than a teardown because replicas are patched via
         the delta instead of being rebuilt from scratch.
 
+        Soundness of the distance test
+        ------------------------------
+        A hub that fails the membership test is still *kept* — neither
+        dropped nor re-explored — when its pre-batch distances prove its
+        row unchanged.  Let ``d`` be those distances.  A hub settles in
+        ``(distance, node index)`` order and a settled node's rank ``r``
+        counts the strictly closer nodes, so the first member of its tie
+        group sits at row position ``r - 1``: ``d = dists[r - 1]``.  Let
+        the radius ``R`` be the last settled distance when the row filled
+        the exploration budget, and ``+inf`` when it did not (the hub
+        settled all it reaches, always so under ``explore_limit=None``).
+        The hub is kept when, for the batch's net edge ``changes``:
+
+        * the hub is not an endpoint of any change;
+        * no removed or raised edge ``(u, v, w)`` is tight:
+          ``d(u) + w == d(v)`` with both ends settled;
+        * no inserted or lowered edge ``(u, v, w')`` improves a settled
+          ``v`` (``d(u) + w' < d(v)``);
+        * no such edge reaches an unsettled ``v`` within the radius
+          (``d(u) + w' <= R``).
+
+        Every clause reads pre-batch distances, so the clauses compose
+        across the batch.  Over the new settle order, no node gets closer
+        than ``d`` unless it stays beyond ``R``: its last edge is old
+        (then ``d`` already bounds it), new from a settled ``u`` (the
+        clauses), or new from an unsettled ``u`` — which lies at ``R`` or
+        beyond, and a positive weight puts the far end past ``R``.  Over
+        the old settle order, no settled node gets farther: its tight
+        incoming edge survives.  So every settled node keeps its
+        distance, the unsettled ones stay behind the boundary, and the
+        row — order, ranks and cut — is the same.
+
+        The argument needs positive weights everywhere, not only on the
+        changed edges: across a zero-weight edge a tie-group member is
+        discovered only after another member settled, so the settle
+        order is no longer ``(distance, node index)`` and a tight insert
+        can reorder a cut tie group.  The test therefore runs only when
+        ``search_graph`` holds no zero-weight edge at all, the batch
+        removed no node, and ``conservative`` is off.  Hubs without
+        stored distances (indexes from :meth:`load`, :meth:`from_state`,
+        :meth:`build_parallel` or a delta replay), hubs whose learned row
+        outgrew their explored row, and learned non-hub sources keep the
+        membership test.
+
         Affected sources are dropped entirely (learned, non-hub sources
         are *not* re-explored — exactly the entries a from-scratch rebuild
         would not have either, so repaired answers match a rebuild's);
         affected hubs are re-explored in hub order at the stored
         ``explore_limit``.  ``removed_nodes`` are pruned from the hub list
-        instead of re-explored.
+        instead of re-explored.  :attr:`last_repair` names the hubs
+        re-explored and kept.
 
         Parameters
         ----------
@@ -869,11 +935,16 @@ class HubIndex:
             ``drops`` is the repair delta before any re-exploration
             (``removed_sources`` and the two versions), ``hubs`` the
             affected hubs in hub order, ``limit`` the exploration budget.
-            It returns the ``(hub, row)`` pairs of
+            It returns the ``(hub, row, dists)`` triples of
             :meth:`explore_hubs` for a prefix of ``hubs`` (all of them,
             or none when the pool failed); they are installed in order
             and the index explores the rest itself, so the result is
             bit-identical to a repair without the hook.
+        changes:
+            The batch's net edge changes, ``(source, target, before,
+            after)`` with the pre- and post-batch weights (``None`` for
+            an absent edge); an undirected edge is listed once.  Without
+            them the distance test is off.
 
         Returns
         -------
@@ -896,6 +967,7 @@ class HubIndex:
                 "cannot repair while a learning log is active: pop the log "
                 "and merge it before applying graph mutations"
             )
+        self._last_repair = ((), ())
         old_version = self._graph_version
         new_version = getattr(self._graph, "version", None)
         if old_version is not None and new_version == old_version:
@@ -939,6 +1011,17 @@ class HubIndex:
                 if hub not in seen and hub in touched_set:
                     affected.append(hub)
                     seen.add(hub)
+        limit = (
+            self._graph.num_nodes
+            if self._explore_limit is None
+            else self._explore_limit
+        )
+        kept = set()
+        if changes is not None and not conservative and not removed_set:
+            kept = self._unchanged_hubs(
+                affected, touched_set, changes, search_graph, limit
+            )
+            affected = [source for source in affected if source not in kept]
         for source in affected:
             self._drop_source(source)
         if removed_set:
@@ -949,11 +1032,9 @@ class HubIndex:
             removed_sources=tuple(affected),
             repaired_to_version=new_version,
         )
-        hubs = [hub for hub in self._hubs if hub in seen]
-        limit = (
-            self._graph.num_nodes
-            if self._explore_limit is None
-            else self._explore_limit
+        hubs = [hub for hub in self._hubs if hub in seen and hub not in kept]
+        self._last_repair = (
+            tuple(hubs), tuple(hub for hub in self._hubs if hub in kept)
         )
         # The hook gets its own copy: ``delta`` fills up below.
         rows = (
@@ -971,6 +1052,51 @@ class HubIndex:
         finally:
             self._learning_log = None
         return delta
+
+    def _unchanged_hubs(
+        self, affected, touched, changes, search_graph, limit: int
+    ) -> set:
+        """The hubs among ``affected`` that the distance test keeps."""
+        dists = self._dists
+        candidates = [
+            hub
+            for hub in affected
+            if hub in dists
+            and hub not in touched
+            and len(self._known.get(hub, ())) == len(dists[hub])
+        ]
+        if not candidates or search_graph.has_zero_weight:
+            return set()
+        edges = list(changes)
+        if not self._graph.directed:
+            edges += [(v, u, before, after) for u, v, before, after in changes]
+        return {
+            hub for hub in candidates if self._row_unchanged(hub, edges, limit)
+        }
+
+    def _row_unchanged(self, hub: NodeId, edges, limit: int) -> bool:
+        """Whether no edge change can move ``hub``'s explored row."""
+        row = self._known.get(hub, {})
+        dists = self._dists[hub]
+        radius = dists[-1] if len(dists) >= limit else _INF
+        for source, target, before, after in edges:
+            rank = row.get(source)
+            if rank is None:
+                continue  # unsettled: at the radius or beyond
+            reach = dists[rank - 1]
+            rank = row.get(target)
+            far = None if rank is None else dists[rank - 1]
+            if before is not None and (after is None or after > before):
+                if far is not None and reach + before == far:
+                    return False  # a tight edge removed or raised
+            if after is not None and (before is None or after < before):
+                reach += after
+                if far is None:
+                    if reach <= radius:
+                        return False  # an insert landing within the radius
+                elif reach < far:
+                    return False  # an insert improving a settled node
+        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1013,6 +1139,15 @@ class HubIndex:
         index starts at whatever its construction recorded).
         """
         return self._revision
+
+    @property
+    def last_repair(self) -> Tuple[tuple, tuple]:
+        """``(re-explored hubs, kept hubs)`` of the last :meth:`repair`.
+
+        Kept hubs failed the membership test but passed the distance
+        test, so their rows stayed as they were.
+        """
+        return self._last_repair
 
     def explored_count(self, node: NodeId) -> int:
         """Total nodes settled by explorations from ``node``."""

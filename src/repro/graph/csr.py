@@ -141,6 +141,7 @@ class CompactGraph:
         "_source_ref",
         "_transposed",
         "_digest",
+        "_zero_weight",
     )
 
     def __init__(
@@ -188,6 +189,7 @@ class CompactGraph:
                 self._source_ref = None
         self._transposed = transposed
         self._digest: Optional[str] = None
+        self._zero_weight: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -291,6 +293,13 @@ class CompactGraph:
         """The graph this view was compiled from, or ``None`` if collected."""
         reference = self._source_ref
         return reference() if reference is not None else None
+
+    @property
+    def has_zero_weight(self) -> bool:
+        """Whether any edge weighs zero (one scan of the weights, cached)."""
+        if self._zero_weight is None:
+            self._zero_weight = 0.0 in self._out_weights
+        return self._zero_weight
 
     def content_digest(self) -> str:
         """SHA-256 digest of directedness, node identifiers and adjacency.

@@ -311,6 +311,19 @@ class OverlayGraph(CompactGraph):
             f"edges={self.num_edges} overlay_rows={self.overlay_rows}>"
         )
 
+    @property
+    def has_zero_weight(self) -> bool:
+        """Whether the base or an overlay row holds a zero-weight edge.
+
+        A zero-weight base edge that an overlay row replaced still
+        counts: conservative, and exact again after recompaction.
+        """
+        if self._zero_weight is None:
+            self._zero_weight = self._base.has_zero_weight or any(
+                0.0 in weights for _, weights in self.overlay_out.values()
+            )
+        return self._zero_weight
+
     # ------------------------------------------------------------------
     # Content digest / pickling
     # ------------------------------------------------------------------

@@ -754,17 +754,19 @@ class WorkerPool:
           ``explore`` hook).  Every worker keeps its replica, applies
           the repair's drops (``drops``, a repair delta without ranks),
           re-explores its contiguous chunk of ``hubs`` at budget
-          ``limit`` on its own overlay and returns the rows; the chunks
-          are returned concatenated, in hub order, and each is queued
-          for the other workers.
+          ``limit`` on its own overlay and returns the rows with their
+          distances; the chunks are returned concatenated, in hub order,
+          and each is queued for the other workers without the
+          distances (only the master's repair reads them).
         * otherwise the replicas are replaced by a snapshot of ``index``
           (the master, already repaired) — or dropped when ``index`` is
           ``None``.
 
-        Returns the re-explored ``(hub, row)`` pairs (empty without
-        ``repair``) once every worker has acknowledged.  The graph state
-        is retained first so a slot respawned later starts from it.  A
-        failed update leaves the workers in mixed states: close the pool.
+        Returns the re-explored ``(hub, row, dists)`` triples (empty
+        without ``repair``) once every worker has acknowledged.  The
+        graph state is retained first so a slot respawned later starts
+        from it.  A failed update leaves the workers in mixed states:
+        close the pool.
 
         Raises
         ------
@@ -816,7 +818,9 @@ class WorkerPool:
         )
         for worker_id, rows in enumerate(replies):
             if rows:
-                self._forward(rows, worker_id)
+                self._forward(
+                    [(hub, row, None) for hub, row, _ in rows], worker_id
+                )
         self._m_index_deltas.inc()
         return [row for rows in replies for row in rows]
 

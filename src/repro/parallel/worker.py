@@ -50,11 +50,11 @@ Message protocol (all tuples, queue-pickled)
   side-table applied over the startup base compilation) — with either a
   post-repair index snapshot or a ``repair = (drops, hubs, limit)``
   share of a sharded repair, answered with the re-explored ``(hub,
-  row)`` pairs — ``("digest", job_id, forwarded)`` for the replica
-  check (answered with ``(graph digest, index digest)``), or ``None`` to
-  shut down.  ``forwarded`` lists the learning deltas and repair rows
-  other workers produced since this worker's last task; they are merged
-  before the task runs.
+  row, dists)`` triples — ``("digest", job_id, forwarded)`` for the
+  replica check (answered with ``(graph digest, index digest)``), or
+  ``None`` to shut down.  ``forwarded`` lists the learning deltas and
+  repair rows other workers produced since this worker's last task;
+  they are merged before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
   ``(shard_index, positions, block, delta, trace)`` for a query shard —
@@ -191,8 +191,8 @@ class _WorkerState:
         """Merge what other workers learned or re-explored, in order.
 
         ``forwarded`` holds :class:`~repro.core.hub_index.HubIndexDelta`
-        learning deltas and lists of re-explored ``(hub, row)`` pairs,
-        installed one whole row per hub.
+        learning deltas and lists of re-explored ``(hub, row, None)``
+        triples, installed one whole row per hub.
         """
         from repro.core.hub_index import HubIndexDelta
 
@@ -218,7 +218,8 @@ class _WorkerState:
         hubs, limit)`` this worker's replica is repaired in place: the
         master's drops advance it to the overlay's version, ``hubs`` —
         this worker's chunk of the affected hubs — are re-explored on
-        the overlay, and their ``(hub, row)`` pairs are returned.
+        the overlay, and their ``(hub, row, dists)`` triples are
+        returned.
         """
         from repro.graph.overlay import OverlayGraph
 

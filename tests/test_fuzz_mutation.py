@@ -58,12 +58,13 @@ pytestmark = [
 NUM_SEEDS = 33
 
 
-def _random_graph(rng: random.Random):
+def _random_graph(rng: random.Random, tie_heavy=None):
     """A seeded random graph with varied shape, density and weights."""
     num_nodes = rng.randint(10, 24)
     directed = rng.random() < 0.3
     probability = rng.uniform(0.15, 0.45)
-    tie_heavy = rng.random() < 0.3
+    if tie_heavy is None:
+        tie_heavy = rng.random() < 0.3
     builder = GraphBuilder(directed=directed, name=f"mut-fuzz-{num_nodes}")
     for node in range(num_nodes):
         builder.add_node(node)
@@ -81,14 +82,23 @@ def _random_graph(rng: random.Random):
     return builder.build()
 
 
-def _mutation_batch(rng, shadow, fresh_ids):
+def _mutation_batch(rng, shadow, fresh_ids, zero_weight=True, ties=False):
     """Draw a seeded op batch, shadow-applying each op as it is drawn.
 
     Applying to ``shadow`` immediately keeps later ops in the batch
     consistent with the post-op graph (no removing an edge twice); the
     engine then replays the identical list from the identical start
-    state, so both sides end bit-equal.
+    state, so both sides end bit-equal.  Without ``zero_weight`` no
+    insert weighs zero (the draw that would pick it still happens).
+    With ``ties`` inserts weigh 1 or 2 and a lowered edge halves, so
+    path lengths stay exact and tie often.
     """
+
+    def weight_between(low, high, digits):
+        if ties:
+            return rng.choice([1.0, 2.0])
+        return round(rng.uniform(low, high), digits)
+
     ops = []
     for _ in range(rng.randint(1, 5)):
         roll = rng.random()
@@ -104,13 +114,15 @@ def _mutation_batch(rng, shadow, fresh_ids):
             shadow.remove_edge(source, target)
         elif roll < 0.52 and edges:
             source, target, weight = rng.choice(edges)
-            lowered = round(weight * rng.uniform(0.3, 0.9), 6)
+            lowered = (
+                weight / 2 if ties else round(weight * rng.uniform(0.3, 0.9), 6)
+            )
             ops.append(("add_edge", source, target, lowered))
             shadow.add_edge(source, target, lowered)
         elif roll < 0.62:
             appended = f"new-{next(fresh_ids)}"
             anchor = rng.choice(nodes)
-            weight = round(rng.uniform(0.5, 3.0), 3)
+            weight = weight_between(0.5, 3.0, 3)
             ops.append(("add_edge", anchor, appended, weight))
             shadow.add_edge(anchor, appended, weight)
         elif roll < 0.72:
@@ -118,7 +130,9 @@ def _mutation_batch(rng, shadow, fresh_ids):
         else:
             source, target = rng.sample(nodes, 2)
             weight = (
-                0.0 if rng.random() < 0.15 else round(rng.uniform(0.5, 4.0), 3)
+                0.0
+                if rng.random() < 0.15 and zero_weight
+                else weight_between(0.5, 4.0, 3)
             )
             ops.append(("add_edge", source, target, weight))
             shadow.add_edge(source, target, weight)
@@ -311,3 +325,72 @@ def test_incremental_equals_rebuild(seed):
         expected = reference.query_many(queries, 3, algorithm="indexed")
         actual = engine.query_many(queries, 3, algorithm="indexed")
         _assert_bit_identical(expected, actual, f"seed={seed} indexed")
+
+
+#: Seeds of the truncated-budget sweep, per weight kind.
+NUM_TRUNCATED_SEEDS = 12
+
+
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "positive"])
+@pytest.mark.parametrize("seed", range(NUM_TRUNCATED_SEEDS))
+def test_truncated_budget_repair_equals_rebuild(seed, ties):
+    """Repairs under an exploration budget of about a third of the graph.
+
+    ``test_incremental_equals_rebuild`` builds without ``explore_limit``,
+    so every hub row is shorter than the budget and the repair's
+    distance test only ever sees an infinite radius.  Here rows are cut,
+    often inside a tie group, so the radius is finite.  Tie-heavy graphs
+    get tie-heavy batches with zero-weight inserts (which turn the
+    distance test off); the others stay positive throughout.  Every
+    round the repaired index must equal a same-hub, same-budget build,
+    and each hub the distance test kept must hold the rebuild's row in
+    the same order.  A third of the seeds keep a live pool, which shards
+    the repairs; its replicas must digest equal to the master.
+    """
+    rng = random.Random(0x7B0D + seed)
+    graph = _random_graph(rng, tie_heavy=ties)
+    shadow = graph.copy()
+    fresh_ids = itertools.count()
+    limit = max(2, graph.num_nodes // 3)
+    pooled = seed % 3 == 0
+    with ReverseKRanksEngine(graph) as engine:
+        engine.build_index(num_hubs=4, explore_limit=limit, capacity=8)
+        engine.parallel_min_batch = 1
+        for round_number in range(rng.randint(4, 6)):
+            context = f"seed={seed} ties={ties} round={round_number}"
+            queries = _pick_queries(rng, shadow.nodes(), 3)
+            if pooled:
+                # Dynamic queries learn nothing; they keep a pool alive
+                # (a recompaction drops it) so the next repair is sharded.
+                engine.query_many(
+                    queries, 2, algorithm="dynamic", workers=2,
+                    worker_context="fork",
+                )
+            ops = _mutation_batch(
+                rng, shadow, fresh_ids, zero_weight=ties, ties=ties
+            )
+            report = engine.apply_updates(ops)
+            if pooled and report.applied and not report.recompacted:
+                assert report.pool_synced, context
+            rebuilt = HubIndex.build(
+                shadow, capacity=8, hubs=engine.index.hubs,
+                explore_limit=limit,
+                backend=ReverseKRanksEngine(shadow).compact_graph(),
+            )
+            assert index_signature(engine.index) == index_signature(
+                rebuilt
+            ), context
+            mine = engine.index.export_state()["known"]
+            fresh = rebuilt.export_state()["known"]
+            for hub in engine.index.last_repair[1]:
+                assert list(mine.get(hub, {}).items()) == list(
+                    fresh.get(hub, {}).items()
+                ), (context, hub)
+            if engine._pool is not None:
+                master = (
+                    engine.compact_graph().content_digest(),
+                    engine.index.content_digest(),
+                )
+                assert engine._pool.replica_digests() == [master, master], (
+                    context
+                )
