@@ -151,7 +151,9 @@ def run_update_crash_phase(seed, summary, problems):
     into a fresh pool in place.  After each update the repaired hub index
     (explored by the master alone after the crash, sharded over the pool
     after the recovery) must equal a same-hub rebuild and answer indexed
-    queries as the rebuild does.
+    queries as the rebuild does.  Finally the master learns on its own
+    (one indexed ``query()``) and on the pool (one indexed batch), and
+    every worker's replica must still equal the master.
     """
     workload = parse_fixture("gnp:60:13")
     graph = workload.graph
@@ -162,7 +164,7 @@ def run_update_crash_phase(seed, summary, problems):
     queries = sorted(graph.nodes())[:10]
     phase = {
         "mismatches": 0, "index_mismatches": 0, "degrades": 0,
-        "in_place_syncs": 0,
+        "in_place_syncs": 0, "replica_mismatches": 0,
     }
 
     def signature(index):
@@ -235,6 +237,21 @@ def run_update_crash_phase(seed, summary, problems):
             else:
                 phase["in_place_syncs"] += 1
             verify()
+
+            # The master's own learning reaches the replicas as a delta.
+            engine.query(queries[0], 6, algorithm="indexed")
+            engine.query_many(
+                queries, 6, algorithm="indexed",
+                workers=2, worker_context="fork",
+            )
+            master = (
+                engine.compact_graph().content_digest(),
+                engine.index.content_digest(),
+            )
+            phase["replica_mismatches"] = sum(
+                digests != master
+                for digests in engine._pool.replica_digests()
+            )
     finally:
         faults.clear()
     if phase["mismatches"]:
@@ -246,6 +263,11 @@ def run_update_crash_phase(seed, summary, problems):
         problems.append(
             "update_crash: the repaired index differed from a same-hub "
             f"rebuild after {phase['index_mismatches']} of 2 updates"
+        )
+    if phase["replica_mismatches"]:
+        problems.append(
+            f"update_crash: {phase['replica_mismatches']} worker replicas "
+            "differed from the master index"
         )
     summary["phases"]["update_crash"] = phase
 

@@ -32,6 +32,7 @@ algorithm functions keep the paper's permissive "shorter result" semantics):
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -204,16 +205,15 @@ class ReverseKRanksEngine:
         Optional prebuilt :class:`~repro.core.hub_index.HubIndex` for the
         indexed algorithm; :meth:`build_index` constructs one in place.
 
-    Class attribute ``index_sync_threshold`` (overridable per instance)
-    bounds how much *master-local* learning the worker pool's index
-    replicas may lack before the next parallel batch pushes a fresh
-    snapshot to the workers.  Learning the workers also receive — merged
-    shard learning, sharded repair rows, forwarded as deltas — is not
-    drift; drift counts only the
-    :attr:`~repro.core.hub_index.HubIndex.revision` steps the master
-    made alone (sequential queries, ``merge_delta`` of journal replays).
-    Lag never affects correctness (every recorded rank is exact), only
-    how much work workers re-derive; ``1`` means "re-sync on any drift".
+    While a worker pool is live, its workers' hub-index replicas equal
+    the master index.  Shard learning and sharded repair rows travel
+    between the workers as deltas, and so does the learning of every
+    indexed query the engine answers in-process (:meth:`query`, and
+    :meth:`query_many` batches that stay sequential): it runs inside a
+    learning log whose delta the pool forwards to every worker.  A full
+    snapshot ships only when a replica starts or the master index is
+    replaced — pool start, a respawned worker, :meth:`build_index` /
+    :meth:`adopt_index`, and after a parallel batch that raised.
 
     An engine answers **one query at a time**: it owns a single
     :class:`~repro.traversal.arena.ScratchArena` (plus CSR/mask caches
@@ -223,10 +223,6 @@ class ReverseKRanksEngine:
     or ``query_many(workers=N)``, whose parallelism lives in worker
     processes each owning a private engine.
     """
-
-    #: Re-snapshot the worker pool's hub index once the master has
-    #: learned this many revisions the workers did not receive.
-    index_sync_threshold: int = 1024
 
     #: Smallest unique-query batch worth dispatching on the worker pool.
     #: Below this, ``query_many(workers=N)`` falls back to the sequential
@@ -246,12 +242,6 @@ class ReverseKRanksEngine:
     #: re-dispatch, see :meth:`WorkerPool.run_batch`) before the batch
     #: fails.  ``0`` restores fail-fast.  Overridable per instance.
     pool_crash_retries: int = 2
-
-    #: How many overlay rows (touched + appended nodes) the CSR
-    #: side-table may accumulate before :meth:`apply_updates` recompacts
-    #: into a fresh base compilation.  ``None`` (default) resolves to
-    #: ``max(8, base_nodes // 4)``.  Overridable per instance.
-    overlay_threshold: Optional[int] = None
 
     def __init__(
         self,
@@ -295,19 +285,14 @@ class ReverseKRanksEngine:
         self._masks: Optional[tuple] = None
         self._masks_version: Optional[int] = None
         # The persistent repro.parallel worker pool (created lazily by
-        # query_many(workers=N)) and the key it was built for.
+        # query_many(workers=N)) and the graph version it was built for.
         self._pool = None
         self._pool_version: Optional[int] = None
-        self._pool_context: Optional[str] = None
-        self._pool_index = None
-        # The master index revision the workers' replicas correspond to:
-        # set at each snapshot and advanced by every change they also
-        # receive, so index.revision minus it is master-local drift;
-        # past index_sync_threshold, _ensure_pool re-snapshots the
-        # workers (see WorkerPool.update_index).  None when the replicas
-        # may know more than the master (a batch raised): the next sync
+        # The index object the workers' replicas mirror: set by every
+        # snapshot, None when the replicas may differ from the master (a
+        # batch raised).  Anything but self._index means the next sync
         # must be a snapshot.
-        self._pool_index_revision: Optional[int] = None
+        self._pool_index = None
         # Reusable epoch-stamped scratch memory, threaded through every
         # SDS-tree query this engine answers (worker-process engines get
         # their own).  Graph mutations don't invalidate it: it only grows,
@@ -523,13 +508,18 @@ class ReverseKRanksEngine:
         to resolve the scale-aware :func:`~repro.core.hubs.hub_budget`.
 
         With ``workers > 1`` the hub explorations — the build's entire
-        cost — are sharded over the engine's persistent worker pool
-        (:meth:`HubIndex.build_parallel`), each worker exploring a
-        contiguous hub run on its own shared-memory mapping (or pickled
-        copy) of the compilation.  The merged index is bit-identical to
-        the sequential build.  The pool is reused by subsequent
-        ``query_many(workers=N)`` calls with a matching key (the new index
-        is snapshotted into the workers on their next parallel batch).
+        cost — are sharded over the engine's persistent worker pool, the
+        way a repair's re-explorations are: :meth:`HubIndex.build`'s
+        ``explore`` hook is
+        :meth:`~repro.parallel.pool.WorkerPool.explore_hubs`, each worker
+        exploring a contiguous hub run on its own shared-memory mapping
+        (or pickled copy) of the compilation.  The index, stored
+        distances included, is bit-identical to the sequential build.  A
+        pool error costs the pool (closed, rebuilt lazily), not the
+        build: the master explores the hubs itself.  The pool is reused
+        by subsequent ``query_many(workers=N)`` calls with a matching key
+        (the new index is snapshotted into the workers on their next
+        parallel batch or graph update).
         """
         if self._partition is not None:
             raise IndexParameterError(
@@ -539,22 +529,17 @@ class ReverseKRanksEngine:
             raise ParallelExecutionError(
                 f"workers must be a positive integer, got {workers!r}"
             )
+        explore = None
         if workers > 1:
             pool = self._ensure_pool(workers, worker_context)
-            try:
-                self._index = HubIndex.build_parallel(
-                    self._graph,
-                    pool,
-                    num_hubs=num_hubs,
-                    explore_limit=explore_limit,
-                    capacity=capacity,
-                    strategy=strategy,
-                    rng=rng,
-                )
-            except WorkerCrashError:
-                self.close_pool()
-                raise
-            return self._index
+
+            def explore(hubs, limit):
+                try:
+                    return pool.explore_hubs(hubs, limit)
+                except ParallelExecutionError:
+                    self.close_pool()
+                    return []  # the master explores every hub itself
+
         self._index = HubIndex.build(
             self._graph,
             num_hubs=num_hubs,
@@ -563,6 +548,7 @@ class ReverseKRanksEngine:
             strategy=strategy,
             rng=rng,
             backend=self.compact_graph(),
+            explore=explore,
         )
         return self._index
 
@@ -598,8 +584,9 @@ class ReverseKRanksEngine:
         * the CSR compilation becomes an
           :class:`~repro.graph.overlay.OverlayGraph` — frozen base
           buffers plus full replacement rows for the touched nodes —
-          until the side-table crosses :attr:`overlay_threshold`, at
-          which point one recompaction folds it into a fresh base;
+          until the side-table holds more than ``max(8, base_nodes //
+          4)`` touched or appended nodes, at which point one
+          recompaction folds it into a fresh base;
         * the hub index is repaired in place
           (:meth:`~repro.core.hub_index.HubIndex.repair`): only sources
           whose settled set holds a touched endpoint are dropped, and of
@@ -610,14 +597,15 @@ class ReverseKRanksEngine:
         * a live worker pool receives the new side-table over its
           broadcast channel — the workers rebuild their overlay over the
           base they already hold, no teardown, no process churn.  While
-          the workers' index replicas are in step with the master, the
-          same round trip shards the repair: each worker applies the
-          master's drops and re-explores a contiguous chunk of the
-          affected hubs, and the master installs the chunks in hub order
-          (bit-identical to repairing alone).  Otherwise the master
-          repairs alone and ships a snapshot.  A worker that crashes or
-          raises mid-sync costs the pool (dropped, rebuilt lazily;
-          ``pool_synced=False``), never the update.
+          the workers' index replicas mirror the master index, the same
+          round trip shards the repair: each worker applies the master's
+          drops and re-explores a contiguous chunk of the affected hubs,
+          and the master installs the chunks in hub order (bit-identical
+          to repairing alone).  Otherwise (the index was replaced, or a
+          batch raised) the master repairs alone and ships a snapshot.
+          A worker that crashes or raises mid-sync costs the pool
+          (dropped, rebuilt lazily; ``pool_synced=False``), never the
+          update.
 
         Supported operations (tuples, applied in order)::
 
@@ -808,10 +796,9 @@ class ReverseKRanksEngine:
             new_touched = set(self._overlay_touched)
             new_touched.update(touched)
             new_appended = self._overlay_appended + appended
-            threshold = self.overlay_threshold
-            if threshold is None:
-                threshold = max(8, base.num_nodes // 4)
-            if len(new_touched | set(new_appended)) > threshold:
+            if len(new_touched | set(new_appended)) > max(
+                8, base.num_nodes // 4
+            ):
                 base_usable = False
         if base_usable:
             csr = OverlayGraph.from_base(graph, base, new_touched, new_appended)
@@ -842,11 +829,10 @@ class ReverseKRanksEngine:
             pool is not None
             and self._index is not None
             and self._pool_index is self._index
-            and self._pool_index_revision is not None
         ):
-            # The workers' replicas know no more than the master, so the
-            # graph broadcast doubles as the repair's exploration round
-            # trip: each worker re-explores a chunk of the hubs.
+            # The workers' replicas equal the master, so the graph
+            # broadcast doubles as the repair's exploration round trip:
+            # each worker re-explores a chunk of the hubs.
             def explore_on_pool(drops, hubs, limit):
                 try:
                     rows = pool.update_graph(
@@ -865,7 +851,6 @@ class ReverseKRanksEngine:
                 after = weight_of(source, target)
                 if after != weight:
                     changes.append((source, target, weight, after))
-            before = self._index.revision
             index_delta = self._index.repair(
                 touched_order,
                 search_graph=csr,
@@ -878,8 +863,6 @@ class ReverseKRanksEngine:
             reexplored, kept = self._index.last_repair
             self._m_repair_reexplored.inc(len(reexplored))
             self._m_repair_kept.inc(len(kept))
-            if synced:
-                self._pool_index_revision += self._index.revision - before
         if pool is not None and explore is None:
             # Snapshot sync: the repaired master index (if any) replaces
             # the workers' replicas.
@@ -890,9 +873,6 @@ class ReverseKRanksEngine:
             else:
                 synced.append(True)
                 self._pool_index = self._index
-                self._pool_index_revision = (
-                    self._index.revision if self._index is not None else None
-                )
         pool_synced = bool(synced)
         if pool_synced:
             self._pool_version = post_version
@@ -944,7 +924,8 @@ class ReverseKRanksEngine:
         """
         kind = AlgorithmKind(algorithm)
         self._validate_query(query, k)
-        return self._dispatch(query, k, kind, bounds, self.compact_graph())
+        with self._forwarding_learning(kind):
+            return self._dispatch(query, k, kind, bounds, self.compact_graph())
 
     def query_many(
         self,
@@ -1140,7 +1121,8 @@ class ReverseKRanksEngine:
 
         Factored out of :meth:`query_many` so graceful degradation runs
         *exactly* this code — the fallback cannot drift from what
-        ``workers=1`` would have answered.
+        ``workers=1`` would have answered.  ``last_batch_stats`` sums the
+        queries that ran; a cache hit ran nothing.
         """
         backend = self.compact_graph()
 
@@ -1148,7 +1130,10 @@ class ReverseKRanksEngine:
             OrderedDict() if cache_size and cache_size > 0 else None
         )
         results: List[QueryResult] = []
-        with self.tracer.span("engine.sequential", queries=len(batch)) as span:
+        aggregated = QueryStats()
+        with self.tracer.span(
+            "engine.sequential", queries=len(batch)
+        ) as span, self._forwarding_learning(kind):
             cache_hits = 0
             for query in batch:
                 key = (query, k, kind, bounds)
@@ -1158,6 +1143,7 @@ class ReverseKRanksEngine:
                     cache_hits += 1
                     continue
                 result = self._dispatch(query, k, kind, bounds, backend)
+                aggregated.merge(result.stats)
                 if cache is not None:
                     cache[key] = result
                     if len(cache) > cache_size:
@@ -1165,12 +1151,38 @@ class ReverseKRanksEngine:
                 results.append(result)
             if cache is not None:
                 span.set(cache_hits=cache_hits)
-        aggregated = QueryStats()
-        for result in results:
-            aggregated.merge(result.stats)
         self.last_batch_stats = aggregated
         self.last_batch_ipc_bytes = 0
         return results
+
+    @contextlib.contextmanager
+    def _forwarding_learning(self, kind: AlgorithmKind):
+        """Forward what in-process ``kind`` queries learn to the pool's replicas.
+
+        While a live pool's replicas mirror the master index, the
+        enclosed indexed queries run inside a learning log (nested in
+        any log the caller keeps, such as the query server's journal
+        log) whose delta the pool queues for every worker.  Anything
+        else runs as is.
+        """
+        pool = self._pool
+        index = self._index
+        if (
+            kind is not AlgorithmKind.INDEXED
+            or pool is None
+            or pool.is_closed
+            or index is None
+            or self._pool_index is not index
+        ):
+            yield
+            return
+        index.start_learning_log()
+        try:
+            yield
+        finally:
+            delta = index.pop_learning_log()
+            if delta:
+                pool.forward(delta)
 
     def validate_batch(
         self,
@@ -1236,9 +1248,7 @@ class ReverseKRanksEngine:
             self._pool.close()
             self._pool = None
             self._pool_index = None
-            self._pool_index_revision = None
             self._pool_version = None
-            self._pool_context = None
 
     @property
     def parallel_degraded(self) -> bool:
@@ -1297,17 +1307,16 @@ class ReverseKRanksEngine:
         The *rebuild* key is (worker count, start method, graph mutation
         version): a mutated graph means the workers hold a wrong
         compilation, and process count / start method cannot change in
-        place.  Hub-index drift never rebuilds the pool — the workers
-        are *re-synced* in place with a snapshot via
-        :meth:`~repro.parallel.pool.WorkerPool.update_index` whenever the
-        master index was replaced (a new object may carry a different
-        capacity, which worker-side k validation must agree with), the
-        replicas may have diverged (a batch raised), or the master's
-        local learning — revisions the workers did not receive as
-        deltas — reached :attr:`index_sync_threshold`.  Lag costs
-        recomputation, never correctness (every recorded rank is exact).
+        place.  The start method is compared as ``worker_context``
+        resolves (``None`` is the platform default).  A replaced master
+        index never rebuilds the pool — the workers are *re-synced* in
+        place with a snapshot via
+        :meth:`~repro.parallel.pool.WorkerPool.update_index` whenever
+        their replicas do not mirror the master index: it was replaced (a
+        new object may carry a different capacity, which worker-side k
+        validation must agree with), or a batch raised.
         """
-        from repro.parallel import WorkerPool
+        from repro.parallel.pool import WorkerPool, start_context
 
         version = getattr(self._graph, "version", None)
         if self._pool is not None:
@@ -1315,7 +1324,8 @@ class ReverseKRanksEngine:
                 self._pool.is_closed
                 or self._pool.num_workers != workers
                 or self._pool_version != version
-                or self._pool_context != worker_context
+                or self._pool.start_method
+                != start_context(worker_context).get_start_method()
                 # The engine can gain or swap an index in place (the
                 # workers adopt the new snapshot), but not un-set one.
                 or (self._index is None and self._pool_index is not None)
@@ -1348,28 +1358,16 @@ class ReverseKRanksEngine:
                 graph_update=graph_update,
             )
             self._pool_version = version
-            self._pool_context = worker_context
             self._pool_index = self._index
-            self._pool_index_revision = (
-                self._index.revision if self._index is not None else None
-            )
-        elif self._index is not None:
-            threshold = max(1, self.index_sync_threshold)
-            drifted = (
-                self._pool_index is not self._index
-                or self._pool_index_revision is None
-                or self._index.revision - self._pool_index_revision >= threshold
-            )
-            if drifted:
-                # Until the snapshot lands the replicas are unknown.
-                self._pool_index_revision = None
-                try:
-                    self._pool.update_index(self._index)
-                except WorkerCrashError:
-                    self.close_pool()
-                    raise
-                self._pool_index = self._index
-                self._pool_index_revision = self._index.revision
+        elif self._index is not None and self._pool_index is not self._index:
+            # Until the snapshot lands the replicas are unknown.
+            self._pool_index = None
+            try:
+                self._pool.update_index(self._index)
+            except WorkerCrashError:
+                self.close_pool()
+                raise
+            self._pool_index = self._index
         return self._pool
 
     def _query_many_parallel(
@@ -1400,7 +1398,6 @@ class ReverseKRanksEngine:
                 outcome = pool.run_batch(
                     plan, k, kind, bounds=bounds,
                     timeout=batch_timeout,
-                    crash_retries=self.pool_crash_retries,
                     trace_id=tracer.trace_id if tracer.enabled else None,
                 )
                 # Worker-side span trees (durations + worker-local
@@ -1418,19 +1415,15 @@ class ReverseKRanksEngine:
             # A shard raised: workers that finished may have learned
             # ranks the master never merges, so the next sync must be a
             # snapshot.
-            self._pool_index_revision = None
+            self._pool_index = None
             raise
         if kind is AlgorithmKind.INDEXED and self._index is not None:
             # Deltas arrive in shard order (see merge_shard_outputs), so
-            # the last-writer-wins merge is deterministic run to run.
-            before = self._index.revision
+            # the last-writer-wins merge is deterministic run to run.  The
+            # pool already queued each for the workers that lack it.
             with tracer.span("engine.merge_deltas", deltas=len(outcome.deltas)):
                 for delta in outcome.deltas:
                     self._index.merge_delta(delta)
-            # The pool forwards every delta to the workers that lack it:
-            # merged shard learning is not master-local drift.
-            if self._pool_index_revision is not None:
-                self._pool_index_revision += self._index.revision - before
         self.last_batch_stats = outcome.stats
         self.last_batch_ipc_bytes = outcome.ipc_bytes
         return outcome.results

@@ -39,6 +39,7 @@ import random
 import tempfile
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Tuple, Union
@@ -89,11 +90,12 @@ class HubIndexDelta:
     """A picklable record of ranks learned by indexed queries (Algorithm 4).
 
     Worker processes in :mod:`repro.parallel` answer indexed queries on a
-    *snapshot* of the engine's master index; everything their refinements
+    *replica* of the engine's master index; everything their refinements
     learn is captured in one of these and merged back into the master via
     :meth:`HubIndex.merge_delta` when the batch completes, so the master
     keeps compounding knowledge exactly as a sequentially-warmed index
-    would.
+    would.  What the master learns itself reaches the replicas the same
+    way, and the query server journals one per batch.
 
     ``ranks`` maps ``(source, target)`` to the exact ``Rank(source,
     target)``; because recorded ranks are exact, concurrent learners can
@@ -158,6 +160,7 @@ class HubIndex:
         "_dists",
         "_last_repair",
         "_learning_log",
+        "_enclosing_logs",
         "_revision",
     )
 
@@ -194,6 +197,8 @@ class HubIndex:
         self._last_repair: Tuple[tuple, tuple] = ((), ())
         #: live :class:`HubIndexDelta` capturing record_* calls, or ``None``
         self._learning_log: Optional[HubIndexDelta] = None
+        #: the logs :attr:`_learning_log` is nested in, outermost first
+        self._enclosing_logs: List[HubIndexDelta] = []
         #: monotonic count of record_rank/record_exploration calls — the
         #: learned-state revision (see :attr:`revision`)
         self._revision = 0
@@ -212,6 +217,7 @@ class HubIndex:
         hubs=None,
         rng: Optional[random.Random] = None,
         backend=None,
+        explore=None,
     ) -> "HubIndex":
         """Select hubs and precompute their neighbourhood ranks.
 
@@ -244,6 +250,16 @@ class HubIndex:
             is cut by node index (see
             :func:`~repro.traversal.csr_ops.compact_rank_stream`), so every
             build of one graph records the same entries.
+        explore:
+            Optional ``explore(hubs, limit)`` hook that explores hubs
+            elsewhere — the engine's worker pool
+            (:meth:`~repro.parallel.pool.WorkerPool.explore_hubs`), each
+            worker a contiguous chunk on its own copy of ``backend``.  As
+            in :meth:`repair`, it returns the ``(hub, row, dists)``
+            triples of :meth:`explore_hubs` for a prefix of ``hubs``;
+            they are installed in order and the index explores the rest
+            itself, so the result, stored distances included, is
+            bit-identical to a build without the hook.
         """
         num_hubs, explore_limit = cls._resolve_budget(
             graph, num_hubs, explore_limit
@@ -265,8 +281,7 @@ class HubIndex:
             )
         index = cls(graph, capacity, hubs)
         index._explore_limit = explore_limit
-        for hub in index._hubs:
-            index._explore_hub(hub, limit, search_graph)
+        index._explore_in_order(index._hubs, limit, search_graph, explore)
         return index
 
     @staticmethod
@@ -280,57 +295,6 @@ class HubIndex:
                 explore_limit = auto_explore
         return num_hubs, explore_limit
 
-    @classmethod
-    def build_parallel(
-        cls,
-        graph,
-        pool,
-        num_hubs: Union[int, str, None] = None,
-        explore_limit: Union[int, str, None] = None,
-        capacity: int = 16,
-        strategy: Union[HubSelectionStrategy, str] = HubSelectionStrategy.DEGREE,
-        hubs=None,
-        rng: Optional[random.Random] = None,
-    ) -> "HubIndex":
-        """Build an index by sharding the hub explorations over ``pool``.
-
-        Hub *selection* stays in the parent (it is cheap and must see the
-        canonical graph); the per-hub explorations — the build's entire
-        cost — run on a :class:`~repro.parallel.pool.WorkerPool` via
-        :meth:`~repro.parallel.pool.WorkerPool.run_hub_build`, each worker
-        exploring a contiguous run of hubs on its own mapped/copied
-        compilation and shipping back a :class:`HubIndexDelta`.
-
-        The result is **bit-identical** to ``build(graph, ...,
-        backend=compilation)``: different hubs record disjoint
-        ``(hub, target)`` rank keys, each worker explores its hubs in
-        order on a digest-identical compilation (so every
-        ``rank_stream`` settles the same nodes in the same order), and
-        merging the chunk deltas in hub order replays the sequential
-        build's exact ``record_rank``/``record_exploration`` call
-        sequence — same values *and* same dictionary insertion orders.
-
-        ``pool`` must have been built over a fresh compilation of
-        ``graph`` without an index snapshot (the usual build-time state).
-        """
-        num_hubs, explore_limit = cls._resolve_budget(
-            graph, num_hubs, explore_limit
-        )
-        if hubs is None:
-            if num_hubs is None:
-                num_hubs = max(1, graph.num_nodes // 8)
-            hubs = select_hubs(graph, num_hubs, strategy=strategy, rng=rng)
-        index = cls(graph, capacity, hubs)
-        index._explore_limit = explore_limit
-        limit = graph.num_nodes if explore_limit is None else explore_limit
-        if limit <= 0:
-            raise IndexParameterError(
-                f"explore_limit M must be a positive integer, got {explore_limit!r}"
-            )
-        for delta in pool.run_hub_build(index._hubs, limit, capacity):
-            index.merge_delta(delta)
-        return index
-
     def explore_hubs(
         self, hubs, limit: int, search_graph=None
     ) -> List[Tuple[NodeId, Dict[NodeId, int], array]]:
@@ -339,15 +303,30 @@ class HubIndex:
         Returns the ``(hub, row, dists)`` triples recorded — ``row`` maps
         each settled node to its exact rank, in settling order, and
         ``dists`` holds their distances in the same order — so a pool
-        worker can ship its share of a repair to the parent, which
-        installs them with :meth:`merge_rows`.  ``search_graph`` (default:
-        a compilation of the index's own graph) is what the explorations
-        run on.
+        worker can ship its share of a build or repair to the parent,
+        which installs them with :meth:`merge_rows`.  ``search_graph``
+        (default: a compilation of the index's own graph) is what the
+        explorations run on.
         """
         search_graph = as_compact(self._graph, search_graph)
         return [
             (hub, *self._explore_hub(hub, limit, search_graph)) for hub in hubs
         ]
+
+    def _explore_in_order(self, hubs, limit: int, search_graph, explore) -> None:
+        """Explore ``hubs`` in order: a prefix through ``explore``, the rest here.
+
+        ``explore(hubs, limit)`` (or ``None``) returns the ``(hub, row,
+        dists)`` triples of a prefix of ``hubs``, explored elsewhere;
+        they are installed with :meth:`merge_rows` and the remaining hubs
+        are explored on ``search_graph`` — the same recording sequence as
+        exploring every hub here.  :meth:`build` and :meth:`repair` both
+        run their explorations through this.
+        """
+        rows = explore(hubs, limit) if explore is not None else []
+        self.merge_rows(rows)
+        for hub in hubs[len(rows):]:
+            self._explore_hub(hub, limit, search_graph)
 
     def _explore_hub(
         self, hub: NodeId, limit: int, search_graph
@@ -679,20 +658,35 @@ class HubIndex:
         """Begin capturing subsequent :meth:`record_rank` /
         :meth:`record_exploration` calls into a fresh delta.
 
-        Starting a new log discards any log already in progress.
+        Logs nest.  A log started while another is active captures
+        alone until it is popped; :meth:`pop_learning_log` then folds its
+        entries into the enclosing log, in the order recording into that
+        log directly would have left them.  This is how the engine
+        forwards its own learning to a worker pool while the query
+        server journals the same batch.
         """
+        if self._learning_log is not None:
+            self._enclosing_logs.append(self._learning_log)
         self._learning_log = HubIndexDelta(graph_version=self._graph_version)
 
     def pop_learning_log(self) -> HubIndexDelta:
-        """Stop capturing and return the accumulated delta.
+        """Stop capturing into the innermost log and return its delta.
 
         Returns an empty delta when no log was started — callers can
         always merge the result unconditionally.
         """
         log = self._learning_log
-        self._learning_log = None
         if log is None:
             return HubIndexDelta(graph_version=self._graph_version)
+        outer = self._enclosing_logs.pop() if self._enclosing_logs else None
+        self._learning_log = outer
+        if outer is not None:
+            # dict.update keeps a key's first position and takes its
+            # last value, as direct record_rank calls would.
+            outer.ranks.update(log.ranks)
+            explorations = outer.explorations
+            for node, settled in log.explorations.items():
+                explorations[node] = explorations.get(node, 0) + settled
         return log
 
     def merge_delta(self, delta: HubIndexDelta) -> int:
@@ -900,10 +894,9 @@ class HubIndex:
         can reorder a cut tie group.  The test therefore runs only when
         ``search_graph`` holds no zero-weight edge at all, the batch
         removed no node, and ``conservative`` is off.  Hubs without
-        stored distances (indexes from :meth:`load`, :meth:`from_state`,
-        :meth:`build_parallel` or a delta replay), hubs whose learned row
-        outgrew their explored row, and learned non-hub sources keep the
-        membership test.
+        stored distances (indexes from :meth:`load`, :meth:`from_state`
+        or a delta replay), hubs whose learned row outgrew their explored
+        row, and learned non-hub sources keep the membership test.
 
         Affected sources are dropped entirely (learned, non-hub sources
         are *not* re-explored — exactly the entries a from-scratch rebuild
@@ -935,11 +928,12 @@ class HubIndex:
             ``drops`` is the repair delta before any re-exploration
             (``removed_sources`` and the two versions), ``hubs`` the
             affected hubs in hub order, ``limit`` the exploration budget.
-            It returns the ``(hub, row, dists)`` triples of
-            :meth:`explore_hubs` for a prefix of ``hubs`` (all of them,
-            or none when the pool failed); they are installed in order
-            and the index explores the rest itself, so the result is
-            bit-identical to a repair without the hook.
+            Like :meth:`build`'s hook, it returns the ``(hub, row,
+            dists)`` triples of :meth:`explore_hubs` for a prefix of
+            ``hubs`` (all of them, or none when the pool failed); they
+            are installed in order and the index explores the rest
+            itself, so the result is bit-identical to a repair without
+            the hook.
         changes:
             The batch's net edge changes, ``(source, target, before,
             after)`` with the pre- and post-batch weights (``None`` for
@@ -1036,19 +1030,16 @@ class HubIndex:
         self._last_repair = (
             tuple(hubs), tuple(hub for hub in self._hubs if hub in kept)
         )
-        # The hook gets its own copy: ``delta`` fills up below.
-        rows = (
-            explore(replace(delta, ranks={}, explorations={}), hubs, limit)
-            if explore is not None
-            else []
-        )
+        if explore is not None:
+            # The hook gets its own copy: ``delta`` fills up below.
+            explore = partial(
+                explore, replace(delta, ranks={}, explorations={})
+            )
         # Route the re-explorations through the delta so replicas receive
         # exactly what the master re-learned.
         self._learning_log = delta
         try:
-            self.merge_rows(rows)
-            for hub in hubs[len(rows):]:
-                self._explore_hub(hub, limit, search_graph)
+            self._explore_in_order(hubs, limit, search_graph, explore)
         finally:
             self._learning_log = None
         return delta
@@ -1127,16 +1118,13 @@ class HubIndex:
 
         Incremented once per recorded rank entry and per exploration
         (including those replayed by :meth:`merge_delta` and
-        :meth:`merge_rows`) and once per source a repair drops.  The
-        engine uses it to measure *master-local* drift: it advances its
-        mark of what the worker pool knows by every change the workers
-        also receive (merged shard learning, sharded repairs), so
-        ``revision`` minus that mark counts only learning the workers
-        lack, and a snapshot ships once it crosses
-        :attr:`~repro.core.engine.ReverseKRanksEngine.index_sync_threshold`.
-        The counter is local to the object: it is *not* serialised by
-        :meth:`export_state`/:meth:`save` (a freshly loaded or rebuilt
-        index starts at whatever its construction recorded).
+        :meth:`merge_rows`) and once per source a repair drops, so an
+        unchanged value means nothing was learned or dropped.  The query
+        server's ``info`` op reports it.  The counter is local to the
+        object: it is *not* serialised by :meth:`export_state`/:meth:`save`
+        (a freshly loaded or rebuilt index starts at whatever its
+        construction recorded), and worker replicas, which learn the same
+        entries in another order, count differently.
         """
         return self._revision
 

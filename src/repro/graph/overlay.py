@@ -30,9 +30,10 @@ The traversal loops (:mod:`repro.traversal.csr_ops`,
 ``csr.overlay_in`` — ``None`` on plain compilations, the row dicts here —
 and pay one ``dict.get`` per *settled node* only when an overlay is
 active.  Overlay cost is therefore proportional to how much of the graph
-actually changed; once the side-table grows past the engine's threshold
-(:attr:`~repro.core.engine.ReverseKRanksEngine.overlay_threshold`), the
-engine recompacts into a fresh base and the side-table empties.
+actually changed; once the side-table holds more than ``max(8,
+base_nodes // 4)`` touched or appended nodes,
+:meth:`~repro.core.engine.ReverseKRanksEngine.apply_updates` recompacts
+into a fresh base and the side-table empties.
 
 Contract
 --------

@@ -27,12 +27,12 @@ def chunk_evenly(items: Sequence, parts: int) -> List[List]:
     """Split ``items`` into ``parts`` contiguous, near-equal chunks.
 
     Order-preserving by construction: concatenating the chunks reproduces
-    ``items`` exactly.  The parallel hub-index build depends on that —
-    dispatching *contiguous* hub runs and merging the resulting deltas in
-    chunk order replays the sequential build's ``record_rank`` call
-    sequence verbatim, which is what makes the merged index bit-identical
-    (not merely equivalent) to a sequentially built one.  Chunk sizes
-    differ by at most one; trailing chunks may be empty when
+    ``items`` exactly.  Sharded hub-index builds and repairs depend on
+    that — dispatching *contiguous* hub runs and installing the returned
+    rows in chunk order replays the sequential exploration's recording
+    sequence verbatim, which is what makes the result bit-identical (not
+    merely equivalent) to exploring every hub in one process.  Chunk
+    sizes differ by at most one; trailing chunks may be empty when
     ``parts > len(items)``.
     """
     if not is_positive_int(parts):

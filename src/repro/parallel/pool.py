@@ -10,19 +10,27 @@ the query identifiers — and reassembled deterministically by
 Index replicas
 --------------
 Each worker starts from a :meth:`~repro.core.hub_index.HubIndex.export_state`
-snapshot of the coordinator's (master) index and is then kept in step
-by deltas, not snapshots.  Whatever one worker learns in a query shard,
-and whatever rows it re-explores in a sharded repair
+snapshot of the coordinator's (master) index and is then kept equal to
+it by deltas, not snapshots.  Whatever one worker learns in a query
+shard, and whatever rows it re-explores in a sharded repair
 (:meth:`WorkerPool.update_graph`), reaches the master through the
 batch result; the pool queues it for every *other* worker and ships it
 with that worker's next task (never back to the worker that made it:
-exploration counts add).  A full snapshot ships only at pool start,
-when a worker is respawned (exported from the master at that moment,
-its queued deltas dropped), and when the coordinator asks for one
-(:meth:`WorkerPool.update_index`, or :meth:`WorkerPool.update_graph`
-with ``index``).  A worker therefore never knows more than the master,
-which is what keeps the master's affected-source test in
+exploration counts add).  What the master learns itself — the indexed
+queries it answers in-process — the coordinator hands to
+:meth:`WorkerPool.forward`, which queues it for every worker.  A full
+snapshot ships only when a replica starts or the master index is
+replaced: at pool start, when a worker is respawned (exported from the
+master at that moment, its queued deltas dropped), and when the
+coordinator asks for one (:meth:`WorkerPool.update_index`, or
+:meth:`WorkerPool.update_graph` with ``index``) because it swapped its
+index or a batch raised.  Once its queued deltas are delivered, every
+replica equals the master (:meth:`WorkerPool.replica_digests`), and a
+worker never knows more than the master, which is what keeps the
+master's affected-source test in
 :meth:`~repro.core.hub_index.HubIndex.repair` sound for the replicas.
+A sharded build (:meth:`WorkerPool.explore_hubs`) explores on
+throwaway indexes and leaves the replicas alone.
 
 Graph transport
 ---------------
@@ -114,7 +122,7 @@ from repro.parallel.merge import ParallelBatchResult, ShardOutput, merge_shard_o
 from repro.parallel.planner import ShardPlan, chunk_evenly
 from repro.parallel.worker import build_init_payload, worker_main
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "start_context"]
 
 #: Seconds between liveness polls while waiting on worker messages.
 _POLL_SECONDS = 0.1
@@ -122,6 +130,21 @@ _POLL_SECONDS = 0.1
 
 class _DeadlineExceeded(Exception):
     """Internal: :meth:`WorkerPool._receive` hit the batch deadline."""
+
+
+def start_context(context: Optional[str]):
+    """The multiprocessing context for start method ``context``.
+
+    ``None`` means the platform default.  Raises
+    :class:`~repro.errors.ParallelExecutionError` for an unknown method.
+    """
+    try:
+        return multiprocessing.get_context(context)
+    except ValueError:
+        raise ParallelExecutionError(
+            f"unknown multiprocessing start method {context!r}; available: "
+            f"{multiprocessing.get_all_start_methods()}"
+        ) from None
 
 
 @contextlib.contextmanager
@@ -199,9 +222,9 @@ class WorkerPool:
         slot that is not ready quickly is wedged, and waiting the full
         startup budget would stall the in-flight batch.
     crash_retries:
-        Default number of worker deaths :meth:`run_batch` heals from
-        (respawn + re-dispatch) before giving up on a batch; ``0``
-        restores the fail-fast behaviour.  Overridable per batch.
+        Number of worker deaths :meth:`run_batch` heals from (respawn +
+        re-dispatch) before giving up on a batch; ``0`` restores the
+        fail-fast behaviour.
     graph_update:
         Optional :meth:`~repro.graph.overlay.OverlayGraph.overlay_state`
         side-table: workers attach the (base) ``graph`` as usual, then
@@ -251,13 +274,7 @@ class WorkerPool:
                 "pass overlay.base as the graph and overlay.overlay_state() "
                 "as graph_update"
             )
-        try:
-            ctx = multiprocessing.get_context(context)
-        except ValueError:
-            raise ParallelExecutionError(
-                f"unknown multiprocessing start method {context!r}; available: "
-                f"{multiprocessing.get_all_start_methods()}"
-            ) from None
+        ctx = start_context(context)
 
         self._num_workers = workers
         self._start_method = ctx.get_start_method()
@@ -331,8 +348,8 @@ class WorkerPool:
         index_syncs = metrics.counter(
             "repro_pool_index_syncs_total",
             "Hub-index syncs shipped to pool workers, by kind: full "
-            "snapshots (pool start, respawn, index swap, drift, recovery "
-            "after a failed batch) vs deltas (sharded repairs).",
+            "snapshots (pool start, respawn, index swap, recovery after a "
+            "failed batch) vs deltas (sharded repairs).",
             labels=("kind",),
         )
         self._m_index_snapshots = index_syncs.labels(kind="snapshot")
@@ -386,11 +403,6 @@ class WorkerPool:
     def start_method(self) -> str:
         """The multiprocessing start method the workers were created with."""
         return self._start_method
-
-    @property
-    def has_index(self) -> bool:
-        """Whether workers carry a hub-index replica."""
-        return self._index is not None
 
     @property
     def uses_shared_graph(self) -> bool:
@@ -467,7 +479,8 @@ class WorkerPool:
         state = "closed" if self._closed else "open"
         return (
             f"<WorkerPool {state} workers={self._num_workers} "
-            f"start_method={self._start_method!r} index={self.has_index}>"
+            f"start_method={self._start_method!r} "
+            f"index={self._index is not None}>"
         )
 
     # ------------------------------------------------------------------
@@ -477,9 +490,7 @@ class WorkerPool:
         k: int,
         algorithm,
         bounds=None,
-        collect_deltas: Optional[bool] = None,
         timeout: Optional[float] = None,
-        crash_retries: Optional[int] = None,
         trace_id: Optional[str] = None,
     ) -> ParallelBatchResult:
         """Execute one planned batch across the workers, healing crashes.
@@ -490,20 +501,19 @@ class WorkerPool:
         depends on arrival order — which is what makes re-dispatching a
         dead worker's shards to its replacement safe.
 
-        ``collect_deltas`` defaults to "whenever the workers hold an
-        index and the algorithm is indexed" — exactly when there is
-        learning to harvest.  Each shard's learning is also queued for
-        the other workers (see *Index replicas* in the module
-        docstring); the caller merges :attr:`ParallelBatchResult.deltas`
-        into the master.  A batch that raises may leave workers knowing
-        more than the master, so the caller must ship a snapshot
-        (:meth:`update_index`) before relying on the replicas again.
+        When the workers hold an index and the algorithm is indexed,
+        each shard returns what it learned; that learning is also queued
+        for the other workers (see *Index replicas* in the module
+        docstring), and the caller merges
+        :attr:`ParallelBatchResult.deltas` into the master.  A batch that
+        raises may leave workers knowing more than the master, so the
+        caller must ship a snapshot (:meth:`update_index`) before
+        relying on the replicas again.
 
         ``timeout`` bounds the batch in wall-clock seconds; ``None``
         waits indefinitely (liveness-polled, so crashes still surface).
-        ``crash_retries`` caps how many worker deaths this batch absorbs
-        (respawn + re-dispatch) before failing; ``None`` uses the pool's
-        construction-time default.
+        The batch absorbs up to the pool's ``crash_retries`` worker
+        deaths (respawn + re-dispatch) before failing.
 
         ``trace_id`` (propagated in every task tuple) asks the workers to
         record their own span trees for this batch under that id; the
@@ -531,10 +541,7 @@ class WorkerPool:
                 "cannot run a batch on a closed WorkerPool"
             )
         kind = AlgorithmKind(algorithm)
-        if collect_deltas is None:
-            collect_deltas = self.has_index and kind is AlgorithmKind.INDEXED
-        if crash_retries is None:
-            crash_retries = self._crash_retries
+        crash_retries = self._crash_retries
         job_id = next(self._job_ids)
         shards = plan.non_empty()
         shard_by_index = {shard.index: shard for shard in shards}
@@ -554,7 +561,6 @@ class WorkerPool:
                     k,
                     kind.value,
                     bounds,
-                    bool(collect_deltas),
                     trace_id,
                 )
             )
@@ -678,7 +684,7 @@ class WorkerPool:
                 worker_id, generation = producers[output.shard_index]
                 # A worker respawned after answering lost that learning
                 # with the process; its replacement needs it forwarded.
-                self._forward(
+                self.forward(
                     output.delta,
                     worker_id
                     if self._generations[worker_id] == generation
@@ -698,8 +704,8 @@ class WorkerPool:
         ``index`` and adopts it into its engine, replacing whatever
         replica it held; deltas still queued for the workers are dropped
         (the snapshot contains them).  This is the in-place alternative
-        to tearing the pool down when the master index is swapped, has
-        learned too much locally, or the replicas may have diverged.
+        to tearing the pool down when the master index is swapped or the
+        replicas may have diverged.
         Returns once every worker has acknowledged, so the next
         :meth:`run_batch` is guaranteed to run on the new state.
 
@@ -818,7 +824,7 @@ class WorkerPool:
         )
         for worker_id, rows in enumerate(replies):
             if rows:
-                self._forward(
+                self.forward(
                     [(hub, row, None) for hub, row, _ in rows], worker_id
                 )
         self._m_index_deltas.inc()
@@ -878,23 +884,28 @@ class WorkerPool:
         self._pending[worker_id] = []
         return pending
 
-    def _forward(self, item, holder: Optional[int]) -> None:
-        """Queue ``item`` for every worker except ``holder``, which has it."""
+    def forward(self, item, holder: Optional[int] = None) -> None:
+        """Queue ``item`` for every worker except ``holder``, which has it.
+
+        ``item`` is a learning delta or a list of re-explored ``(hub,
+        row, None)`` triples; it ships with each worker's next task,
+        after what is queued already.  The coordinator forwards the
+        learning its master index made itself with ``holder=None``.
+        """
         for worker_id, pending in enumerate(self._pending):
             if worker_id != holder:
                 pending.append(item)
 
-    def run_hub_build(self, hubs, explore_limit: int, capacity: int):
-        """Explore ``hubs`` across the workers; returns deltas in hub order.
+    def explore_hubs(self, hubs, limit: int) -> list:
+        """Explore ``hubs`` across the workers for a sharded build (blocking).
 
         The hub list is split into contiguous chunks
-        (:func:`~repro.parallel.planner.chunk_evenly`) — worker ``j``
-        explores the ``j``-th run of hubs — and the returned
-        :class:`~repro.core.hub_index.HubIndexDelta` list is ordered by
-        chunk, i.e. by original hub order.  Merging the deltas in that
-        order replays the sequential build's recording sequence exactly;
-        :meth:`~repro.core.hub_index.HubIndex.build_parallel` is the
-        intended caller.
+        (:func:`~repro.parallel.planner.chunk_evenly`); worker ``j``
+        explores the ``j``-th chunk at budget ``limit`` — the exploration
+        of a sharded repair's chunk, but on a throwaway index, so the
+        replicas learn nothing.  Returns the ``(hub, row, dists)``
+        triples in hub order: the ``explore`` hook of
+        :meth:`~repro.core.hub_index.HubIndex.build`.
 
         Raises
         ------
@@ -905,32 +916,16 @@ class WorkerPool:
         """
         if self._closed:
             raise ParallelExecutionError(
-                "cannot run a hub build on a closed WorkerPool"
+                "cannot explore hubs on a closed WorkerPool"
             )
         job_id = next(self._job_ids)
         chunks = chunk_evenly(list(hubs), self._num_workers)
-        dispatched: List[int] = []
-        for worker_id, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            self._task_queues[worker_id].put(
-                ("hubs", job_id, tuple(chunk), explore_limit, capacity)
-            )
-            dispatched.append(worker_id)
-        deltas: Dict[int, object] = {}
-        pending = len(dispatched)
-        while pending:
-            message_kind, worker_id, message_job, payload = self._receive()
-            if message_job != job_id:
-                continue
-            if message_kind == "error":
-                raise ParallelExecutionError(
-                    f"worker {worker_id} failed while exploring its hub "
-                    f"chunk:\n{payload}"
-                )
-            deltas[worker_id] = payload
-            pending -= 1
-        return [deltas[worker_id] for worker_id in dispatched]
+        replies = self._broadcast(
+            job_id,
+            [("explore", job_id, tuple(chunk), limit) for chunk in chunks],
+            "explore its hub chunk",
+        )
+        return [row for rows in replies for row in rows]
 
     def _receive(self, deadline: Optional[float] = None):
         """Next worker message, polling liveness so crashes cannot hang us.

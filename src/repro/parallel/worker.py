@@ -39,32 +39,34 @@ Message protocol (all tuples, queue-pickled)
 --------------------------------------------
 * parent -> worker: tagged tuples —
   ``("query", job_id, forwarded, shard_index, positions, queries, k,
-  algorithm_value, bounds, collect_delta, trace_id)`` for a
-  query shard (``trace_id`` is ``None`` unless the parent batch is being
-  traced — see :mod:`repro.obs.trace`), ``("hubs", job_id, hubs,
-  explore_limit, capacity)`` for a hub-index build shard, ``("index",
-  job_id, index_state)`` to adopt a fresher hub-index snapshot
-  (acknowledged with a bare ``"done"``), ``("graph", job_id, forwarded,
-  update_state, index_state, repair)`` to rebuild the serving engine over
-  a delta-overlay (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state`
-  side-table applied over the startup base compilation) — with either a
+  algorithm_value, bounds, trace_id)`` for a query shard (``trace_id``
+  is ``None`` unless the parent batch is being traced — see
+  :mod:`repro.obs.trace`), ``("explore", job_id, hubs, limit)`` for a
+  chunk of a sharded hub-index build (explored on a throwaway index,
+  answered with the ``(hub, row, dists)`` triples), ``("index", job_id,
+  index_state)`` to adopt a hub-index snapshot (acknowledged with a bare
+  ``"done"``), ``("graph", job_id, forwarded, update_state, index_state,
+  repair)`` to rebuild the serving engine over a delta-overlay
+  (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state` side-table
+  applied over the startup base compilation) — with either a
   post-repair index snapshot or a ``repair = (drops, hubs, limit)``
   share of a sharded repair, answered with the re-explored ``(hub,
   row, dists)`` triples — ``("digest", job_id, forwarded)`` for the
   replica check (answered with ``(graph digest, index digest)``), or
   ``None`` to shut down.  ``forwarded`` lists the learning deltas and
-  repair rows other workers produced since this worker's last task;
-  they are merged before the task runs.
+  repair rows the master and the other workers produced since this
+  worker's last task; they are merged, in order, before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
   ``(shard_index, positions, block, delta, trace)`` for a query shard —
   ``shard_index`` echoed from the task so the parent can attribute and
   re-dispatch shards without assuming arrival order, ``block`` a flat
   :class:`~repro.parallel.codec.ShardResultBlock`; see
-  :mod:`repro.parallel.codec` for the wire format; ``trace`` the
-  worker-side span tree (a plain dict) or ``None`` — or a bare
-  :class:`~repro.core.hub_index.HubIndexDelta` for a hub shard) or
-  ``"error"`` (payload is a formatted remote traceback string).
+  :mod:`repro.parallel.codec` for the wire format; ``delta`` the
+  shard's learning, or ``None`` without an index or for a non-indexed
+  algorithm; ``trace`` the worker-side span tree (a plain dict) or
+  ``None``) or ``"error"`` (payload is a formatted remote traceback
+  string).
 
 Fault injection
 ---------------
@@ -188,7 +190,7 @@ class _WorkerState:
         self.engine = ReverseKRanksEngine(graph, partition=partition, index=index)
 
     def absorb(self, forwarded) -> None:
-        """Merge what other workers learned or re-explored, in order.
+        """Merge what the master and the other workers learned, in order.
 
         ``forwarded`` holds :class:`~repro.core.hub_index.HubIndexDelta`
         learning deltas and lists of re-explored ``(hub, row, None)``
@@ -244,7 +246,7 @@ class _WorkerState:
 
     def run_shard(
         self, shard_index, positions, queries, k, algorithm, bounds,
-        collect_delta, trace_id=None,
+        trace_id=None,
     ):
         """Evaluate one query shard; returns ``(shard_index, positions, block, delta, trace)``.
 
@@ -261,7 +263,10 @@ class _WorkerState:
         worker-local offsets only, because ``perf_counter`` epochs are
         not comparable across processes.  Untraced shards pay a single
         attribute check and allocate no span objects.
+
+        ``delta`` is what an indexed shard learned, or ``None``.
         """
+        from repro.core.config import AlgorithmKind
         from repro.parallel.codec import ShardResultCodec
 
         tracer = self.engine.tracer
@@ -273,31 +278,30 @@ class _WorkerState:
             queries=len(queries),
         ):
             index = self.engine.index
-            if collect_delta and index is not None:
+            learns = (
+                index is not None and algorithm == AlgorithmKind.INDEXED.value
+            )
+            if learns:
                 index.start_learning_log()
             try:
                 results = self.engine.query_many(
                     list(queries), k, algorithm=algorithm, bounds=bounds
                 )
             finally:
-                delta = (
-                    index.pop_learning_log()
-                    if collect_delta and index is not None
-                    else None
-                )
+                delta = index.pop_learning_log() if learns else None
             with tracer.span("worker.encode"):
                 block = ShardResultCodec.encode(results, self.engine.graph)
         trace = tracer.last_trace["root"] if trace_id is not None else None
         return shard_index, tuple(positions), block, delta, trace
 
     def update_index(self, index_state) -> None:
-        """Replace the engine's hub-index snapshot with a fresher one.
+        """Replace the engine's hub-index replica with a snapshot.
 
         The pool broadcasts the master's
-        :meth:`~repro.core.hub_index.HubIndex.export_state` whenever the
-        master has learned past the workers' snapshots (or was rebuilt);
-        adopting it keeps this worker answering with the same knowledge —
-        and the same capacity bound — as the master.
+        :meth:`~repro.core.hub_index.HubIndex.export_state` when the
+        master index was replaced or the replicas may have diverged (a
+        batch raised); adopting it keeps this worker answering with the
+        same knowledge — and the same capacity bound — as the master.
         """
         from repro.core.hub_index import HubIndex
 
@@ -305,25 +309,17 @@ class _WorkerState:
             HubIndex.from_state(self.engine.graph, index_state)
         )
 
-    def run_hub_shard(self, hubs, explore_limit, capacity):
-        """Explore ``hubs`` and return the learned :class:`HubIndexDelta`.
+    def explore_hubs(self, hubs, limit):
+        """This worker's chunk of a sharded build: ``(hub, row, dists)`` triples.
 
-        The shard builds a throwaway index over the worker's own graph
-        copy/mapping purely to drive the explorations with a learning log
-        attached; everything learned — exact ranks and per-hub settled
-        counts — leaves as the delta, which the parent merges in hub
-        order to reproduce the sequential build exactly (different hubs
-        record disjoint ``(source, target)`` keys, so merge order across
-        shards never changes a value; see
-        :meth:`~repro.core.hub_index.HubIndex.build_parallel`).
+        The same exploration a sharded repair runs
+        (:meth:`~repro.core.hub_index.HubIndex.explore_hubs`), but on a
+        throwaway index: the replica must not learn rows the master has
+        not installed.
         """
         from repro.core.hub_index import HubIndex
 
-        scratch = HubIndex(self.engine.graph, capacity, hubs)
-        scratch.start_learning_log()
-        for hub in hubs:
-            scratch._explore_hub(hub, explore_limit, self.engine.graph)
-        return scratch.pop_learning_log()
+        return HubIndex(self.engine.graph, 1, hubs).explore_hubs(hubs, limit)
 
     def release(self) -> None:
         """Drop the engine and close the shared mapping, in that order.
@@ -389,16 +385,16 @@ def worker_main(
                 if tag == "query":
                     (
                         forwarded, shard_index, positions, queries, k,
-                        algorithm, bounds, collect_delta, trace_id,
+                        algorithm, bounds, trace_id,
                     ) = task[2:]
                     state.absorb(forwarded)
                     payload = state.run_shard(
                         shard_index, positions, queries, k, algorithm, bounds,
-                        collect_delta, trace_id,
+                        trace_id,
                     )
-                elif tag == "hubs":
-                    hubs, explore_limit, capacity = task[2:]
-                    payload = state.run_hub_shard(hubs, explore_limit, capacity)
+                elif tag == "explore":
+                    hubs, limit = task[2:]
+                    payload = state.explore_hubs(hubs, limit)
                 elif tag == "index":
                     (index_state,) = task[2:]
                     state.update_index(index_state)

@@ -59,23 +59,14 @@ def _settle_stream(
 
     Delta-overlays: when ``csr`` carries a mutation side-table
     (:class:`~repro.graph.overlay.OverlayGraph`, ``overlay_out`` not
-    ``None``) the search dispatches to a row-aware twin; the common
-    static-graph case pays exactly one attribute check.  Both loops relax
-    each node's neighbours in the same enumeration order a from-scratch
-    recompile would use (overlay rows are full rows extracted in source
-    order), so distances, settle order and tie groups are bit-identical
-    between the two paths.
+    ``None``), one ``dict.get`` per settled node selects the overlay row
+    (a complete replacement) or the frozen base slice.  Overlay rows are
+    full rows extracted in source order, so distances, settle order and
+    tie groups are bit-identical to a from-scratch recompile's.
     """
+    offsets, base_endpoints, base_weights = csr.out_csr()
     rows = csr.overlay_out
-    if rows is not None:
-        return _settle_stream_overlay(csr, source_index, rows)
-    return _settle_stream_base(csr, source_index)
-
-
-def _settle_stream_base(
-    csr, source_index: int
-) -> Iterator[Tuple[int, float, list]]:
-    offsets, endpoints, weights = csr.out_csr()
+    row_get = rows.get if rows is not None else None
     num_nodes = csr.num_nodes
     distances = [_INF] * num_nodes
     predecessors = [-1] * num_nodes
@@ -89,44 +80,10 @@ def _settle_stream_base(
             continue
         settled[node] = 1
         yield node, distance, predecessors
-        for position in range(offsets[node], offsets[node + 1]):
-            neighbor = endpoints[position]
-            if settled[neighbor]:
-                continue
-            candidate = distance + weights[position]
-            if candidate < distances[neighbor]:
-                distances[neighbor] = candidate
-                predecessors[neighbor] = node
-                heappush(frontier, (candidate, neighbor))
-
-
-def _settle_stream_overlay(
-    csr, source_index: int, rows
-) -> Iterator[Tuple[int, float, list]]:
-    """Row-aware twin of :func:`_settle_stream_base`.
-
-    Per settled node: one ``dict.get`` against the side-table selects the
-    overlay row (a complete replacement) or the frozen base slice.
-    """
-    base_offsets, base_endpoints, base_weights = csr.out_csr()
-    row_get = rows.get
-    num_nodes = csr.num_nodes
-    distances = [_INF] * num_nodes
-    predecessors = [-1] * num_nodes
-    settled = bytearray(num_nodes)
-    frontier = [(0.0, source_index)]
-    distances[source_index] = 0.0
-
-    while frontier:
-        distance, node = heappop(frontier)
-        if settled[node]:
-            continue
-        settled[node] = 1
-        yield node, distance, predecessors
-        row = row_get(node)
+        row = row_get(node) if row_get is not None else None
         if row is None:
             endpoints, weights = base_endpoints, base_weights
-            start, stop = base_offsets[node], base_offsets[node + 1]
+            start, stop = offsets[node], offsets[node + 1]
         else:
             endpoints, weights = row
             start, stop = 0, len(endpoints)

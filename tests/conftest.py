@@ -33,6 +33,47 @@ def _gnp_graph(num_nodes: int, probability: float, seed: int, directed: bool) ->
     return builder.build()
 
 
+def road_lattice(side, rng):
+    """Segments of 1.00-1.99 plus a costlier diagonal in 8% of cells."""
+    graph = Graph(name=f"road-{side}")
+    graph.add_nodes(range(side * side))
+    for row in range(side):
+        for col in range(side):
+            node = row * side + col
+            if col + 1 < side:
+                graph.add_edge(node, node + 1, round(rng.uniform(1.0, 2.0), 2))
+            if row + 1 < side:
+                graph.add_edge(node, node + side, round(rng.uniform(1.0, 2.0), 2))
+            if col + 1 < side and row + 1 < side and rng.random() < 0.08:
+                graph.add_edge(
+                    node, node + side + 1, round(rng.uniform(1.4, 2.8), 2)
+                )
+    return graph
+
+
+def road_traffic(rng, graph, closed, size=4):
+    """Closures, re-openings and weight cuts, applied to ``graph``."""
+    ops = []
+    while len(ops) < size:
+        roll = rng.random()
+        if roll < 0.15 and closed:
+            (source, target), weight = closed.popitem()
+            op = ("add_edge", source, target, weight)
+        else:
+            source, target, weight = rng.choice(sorted(graph.edges()))
+            if roll < 0.5:
+                closed[(source, target)] = weight
+                op = ("remove_edge", source, target)
+            else:
+                op = ("add_edge", source, target, round(weight * 0.7, 2))
+        ops.append(op)
+        if op[0] == "remove_edge":
+            graph.remove_edge(source, target)
+        else:
+            graph.add_edge(*op[1:])
+    return ops
+
+
 @pytest.fixture(scope="session")
 def path_graph() -> Graph:
     """0 - 1 - ... - 9 with unit weights: ranks are hand-computable."""

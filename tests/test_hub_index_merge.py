@@ -76,6 +76,50 @@ class TestLearningLog:
         assert delta.explorations == {"during": 5}
         assert bool(delta)
 
+    def test_nested_log_folds_into_its_outer_log(self, random_gnp):
+        """The outer log ends as if it alone had recorded every call."""
+        index = _build_index(random_gnp)
+        calls = [
+            ("rank", "a", "x", 2), ("explore", "a", 3),
+            ("rank", "b", "y", 4), ("rank", "a", "x", 2),
+            ("explore", "a", 5), ("explore", "c", 1),
+            ("rank", "c", "z", 1), ("explore", "b", 2),
+        ]
+
+        def record(call):
+            if call[0] == "rank":
+                index.record_rank(*call[1:])
+            else:
+                index.record_exploration(*call[1:])
+
+        index.start_learning_log()
+        for call in calls:
+            record(call)
+        direct = index.pop_learning_log()
+
+        index.start_learning_log()
+        record(calls[0])
+        record(calls[1])
+        index.start_learning_log()
+        for call in calls[2:6]:
+            record(call)
+        inner = index.pop_learning_log()
+        for call in calls[6:]:
+            record(call)
+        outer = index.pop_learning_log()
+
+        assert list(inner.ranks.items()) == [(("b", "y"), 4), (("a", "x"), 2)]
+        assert inner.explorations == {"a": 5, "c": 1}
+        assert list(outer.ranks.items()) == list(direct.ranks.items())
+        assert list(outer.explorations.items()) == list(
+            direct.explorations.items()
+        )
+        assert outer.explorations == {"a": 8, "c": 1, "b": 2}
+        # Both logs are closed: later learning is captured by neither.
+        index.record_rank("after", "w", 1)
+        assert ("after", "w") not in outer.ranks
+        assert not index.pop_learning_log()
+
     def test_pop_without_start_returns_mergeable_empty_delta(self, random_gnp):
         index = _build_index(random_gnp)
         delta = index.pop_learning_log()

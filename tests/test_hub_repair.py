@@ -19,7 +19,7 @@ from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.graph import CompactGraph, Graph
 
-from conftest import index_signature
+from conftest import index_signature, road_lattice, road_traffic
 
 REEXPLORED = ((0,), ())
 KEPT = ((), (0,))
@@ -187,57 +187,16 @@ def test_outgrown_learned_row_falls_back():
 # ----------------------------------------------------------------------
 # The gain on road-like updates, and what it keeps
 # ----------------------------------------------------------------------
-def _road_lattice(side, rng):
-    """Segments of 1.00-1.99 plus a costlier diagonal in 8% of cells."""
-    graph = Graph(name=f"road-{side}")
-    graph.add_nodes(range(side * side))
-    for row in range(side):
-        for col in range(side):
-            node = row * side + col
-            if col + 1 < side:
-                graph.add_edge(node, node + 1, round(rng.uniform(1.0, 2.0), 2))
-            if row + 1 < side:
-                graph.add_edge(node, node + side, round(rng.uniform(1.0, 2.0), 2))
-            if col + 1 < side and row + 1 < side and rng.random() < 0.08:
-                graph.add_edge(
-                    node, node + side + 1, round(rng.uniform(1.4, 2.8), 2)
-                )
-    return graph
-
-
-def _traffic(rng, graph, closed, size=4):
-    """Closures, re-openings and weight cuts, applied to ``graph``."""
-    ops = []
-    while len(ops) < size:
-        roll = rng.random()
-        if roll < 0.15 and closed:
-            (source, target), weight = closed.popitem()
-            op = ("add_edge", source, target, weight)
-        else:
-            source, target, weight = rng.choice(sorted(graph.edges()))
-            if roll < 0.5:
-                closed[(source, target)] = weight
-                op = ("remove_edge", source, target)
-            else:
-                op = ("add_edge", source, target, round(weight * 0.7, 2))
-        ops.append(op)
-        if op[0] == "remove_edge":
-            graph.remove_edge(source, target)
-        else:
-            graph.add_edge(*op[1:])
-    return ops
-
-
 def test_road_updates_keep_hubs_whose_rows_are_unchanged():
     rng = random.Random(5)
-    graph = _road_lattice(12, rng)
+    graph = road_lattice(12, rng)
     shadow = graph.copy()
     engine = ReverseKRanksEngine(graph)
     engine.build_index(num_hubs=6, explore_limit=48, capacity=8)
     closed = {}
     kept_hubs = 0
     for _ in range(12):
-        engine.apply_updates(_traffic(rng, shadow, closed))
+        engine.apply_updates(road_traffic(rng, shadow, closed))
         rebuilt = HubIndex.build(
             shadow, capacity=8, hubs=engine.index.hubs, explore_limit=48,
             backend=CompactGraph.from_graph(shadow),

@@ -327,14 +327,25 @@ class TestApplyUpdates:
         assert not isinstance(engine.compact_graph(), OverlayGraph)
 
     def test_overlay_threshold_forces_recompaction(self):
-        graph = _mutable_gnp(seed=10)
-        engine = ReverseKRanksEngine(graph)
-        engine.overlay_threshold = 1  # any 2-node touch set crosses it
+        """Past ``max(8, n // 4)`` touched nodes — 8 of 22 here — a batch
+        recompacts; exactly 8 stays an overlay."""
+
+        def cuts(nodes):
+            # Weights are at least 1.0, so each cut is effective.
+            return [
+                ("add_edge", source, target, 0.5)
+                for source, target in zip(nodes[::2], nodes[1::2])
+            ]
+
+        nodes = sorted(_mutable_gnp(seed=10).nodes())
+        at_limit = ReverseKRanksEngine(_mutable_gnp(seed=10))
+        at_limit.compact_graph()
+        report = at_limit.apply_updates(cuts(nodes[:8]))
+        assert not report.recompacted and report.overlay_rows == 8
+
+        engine = ReverseKRanksEngine(_mutable_gnp(seed=10))
         engine.compact_graph()
-        edges = sorted(graph.edges())
-        report = engine.apply_updates(
-            [("remove_edge", edges[0][0], edges[0][1])]
-        )
+        report = engine.apply_updates(cuts(nodes[:10]))
         assert report.recompacted
         recompactions = engine.registry.get("repro_csr_recompactions_total")
         # Initial compile + threshold-forced recompile.

@@ -1,20 +1,15 @@
-"""Worker hub-index replicas: what the master learns must reach the pool.
+"""Worker hub-index replicas: what the master knows must reach the pool.
 
-The regression under test: ``_ensure_pool`` used to key the workers'
-index snapshot on the index *object's identity*, so everything the
-master index learned between parallel batches — sequential queries,
-merged-back deltas, journal replay — never reached the workers; they
-kept answering on their construction-time snapshot forever.  The fix
-stamps every ``record_*`` call into ``HubIndex.revision`` and re-ships
-an ``export_state`` snapshot (over the pool's ``"index"`` broadcast,
-keeping worker processes alive) whenever the master's *local* learning
-reaches ``engine.index_sync_threshold`` revisions — or when the index
-object was swapped outright.
-
-Everything else travels as deltas (``TestDeltaSync``): each worker's
-shard learning is forwarded to the other workers, graph updates shard
-the index repair over the workers, and the replicas must end digest-equal
-to the master without further snapshots.
+Hub rows cross the process boundary by two routes only.  A snapshot
+(``export_state``) ships when a replica starts or the master index is
+replaced: pool start, a respawned worker, ``build_index`` /
+``adopt_index``, and after a batch that raised.  Everything else travels
+as deltas: each worker's shard learning is forwarded to the other
+workers, graph updates shard the index repair over the workers, and the
+learning of every indexed query the master answers in-process is
+forwarded to all of them.  After any mix of these the replicas equal the
+master (``WorkerPool.replica_digests``) and the snapshot counter names
+only the events above.
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+import threading
 
 import pytest
 
@@ -30,8 +26,9 @@ from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex, HubIndexDelta
 from repro.core.validation import results_equivalent
 from repro.errors import ParallelExecutionError
+from repro.serve import DurableIndexStore, QueryServer, ServeClient, ServeConfig
 
-from conftest import _gnp_graph, sample_queries
+from conftest import _gnp_graph, road_lattice, road_traffic, sample_queries
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -77,89 +74,92 @@ class TestPoolIndexSync:
         return engine
 
     def test_sequential_learning_reaches_workers(self, random_gnp):
-        """Master-side learning between parallel batches is re-shipped."""
+        """Master-side learning between parallel batches reaches the workers."""
         queries = sample_queries(random_gnp, 6)
         engine = self.build_engine(random_gnp)
-        engine.index_sync_threshold = 1  # ship on any drift
         with engine:
-            engine.prepare_parallel(2, FAST_CONTEXT)
-            pids_before = engine._pool.worker_pids
-            # Learn on the master only: a sequential indexed batch.
-            engine.query_many(queries, 4, algorithm="indexed")
-            drifted_to = engine.index.revision
-            assert drifted_to > engine._pool_index_revision
-            # The next parallel batch must first sync the workers (the
-            # merge-back of that batch's own learning then advances the
-            # master past the shipped snapshot again)...
-            engine.query_many(
-                queries, 5, algorithm="indexed", workers=2,
-                worker_context=FAST_CONTEXT,
-            )
-            assert engine._pool_index_revision >= drifted_to
-            # ...without restarting any worker process.
-            assert engine._pool.worker_pids == pids_before
-
-    def test_below_threshold_drift_is_not_shipped(self, random_gnp):
-        queries = sample_queries(random_gnp, 6)
-        engine = self.build_engine(random_gnp)
-        engine.index_sync_threshold = 10_000_000
-        with engine:
-            engine.prepare_parallel(2, FAST_CONTEXT)
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            pids_before = pool.worker_pids
             syncs = engine.registry.get("repro_pool_index_syncs_total")
-            shipped = engine._pool_index_revision
+            # Learn on the master only: a sequential indexed batch.
+            before = engine.index.revision
             engine.query_many(queries, 4, algorithm="indexed")
-            local = engine.index.revision - shipped
-            assert local > 0
+            assert engine.index.revision > before
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
             engine.query_many(
                 queries, 5, algorithm="indexed", workers=2,
                 worker_context=FAST_CONTEXT,
             )
-            # Drift stayed under the (huge) threshold: no re-ship — the
-            # only snapshot is the pool start's.  The parallel batch's
-            # merged learning is forwarded to the workers as deltas, so
-            # it is not drift: drift is exactly the master-local batch.
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
+            # No snapshot but the pool start's, and no restarted worker.
             assert syncs.labels(kind="snapshot").value == 1
-            assert engine.index.revision - engine._pool_index_revision == local
+            assert pool.worker_pids == pids_before
+
+    def test_master_learning_is_forwarded_as_a_delta(self, random_gnp):
+        """``query()`` learning is queued for every worker, whole, as one delta.
+
+        The engine's own log nests inside the caller's, as the query
+        server's journal log does: the caller's log still receives
+        everything the query learned.
+        """
+        query = sample_queries(random_gnp, 1)[0]
+        engine = self.build_engine(random_gnp)
+        with engine:
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            engine.index.start_learning_log()
+            engine.query(query, 4, algorithm="indexed")
+            learned = engine.index.pop_learning_log()
+            assert learned
+            assert [
+                [pickle.dumps(item) for item in pending]
+                for pending in pool._pending
+            ] == [[pickle.dumps(learned)]] * 2
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
+            syncs = engine.registry.get("repro_pool_index_syncs_total")
+            assert syncs.labels(kind="snapshot").value == 1
 
     def test_swapped_index_object_is_always_shipped(self, random_gnp):
-        """adopt_index swaps identity: must re-ship regardless of drift.
+        """adopt_index swaps identity: the next batch ships a snapshot.
 
         The swapped-in index may have a different capacity, and the
         worker-side k validation runs against *its* snapshot — serving
         from the old one would wrongly reject (or mis-bound) queries.
+        Until then the master's learning is not forwarded: the snapshot
+        carries it.
         """
         queries = sample_queries(random_gnp, 6)
         engine = self.build_engine(random_gnp)
-        engine.index_sync_threshold = 10_000_000
         with engine:
-            engine.prepare_parallel(2, FAST_CONTEXT)
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            syncs = engine.registry.get("repro_pool_index_syncs_total")
             replacement = HubIndex.build(
                 random_gnp, num_hubs=4, capacity=32
             )
             engine.adopt_index(replacement)
-            adopted_at = replacement.revision
+            engine.query(queries[0], 20, algorithm="indexed")
+            assert pool._pending == [[], []]
             engine.query_many(
-                queries, 5, algorithm="indexed", workers=2,
+                queries, 20, algorithm="indexed", workers=2,
                 worker_context=FAST_CONTEXT,
             )
             assert engine._pool_index is replacement
-            assert engine._pool_index_revision >= adopted_at
+            assert syncs.labels(kind="snapshot").value == 2
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
 
     def test_synced_parallel_matches_sequential_reference(self, random_gnp):
-        """End to end: answers after a sync match a sequential engine's.
+        """End to end: answers with forwarded learning match a sequential engine's.
 
         Both engines learn through the same batch sequence; the parallel
-        one interleaves master-only learning with worker batches under a
-        ship-always threshold.  Indexed parallel answers are rank-value
-        equivalent to sequential ones (boundary ties may order
-        differently — the documented contract).
+        one interleaves master-only learning with worker batches.
+        Indexed parallel answers are rank-value equivalent to sequential
+        ones (boundary ties may order differently — the documented
+        contract).
         """
         queries = sample_queries(random_gnp, 6)
         reference = self.build_engine(random_gnp)
         engine = self.build_engine(random_gnp)
-        engine.index_sync_threshold = 1
         with engine:
-            for k, parallel in ((4, False), (5, True), (6, True)):
+            for k, parallel in ((4, True), (5, False), (6, True)):
                 expected = reference.query_many(
                     queries, k, algorithm="indexed"
                 )
@@ -173,6 +173,9 @@ class TestPoolIndexSync:
                 for want, have in zip(expected, got):
                     assert results_equivalent(want, have)
                     assert want.rank_values() == have.rank_values()
+            assert engine._pool.replica_digests() == [
+                _master_digests(engine)
+            ] * 2
             # The synced engine's master index knows at least every rank
             # an answer depends on; spot-check agreement on shared keys
             # (recorded ranks are exact, so overlap must agree).
@@ -192,17 +195,20 @@ class TestPoolIndexSync:
 
 
 def _mutable_graph(seed):
-    """A private 60-node G(n, p): the shared conftest graphs must not mutate."""
-    return _gnp_graph(60, 0.08, seed=seed, directed=False)
+    """A private 100-node G(n, p): the shared conftest graphs must not mutate.
+
+    Large enough that five rounds of :func:`_update_batch` (at most 20
+    touched nodes) stay under the overlay's recompaction rule,
+    ``max(8, n // 4)`` nodes: a recompaction restarts the pool, which is
+    not what these tests are about.
+    """
+    return _gnp_graph(100, 0.05, seed=seed, directed=False)
 
 
 def _indexed_engine(graph):
     """Truncated explorations, so each repair re-explores only some hubs."""
     engine = ReverseKRanksEngine(graph)
     engine.build_index(num_hubs=6, explore_limit=20, capacity=8)
-    # Keep every update on the overlay path (a recompaction restarts
-    # the pool, which is not what these tests are about).
-    engine.overlay_threshold = 10_000
     return engine
 
 
@@ -368,3 +374,146 @@ class TestDeltaSync:
                     assert mine.rank_values() == theirs.rank_values()
         finally:
             faults.clear()
+
+
+def _lattice_engine(graph, **build):
+    """A 16x16 road lattice's engine: rows under a budget of 48 settle
+    well inside the lattice, so the distance test keeps hubs, and a few
+    rounds of traffic stay under the recompaction rule (64 nodes)."""
+    engine = ReverseKRanksEngine(graph)
+    engine.build_index(num_hubs=6, explore_limit=48, capacity=8, **build)
+    return engine
+
+
+@needs_fork
+class TestExactReplicas:
+    """The two routes are exact: snapshots at replica start, deltas after."""
+
+    def test_pool_built_index_repairs_like_a_sequential_build(self):
+        """A pool-built index stores the distances a sequential build does.
+
+        So a repair keeps the same hubs: over six rounds of road
+        traffic, the repair outcome and the exported state equal a
+        pool-less twin's every round.
+        """
+        rng = random.Random(5)
+        graph = road_lattice(16, rng)
+        twin = _lattice_engine(graph.copy())
+        shadow = graph.copy()
+        engine = _lattice_engine(graph, workers=2, worker_context=FAST_CONTEXT)
+        closed = {}
+        kept = 0
+        with engine:
+            assert engine._pool is not None
+            assert engine.index._dists == twin.index._dists
+            assert pickle.dumps(engine.export_state()) == pickle.dumps(
+                twin.export_state()
+            )
+            for _ in range(6):
+                ops = road_traffic(rng, shadow, closed)
+                assert engine.apply_updates(ops).pool_synced
+                twin.apply_updates(ops)
+                assert engine.index.last_repair == twin.index.last_repair
+                assert pickle.dumps(engine.export_state()) == pickle.dumps(
+                    twin.export_state()
+                )
+                kept += len(twin.index.last_repair[1])
+        assert kept > 0
+
+    def test_replicas_equal_master_after_every_step(self):
+        """``query()``, 1- and 8-query indexed batches and updates, interleaved.
+
+        The master's own learning (``query()``, and the 1-query batch,
+        which stays in-process) reaches the workers as forwarded deltas:
+        after every step the replicas equal the master, and the only
+        snapshot is the pool start's.
+        """
+        rng = random.Random(61)
+        graph = road_lattice(16, rng)
+        shadow = graph.copy()
+        engine = _lattice_engine(graph)
+        queries = sorted(graph.nodes())[7::29]
+        closed = {}
+        with engine:
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            syncs = engine.registry.get("repro_pool_index_syncs_total")
+
+            def batch(nodes):
+                engine.query_many(
+                    nodes, 4, algorithm="indexed", workers=2,
+                    worker_context=FAST_CONTEXT,
+                )
+
+            for round_ in range(3):
+                for step in (
+                    lambda: engine.query(queries[round_], 4, algorithm="indexed"),
+                    lambda: batch([queries[round_ + 3]]),
+                    lambda: batch(queries[:8]),
+                    lambda: engine.apply_updates(
+                        road_traffic(rng, shadow, closed)
+                    ),
+                ):
+                    step()
+                    assert pool.replica_digests() == [
+                        _master_digests(engine)
+                    ] * 2
+            assert syncs.labels(kind="snapshot").value == 1
+            assert syncs.labels(kind="delta").value == 3
+
+    def test_served_batches_keep_replicas_and_journal_equal(self, tmp_path):
+        """The same through ``QueryServer(workers=2)`` and its journal.
+
+        A 1-query batch runs in-process under the server's journal log;
+        multi-query batches run on the pool.  The replicas equal the
+        master, and replaying the journal over the installed snapshot
+        gives the master's state.
+        """
+        graph = road_lattice(12, random.Random(67))
+        engine = _lattice_engine(graph)
+        store = DurableIndexStore(tmp_path / "state")
+        store.install(engine.index)
+        queries = sorted(graph.nodes())[5::11]
+        config = ServeConfig(workers=2, worker_context=FAST_CONTEXT)
+        answered = []
+        with QueryServer(engine, config=config, store=store) as server:
+            host, port = server.address
+
+            def ask(nodes):
+                with ServeClient(host=host, port=port) as client:
+                    answered.append(
+                        client.query_many(nodes, k=4, algorithm="indexed")
+                    )
+
+            def served_batch(*requests):
+                """Serve ``requests`` (lists of nodes) as one batch."""
+                expected = server.batcher.requests + len(requests)
+                server.batcher.pause()
+                threads = [
+                    threading.Thread(target=ask, args=(nodes,))
+                    for nodes in requests
+                ]
+                for thread in threads:
+                    thread.start()
+                waiting = threading.Event()
+                for _ in range(500):
+                    if server.batcher.requests >= expected:
+                        break
+                    waiting.wait(0.01)
+                server.batcher.resume()
+                for thread in threads:
+                    thread.join()
+
+            served_batch(queries[0:3], queries[3:6])
+            served_batch(queries[6:7])
+            served_batch(queries[7:9], queries[9:11])
+            served_batch(queries[11:12])
+            assert len(answered) == 6
+            assert server.batcher.batches == 4
+            pool = engine._pool
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
+            syncs = engine.registry.get("repro_pool_index_syncs_total")
+            assert syncs.labels(kind="snapshot").value == 1
+            replayed = DurableIndexStore(tmp_path / "state").load(graph)
+            assert pickle.dumps(replayed.export_state()) == pickle.dumps(
+                engine.export_state()
+            )

@@ -8,6 +8,9 @@ after index build must be rejected at query time, not silently served).
 
 from __future__ import annotations
 
+import multiprocessing
+import random
+
 import pytest
 
 import rank_oracle
@@ -22,9 +25,10 @@ from repro.errors import (
     IndexParameterError,
     InvalidKError,
     InvalidQueryNodeError,
+    ParallelExecutionError,
 )
 
-from conftest import result_digest, sample_queries
+from conftest import result_digest, road_lattice, sample_queries
 
 
 ALL_KINDS = (
@@ -361,3 +365,67 @@ def test_parallel_min_batch_one_dispatches_singles(random_gnp):
         assert batch[0].as_pairs() == reference.query(
             query, 3, "dynamic"
         ).as_pairs()
+
+
+def _counters(stats):
+    counters = stats.as_dict()
+    counters.pop("elapsed_seconds")
+    return counters
+
+
+@_needs_fork
+def test_batch_stats_count_each_executed_query_once():
+    """A cache hit runs nothing, so ``last_batch_stats`` does not count it.
+
+    Sequential, parallel (which dispatches the unique queries) and the
+    unique-only batch agree on every counter.
+    """
+    graph = road_lattice(12, random.Random(3))
+    batch = [5, 5, 17, 5]
+    engine = ReverseKRanksEngine(graph)
+    with engine:
+        engine.query_many([17, 5], 8, algorithm="dynamic")
+        unique = _counters(engine.last_batch_stats)
+        engine.query_many(batch, 8, algorithm="dynamic", cache_size=8)
+        sequential = _counters(engine.last_batch_stats)
+        engine.query_many(
+            batch, 8, algorithm="dynamic", cache_size=8, workers=2,
+            worker_context="fork",
+        )
+        parallel = _counters(engine.last_batch_stats)
+    assert unique["rank_refinements"] > 0
+    assert sequential == parallel == unique
+
+
+@_needs_fork
+def test_prepared_pool_is_kept_under_the_default_start_method(random_gnp):
+    """``worker_context=None`` names the platform default (fork on Linux).
+
+    A batch without a start method keeps a pool prepared with the
+    default one; an unknown method raises; another method rebuilds.
+    """
+    queries = sample_queries(random_gnp, 4)
+    engine = ReverseKRanksEngine(random_gnp)
+    default = multiprocessing.get_context().get_start_method()
+    other = next(
+        method
+        for method in ("spawn", "forkserver", "fork")
+        if method != default
+        and method in multiprocessing.get_all_start_methods()
+    )
+    with engine:
+        pool = engine.prepare_parallel(2, default)
+        pids = pool.worker_pids
+        engine.query_many(queries, 3, algorithm="dynamic", workers=2)
+        assert engine._pool is pool and not pool.is_closed
+        assert pool.worker_pids == pids
+        with pytest.raises(ParallelExecutionError, match="start method"):
+            engine.query_many(
+                queries, 3, algorithm="dynamic", workers=2,
+                worker_context="bogus",
+            )
+        engine.query_many(
+            queries, 3, algorithm="dynamic", workers=2, worker_context=other,
+        )
+        assert pool.is_closed
+        assert engine._pool.start_method == other

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.core.engine import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.errors import GraphValidationError, WorkerCrashError
@@ -314,25 +315,32 @@ class TestPoolTransport:
         gc.collect()
         assert _repro_segments() == before
 
-    def test_run_hub_build_returns_per_chunk_deltas(self, random_gnp):
+    def test_explore_hubs_returns_rows_in_hub_order(self, random_gnp):
+        """Uneven contiguous chunks (3 + 2 hubs), explored on throwaway
+        indexes: the replicas learn nothing, and installing the rows
+        gives the sequential build, stored distances included."""
         csr = CompactGraph.from_graph(random_gnp)
-        hubs = sorted(random_gnp.nodes(), key=repr)[:4]
-        with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as pool:
-            deltas = pool.run_hub_build(hubs, 10, 8)
-        assert len(deltas) == 2  # one per non-empty contiguous chunk
-        merged = HubIndex(random_gnp, 8, hubs)
-        # build_parallel stamps the budget on the merged index before
-        # merging; export_state persists it (repairs after from_state
-        # re-explore at the original budget), so mirror that here.
-        merged._explore_limit = 10
-        for delta in deltas:
-            merged.merge_delta(delta)
+        hubs = sorted(random_gnp.nodes(), key=repr)[:5]
         sequential = HubIndex.build(
             random_gnp, hubs=hubs, explore_limit=10, capacity=8, backend=csr
         )
+        replica = HubIndex.build(
+            random_gnp, hubs=hubs[:1], explore_limit=4, capacity=8, backend=csr
+        )
+        with WorkerPool(
+            csr, workers=2, context=FAST_CONTEXT, index=replica
+        ) as pool:
+            before = pool.replica_digests()
+            rows = pool.explore_hubs(hubs, 10)
+            assert pool.replica_digests() == before
+        assert [hub for hub, _, _ in rows] == hubs
+        merged = HubIndex(random_gnp, 8, hubs)
+        merged._explore_limit = 10
+        merged.merge_rows(rows)
         assert pickle.dumps(merged.export_state()) == pickle.dumps(
             sequential.export_state()
         )
+        assert merged._dists == sequential._dists
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +370,29 @@ class TestParallelHubBuildParity:
             assert pickle.dumps(parallel.export_state()) == pickle.dumps(
                 sequential.export_state()
             )
+            assert parallel._dists == sequential._dists
+
+    def test_pool_error_costs_the_pool_not_the_build(self, random_gnp):
+        """Every worker task raises: the pool is dropped and the master
+        explores every hub itself."""
+        sequential = HubIndex.build(
+            random_gnp, num_hubs=4, explore_limit=12, capacity=8,
+            backend=CompactGraph.from_graph(random_gnp),
+        )
+        faults.configure("worker.before_task=error")
+        try:
+            with ReverseKRanksEngine(random_gnp) as engine:
+                index = engine.build_index(
+                    num_hubs=4, explore_limit=12, capacity=8, workers=2,
+                    worker_context=FAST_CONTEXT,
+                )
+                assert engine._pool is None
+        finally:
+            faults.clear()
+        assert pickle.dumps(index.export_state()) == pickle.dumps(
+            sequential.export_state()
+        )
+        assert index._dists == sequential._dists
 
     def test_auto_budget_parallel_build_matches(self, random_gnp):
         with ReverseKRanksEngine(random_gnp) as engine:
