@@ -151,9 +151,12 @@ def run_update_crash_phase(seed, summary, problems):
     into a fresh pool in place.  After each update the repaired hub index
     (explored by the master alone after the crash, sharded over the pool
     after the recovery) must equal a same-hub rebuild and answer indexed
-    queries as the rebuild does.  Finally the master learns on its own
-    (one indexed ``query()``) and on the pool (one indexed batch), and
-    every worker's replica must still equal the master.
+    queries as the rebuild does, and its stored distances must equal the
+    rebuild's (``dist_mismatches``): after the crash the master resumes
+    the hubs itself from the prefixes it computed.  Finally the master
+    learns on its own (one indexed ``query()``) and on the pool (one
+    indexed batch), and every worker's replica must still equal the
+    master.
     """
     workload = parse_fixture("gnp:60:13")
     graph = workload.graph
@@ -163,8 +166,8 @@ def run_update_crash_phase(seed, summary, problems):
     engine.parallel_min_batch = 1
     queries = sorted(graph.nodes())[:10]
     phase = {
-        "mismatches": 0, "index_mismatches": 0, "degrades": 0,
-        "in_place_syncs": 0, "replica_mismatches": 0,
+        "mismatches": 0, "index_mismatches": 0, "dist_mismatches": 0,
+        "degrades": 0, "in_place_syncs": 0, "replica_mismatches": 0,
     }
 
     def signature(index):
@@ -183,6 +186,9 @@ def run_update_crash_phase(seed, summary, problems):
         )
         if signature(engine.index) != signature(rebuilt):
             phase["index_mismatches"] += 1
+        # The stored distances feed the next repair's bound.
+        if engine.index._dists != rebuilt._dists:
+            phase["dist_mismatches"] += 1
         reference.adopt_index(rebuilt)
         expected += reference.query_many(queries, 6, algorithm="indexed")
         # A copy of the repaired index answers: indexed queries learn,
@@ -263,6 +269,12 @@ def run_update_crash_phase(seed, summary, problems):
         problems.append(
             "update_crash: the repaired index differed from a same-hub "
             f"rebuild after {phase['index_mismatches']} of 2 updates"
+        )
+    if phase["dist_mismatches"]:
+        problems.append(
+            "update_crash: the repaired index's stored distances differed "
+            f"from a same-hub rebuild's after {phase['dist_mismatches']} of "
+            "2 updates"
         )
     if phase["replica_mismatches"]:
         problems.append(

@@ -396,6 +396,14 @@ class ReverseKRanksEngine:
         )
         self._m_repair_reexplored = repair_hubs.labels(outcome="reexplored")
         self._m_repair_kept = repair_hubs.labels(outcome="kept")
+        repair_settled = metrics.counter(
+            "repro_index_repair_settled_total",
+            "Row entries repairs took from a re-explored hub's unchanged "
+            "prefix (reused), and nodes they settled anew (explored).",
+            labels=("outcome",),
+        )
+        self._m_repair_reused = repair_settled.labels(outcome="reused")
+        self._m_repair_explored = repair_settled.labels(outcome="explored")
         self._m_pool_graph_syncs = metrics.counter(
             "repro_pool_graph_syncs_total",
             "In-place worker-pool graph syncs (overlay broadcast instead "
@@ -517,9 +525,10 @@ class ReverseKRanksEngine:
         distances included, is bit-identical to the sequential build.  A
         pool error costs the pool (closed, rebuilt lazily), not the
         build: the master explores the hubs itself.  The pool is reused
-        by subsequent ``query_many(workers=N)`` calls with a matching key
-        (the new index is snapshotted into the workers on their next
-        parallel batch or graph update).
+        by subsequent ``query_many(workers=N)`` calls with a matching key.
+        The build ships no index to the workers (a pool it starts holds
+        none); the new index is snapshotted into them on their next
+        parallel batch or graph update.
         """
         if self._partition is not None:
             raise IndexParameterError(
@@ -531,7 +540,9 @@ class ReverseKRanksEngine:
             )
         explore = None
         if workers > 1:
-            pool = self._ensure_pool(workers, worker_context)
+            # The explorations run on throwaway indexes, so the replicas
+            # are not synced first: the index they would get is replaced.
+            pool = self._live_pool(workers, worker_context, index=None)
 
             def explore(hubs, limit):
                 try:
@@ -801,7 +812,12 @@ class ReverseKRanksEngine:
             ):
                 base_usable = False
         if base_usable:
-            csr = OverlayGraph.from_base(graph, base, new_touched, new_appended)
+            # Rows this batch did not touch are the previous overlay's.
+            # Without one the compilation is the base, at ``pre_version``.
+            previous = self._csr if self._csr.is_overlay else None
+            csr = OverlayGraph.from_base(
+                graph, base, touched, new_appended, previous=previous
+            )
             self._csr = csr
             self._csr_version = post_version
             self._overlay_touched = new_touched
@@ -833,10 +849,11 @@ class ReverseKRanksEngine:
             # The workers' replicas equal the master, so the graph
             # broadcast doubles as the repair's exploration round trip:
             # each worker re-explores a chunk of the hubs.
-            def explore_on_pool(drops, hubs, limit):
+            def explore_on_pool(drops, hubs, limit, prefixes):
                 try:
                     rows = pool.update_graph(
-                        csr, csr.overlay_state(), repair=(drops, hubs, limit)
+                        csr, csr.overlay_state(),
+                        repair=(drops, hubs, limit, prefixes),
                     )
                 except ParallelExecutionError:
                     return []  # the master explores every hub itself
@@ -863,6 +880,9 @@ class ReverseKRanksEngine:
             reexplored, kept = self._index.last_repair
             self._m_repair_reexplored.inc(len(reexplored))
             self._m_repair_kept.inc(len(kept))
+            reused, explored = self._index.last_repair_settles
+            self._m_repair_reused.inc(reused)
+            self._m_repair_explored.inc(explored)
         if pool is not None and explore is None:
             # Snapshot sync: the repaired master index (if any) replaces
             # the workers' replicas.
@@ -1304,17 +1324,35 @@ class ReverseKRanksEngine:
     def _ensure_pool(self, workers: int, worker_context: Optional[str]):
         """The cached worker pool, rebuilt or re-synced when its key drifted.
 
+        A replaced master index never rebuilds the pool (see
+        :meth:`_live_pool`) — the workers are *re-synced* in place with a
+        snapshot via :meth:`~repro.parallel.pool.WorkerPool.update_index`
+        whenever their replicas do not mirror the master index: it was
+        replaced (a new object may carry a different capacity, which
+        worker-side k validation must agree with), or a batch raised.
+        """
+        pool = self._live_pool(workers, worker_context, self._index)
+        if self._index is not None and self._pool_index is not self._index:
+            # Until the snapshot lands the replicas are unknown.
+            self._pool_index = None
+            try:
+                pool.update_index(self._index)
+            except WorkerCrashError:
+                self.close_pool()
+                raise
+            self._pool_index = self._index
+        return pool
+
+    def _live_pool(self, workers: int, worker_context: Optional[str], index):
+        """The cached worker pool, rebuilt when its key drifted.
+
         The *rebuild* key is (worker count, start method, graph mutation
         version): a mutated graph means the workers hold a wrong
         compilation, and process count / start method cannot change in
         place.  The start method is compared as ``worker_context``
-        resolves (``None`` is the platform default).  A replaced master
-        index never rebuilds the pool — the workers are *re-synced* in
-        place with a snapshot via
-        :meth:`~repro.parallel.pool.WorkerPool.update_index` whenever
-        their replicas do not mirror the master index: it was replaced (a
-        new object may carry a different capacity, which worker-side k
-        validation must agree with), or a batch raised.
+        resolves (``None`` is the platform default).  A new pool starts
+        with a snapshot of ``index`` (or none); the replicas of a pool
+        kept are left as they are.
         """
         from repro.parallel.pool import WorkerPool, start_context
 
@@ -1350,7 +1388,7 @@ class ReverseKRanksEngine:
             self._pool = WorkerPool(
                 init_graph,
                 workers=workers,
-                index=self._index,
+                index=index,
                 facilities=facilities,
                 context=worker_context,
                 crash_retries=self.pool_crash_retries,
@@ -1358,16 +1396,7 @@ class ReverseKRanksEngine:
                 graph_update=graph_update,
             )
             self._pool_version = version
-            self._pool_index = self._index
-        elif self._index is not None and self._pool_index is not self._index:
-            # Until the snapshot lands the replicas are unknown.
-            self._pool_index = None
-            try:
-                self._pool.update_index(self._index)
-            except WorkerCrashError:
-                self.close_pool()
-                raise
-            self._pool_index = self._index
+            self._pool_index = index
         return self._pool
 
     def _query_many_parallel(

@@ -38,16 +38,17 @@ import pickle
 import random
 import tempfile
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.hubs import HubSelectionStrategy, hub_budget, select_hubs
 from repro.errors import IndexCapacityError, IndexParameterError, NodeNotFoundError
 from repro.graph.csr import as_compact
-from repro.traversal.csr_ops import compact_rank_stream
+from repro.traversal.csr_ops import explore_row
 
 #: On-disk serialisation format marker and version (see :meth:`HubIndex.save`).
 _IO_FORMAT = "repro-hubindex"
@@ -159,6 +160,7 @@ class HubIndex:
         "_explore_limit",
         "_dists",
         "_last_repair",
+        "_last_settles",
         "_learning_log",
         "_enclosing_logs",
         "_revision",
@@ -195,6 +197,8 @@ class HubIndex:
         self._dists: Dict[NodeId, array] = {}
         #: (re-explored hubs, kept hubs) of the last :meth:`repair`
         self._last_repair: Tuple[tuple, tuple] = ((), ())
+        #: (reused, explored) settles of the last :meth:`repair`
+        self._last_settles: Tuple[int, int] = (0, 0)
         #: live :class:`HubIndexDelta` capturing record_* calls, or ``None``
         self._learning_log: Optional[HubIndexDelta] = None
         #: the logs :attr:`_learning_log` is nested in, outermost first
@@ -248,7 +252,7 @@ class HubIndex:
             here.  The index stays bound (and version-pinned) to
             ``graph``.  Under an ``explore_limit`` the boundary tie group
             is cut by node index (see
-            :func:`~repro.traversal.csr_ops.compact_rank_stream`), so every
+            :func:`~repro.traversal.csr_ops.explore_row`), so every
             build of one graph records the same entries.
         explore:
             Optional ``explore(hubs, limit)`` hook that explores hubs
@@ -296,7 +300,7 @@ class HubIndex:
         return num_hubs, explore_limit
 
     def explore_hubs(
-        self, hubs, limit: int, search_graph=None
+        self, hubs, limit: int, search_graph=None, prefixes=None
     ) -> List[Tuple[NodeId, Dict[NodeId, int], array]]:
         """Settle up to ``limit`` nodes around each hub, in order, recording them.
 
@@ -306,40 +310,46 @@ class HubIndex:
         worker can ship its share of a build or repair to the parent,
         which installs them with :meth:`merge_rows`.  ``search_graph``
         (default: a compilation of the index's own graph) is what the
-        explorations run on.
+        explorations run on.  ``prefixes`` maps a hub to the ``(row,
+        dists)`` prefix of its row that a repair proved unchanged; its
+        exploration resumes after it
+        (:func:`~repro.traversal.csr_ops.explore_row`).
         """
         search_graph = as_compact(self._graph, search_graph)
+        prefixes = prefixes or {}
         return [
-            (hub, *self._explore_hub(hub, limit, search_graph)) for hub in hubs
+            (hub, *self._explore_hub(hub, limit, search_graph, prefixes.get(hub)))
+            for hub in hubs
         ]
 
-    def _explore_in_order(self, hubs, limit: int, search_graph, explore) -> None:
+    def _explore_in_order(
+        self, hubs, limit: int, search_graph, explore, prefixes=None
+    ) -> None:
         """Explore ``hubs`` in order: a prefix through ``explore``, the rest here.
 
         ``explore(hubs, limit)`` (or ``None``) returns the ``(hub, row,
         dists)`` triples of a prefix of ``hubs``, explored elsewhere;
         they are installed with :meth:`merge_rows` and the remaining hubs
-        are explored on ``search_graph`` — the same recording sequence as
+        are explored on ``search_graph``, each resuming after its entry
+        in ``prefixes`` if it has one — the same recording sequence as
         exploring every hub here.  :meth:`build` and :meth:`repair` both
         run their explorations through this.
         """
         rows = explore(hubs, limit) if explore is not None else []
         self.merge_rows(rows)
+        prefixes = prefixes or {}
         for hub in hubs[len(rows):]:
-            self._explore_hub(hub, limit, search_graph)
+            self._explore_hub(hub, limit, search_graph, prefixes.get(hub))
 
     def _explore_hub(
-        self, hub: NodeId, limit: int, search_graph
+        self, hub: NodeId, limit: int, search_graph, prefix=None
     ) -> Tuple[Dict[NodeId, int], array]:
         """Settle up to ``limit`` nodes around ``hub`` on the compilation
-        ``search_graph``; record the row and its distances, return both."""
-        row: Dict[NodeId, int] = {}
-        dists = array("d")
-        for node, distance, rank in compact_rank_stream(search_graph, hub):
-            row[node] = int(rank)
-            dists.append(distance)
-            if len(row) >= limit:
-                break
+        ``search_graph``, after ``prefix`` if given; record the row and its
+        distances, return both."""
+        row, dists = explore_row(
+            search_graph, search_graph.index_of(hub), limit, prefix
+        )
         self.merge_rows([(hub, row, dists)])
         return row, dists
 
@@ -351,7 +361,7 @@ class HubIndex:
         that exploring the hubs here, in the same order, would make.  The
         rows must describe this index's graph version; nothing checks it.
         ``dists`` (the row's distances in settle order, or ``None``) is
-        kept for :meth:`repair`'s distance test.
+        kept for :meth:`repair`'s disturbance bound.
         """
         for hub, row, dists in rows:
             self._record_row(hub, row)
@@ -855,48 +865,66 @@ class HubIndex:
         still cheaper than a teardown because replicas are patched via
         the delta instead of being rebuilt from scratch.
 
-        Soundness of the distance test
-        ------------------------------
-        A hub that fails the membership test is still *kept* — neither
-        dropped nor re-explored — when its pre-batch distances prove its
-        row unchanged.  Let ``d`` be those distances.  A hub settles in
-        ``(distance, node index)`` order and a settled node's rank ``r``
-        counts the strictly closer nodes, so the first member of its tie
-        group sits at row position ``r - 1``: ``d = dists[r - 1]``.  Let
-        the radius ``R`` be the last settled distance when the row filled
-        the exploration budget, and ``+inf`` when it did not (the hub
-        settled all it reaches, always so under ``explore_limit=None``).
-        The hub is kept when, for the batch's net edge ``changes``:
+        The disturbance bound
+        ---------------------
+        A hub that fails the membership test is re-explored only from the
+        first distance the batch can disturb, and *kept* — neither
+        dropped nor re-explored — when that lies beyond its row.  Let
+        ``d`` be its pre-batch distances.  A hub settles in ``(distance,
+        node index)`` order and a settled node's rank ``r`` counts the
+        strictly closer nodes, so the first member of its tie group sits
+        at row position ``r - 1``: ``d = dists[r - 1]``; the hub itself
+        lies at ``d = 0``.  Over the batch's net edge ``changes`` (an
+        undirected edge read both ways, a directed one only its own way)
+        the bound ``D`` is the least of these terms, or ``+inf`` when
+        there is none:
 
-        * the hub is not an endpoint of any change;
-        * no removed or raised edge ``(u, v, w)`` is tight:
-          ``d(u) + w == d(v)`` with both ends settled;
-        * no inserted or lowered edge ``(u, v, w')`` improves a settled
-          ``v`` (``d(u) + w' < d(v)``);
-        * no such edge reaches an unsettled ``v`` within the radius
-          (``d(u) + w' <= R``).
+        * ``d(v)`` for every removed or raised edge ``(u, v, w)`` that was
+          tight: ``d(u) + w == d(v)`` with both ends settled;
+        * ``d(u) + w'`` for every inserted or lowered edge ``(u, v, w')``
+          from a settled ``u`` that improves a settled ``v`` (``d(u) + w'
+          < d(v)``) or reaches an unsettled one.
 
-        Every clause reads pre-batch distances, so the clauses compose
-        across the batch.  Over the new settle order, no node gets closer
-        than ``d`` unless it stays beyond ``R``: its last edge is old
-        (then ``d`` already bounds it), new from a settled ``u`` (the
-        clauses), or new from an unsettled ``u`` — which lies at ``R`` or
-        beyond, and a positive weight puts the far end past ``R``.  Over
-        the old settle order, no settled node gets farther: its tight
-        incoming edge survives.  So every settled node keeps its
-        distance, the unsettled ones stay behind the boundary, and the
-        row — order, ranks and cut — is the same.
+        Let the radius ``R`` be the last settled distance when the row
+        filled the exploration budget, and ``+inf`` when it did not (the
+        hub settled all it reaches, always so under
+        ``explore_limit=None``); an unsettled node lies at ``R`` or
+        beyond.  With positive weights two facts hold:
+
+        * *No node gets closer than* ``D``.  Follow any new path from the
+          hub through its changed edges, in order; between them it runs
+          over old edges no lighter than before.  At each changed edge
+          ``(u, v, w')`` the path either leaves the row (``u`` is
+          unsettled, so the path is already at ``R + w'`` or beyond),
+          lands at ``D`` or beyond (the edge's term), or does not improve
+          the edge's head (``v`` is settled with ``d(u) + w' >= d(v)``,
+          and an old path reaches ``v`` as soon).  So a new path ending
+          below ``D`` is no shorter than an old one.
+        * *No node closer than* ``D`` *gets farther.*  Its old shortest
+          path runs over closer nodes, each entered by a tight edge; had
+          one of those edges been removed or raised, ``D`` would be at
+          most that edge's far end.
+
+        So the row entries with ``d < D`` keep their distances, ranks and
+        order, and every other node lies at ``D`` or beyond.  Every term
+        reads pre-batch distances, so the terms compose across the batch.
+        The hub is kept when ``D`` is ``+inf`` or exceeds ``R``: its whole
+        row, cut included, stays.  Otherwise it resumes after the entries
+        closer than ``D`` (:func:`~repro.traversal.csr_ops.explore_row`);
+        the first resumed node starts a new tie group with rank
+        ``len(prefix) + 1``.
 
         The argument needs positive weights everywhere, not only on the
         changed edges: across a zero-weight edge a tie-group member is
         discovered only after another member settled, so the settle
         order is no longer ``(distance, node index)`` and a tight insert
-        can reorder a cut tie group.  The test therefore runs only when
-        ``search_graph`` holds no zero-weight edge at all, the batch
-        removed no node, and ``conservative`` is off.  Hubs without
-        stored distances (indexes from :meth:`load`, :meth:`from_state`
-        or a delta replay), hubs whose learned row outgrew their explored
-        row, and learned non-hub sources keep the membership test.
+        can reorder a cut tie group.  So a hub gets the full
+        re-exploration, with no bound, when ``search_graph`` holds a
+        zero-weight edge anywhere, the batch removed a node,
+        ``conservative`` is on, the hub has no stored distances (an index
+        from :meth:`load`, :meth:`from_state` or a delta replay), or its
+        learned row outgrew its explored row.  Learned non-hub sources
+        keep the membership test.
 
         Affected sources are dropped entirely (learned, non-hub sources
         are *not* re-explored — exactly the entries a from-scratch rebuild
@@ -904,7 +932,8 @@ class HubIndex:
         affected hubs are re-explored in hub order at the stored
         ``explore_limit``.  ``removed_nodes`` are pruned from the hub list
         instead of re-explored.  :attr:`last_repair` names the hubs
-        re-explored and kept.
+        re-explored and kept, :attr:`last_repair_settles` counts the row
+        entries reused from prefixes and the nodes settled anew.
 
         Parameters
         ----------
@@ -921,24 +950,27 @@ class HubIndex:
         removed_nodes:
             Nodes deleted from the graph; implicitly part of ``touched``.
         explore:
-            Optional ``explore(drops, hubs, limit)`` hook that re-explores
-            the affected hubs elsewhere — the engine's worker pool, each
-            worker a contiguous chunk on its own copy of the mutated
-            graph (see :meth:`~repro.parallel.pool.WorkerPool.update_graph`).
+            Optional ``explore(drops, hubs, limit, prefixes)`` hook that
+            re-explores the affected hubs elsewhere — the engine's worker
+            pool, each worker a contiguous chunk on its own copy of the
+            mutated graph (see
+            :meth:`~repro.parallel.pool.WorkerPool.update_graph`).
             ``drops`` is the repair delta before any re-exploration
             (``removed_sources`` and the two versions), ``hubs`` the
-            affected hubs in hub order, ``limit`` the exploration budget.
-            Like :meth:`build`'s hook, it returns the ``(hub, row,
-            dists)`` triples of :meth:`explore_hubs` for a prefix of
+            affected hubs in hub order, ``limit`` the exploration budget
+            and ``prefixes`` maps a hub to the ``(row, dists)`` prefix
+            its exploration resumes after (hubs without one start from
+            scratch).  Like :meth:`build`'s hook, it returns the ``(hub,
+            row, dists)`` triples of :meth:`explore_hubs` for a prefix of
             ``hubs`` (all of them, or none when the pool failed); they
             are installed in order and the index explores the rest
-            itself, so the result is bit-identical to a repair without
-            the hook.
+            itself, from the same prefixes, so the result is
+            bit-identical to a repair without the hook.
         changes:
             The batch's net edge changes, ``(source, target, before,
             after)`` with the pre- and post-batch weights (``None`` for
             an absent edge); an undirected edge is listed once.  Without
-            them the distance test is off.
+            them every affected hub is re-explored from scratch.
 
         Returns
         -------
@@ -962,6 +994,7 @@ class HubIndex:
                 "and merge it before applying graph mutations"
             )
         self._last_repair = ((), ())
+        self._last_settles = (0, 0)
         old_version = self._graph_version
         new_version = getattr(self._graph, "version", None)
         if old_version is not None and new_version == old_version:
@@ -1011,9 +1044,11 @@ class HubIndex:
             else self._explore_limit
         )
         kept = set()
+        prefixes = {}
         if changes is not None and not conservative and not removed_set:
-            kept = self._unchanged_hubs(
-                affected, touched_set, changes, search_graph, limit
+            # Before the drops below discard the rows.
+            kept, prefixes = self._resume_points(
+                affected, changes, search_graph, limit
             )
             affected = [source for source in affected if source not in kept]
         for source in affected:
@@ -1033,61 +1068,83 @@ class HubIndex:
         if explore is not None:
             # The hook gets its own copy: ``delta`` fills up below.
             explore = partial(
-                explore, replace(delta, ranks={}, explorations={})
+                explore,
+                replace(delta, ranks={}, explorations={}),
+                prefixes=prefixes,
             )
         # Route the re-explorations through the delta so replicas receive
         # exactly what the master re-learned.
         self._learning_log = delta
         try:
-            self._explore_in_order(hubs, limit, search_graph, explore)
+            self._explore_in_order(
+                hubs, limit, search_graph, explore, prefixes
+            )
         finally:
             self._learning_log = None
+        reused = sum(len(prefixes[hub][1]) for hub in hubs if hub in prefixes)
+        self._last_settles = (reused, sum(delta.explorations.values()) - reused)
         return delta
 
-    def _unchanged_hubs(
-        self, affected, touched, changes, search_graph, limit: int
-    ) -> set:
-        """The hubs among ``affected`` that the distance test keeps."""
+    def _resume_points(self, affected, changes, search_graph, limit: int):
+        """``(kept hubs, prefixes)``: the hubs among ``affected`` whose bound
+        lies beyond their row, and the unchanged prefix of each other one
+        (hubs whose prefix is empty have no entry)."""
         dists = self._dists
         candidates = [
             hub
             for hub in affected
             if hub in dists
-            and hub not in touched
             and len(self._known.get(hub, ())) == len(dists[hub])
         ]
         if not candidates or search_graph.has_zero_weight:
-            return set()
+            return set(), {}
         edges = list(changes)
         if not self._graph.directed:
             edges += [(v, u, before, after) for u, v, before, after in changes]
-        return {
-            hub for hub in candidates if self._row_unchanged(hub, edges, limit)
-        }
+        kept = set()
+        prefixes = {}
+        for hub in candidates:
+            row = self._known.get(hub, {})
+            hub_dists = dists[hub]
+            bound = self._disturbance(hub, row, hub_dists, edges)
+            radius = hub_dists[-1] if len(hub_dists) >= limit else _INF
+            if bound == _INF or bound > radius:
+                kept.add(hub)
+                continue
+            cut = bisect_left(hub_dists, bound)
+            if cut:
+                prefixes[hub] = (
+                    dict(islice(row.items(), cut)), hub_dists[:cut]
+                )
+        return kept, prefixes
 
-    def _row_unchanged(self, hub: NodeId, edges, limit: int) -> bool:
-        """Whether no edge change can move ``hub``'s explored row."""
-        row = self._known.get(hub, {})
-        dists = self._dists[hub]
-        radius = dists[-1] if len(dists) >= limit else _INF
+    @staticmethod
+    def _disturbance(hub: NodeId, row, dists, edges) -> float:
+        """The bound ``D`` of :meth:`repair` for ``hub``'s pre-batch
+        ``row`` and ``dists``; ``edges`` lists an undirected change both
+        ways."""
+        bound = _INF
         for source, target, before, after in edges:
-            rank = row.get(source)
-            if rank is None:
-                continue  # unsettled: at the radius or beyond
-            reach = dists[rank - 1]
-            rank = row.get(target)
-            far = None if rank is None else dists[rank - 1]
+            if source == hub:
+                reach = 0.0
+            else:
+                rank = row.get(source)
+                if rank is None:
+                    continue  # unsettled: at the radius or beyond
+                reach = dists[rank - 1]
+            if target == hub:
+                far = 0.0
+            else:
+                rank = row.get(target)
+                far = None if rank is None else dists[rank - 1]
             if before is not None and (after is None or after > before):
-                if far is not None and reach + before == far:
-                    return False  # a tight edge removed or raised
+                if far is not None and reach + before == far < bound:
+                    bound = far  # a tight edge removed or raised
             if after is not None and (before is None or after < before):
                 reach += after
-                if far is None:
-                    if reach <= radius:
-                        return False  # an insert landing within the radius
-                elif reach < far:
-                    return False  # an insert improving a settled node
-        return True
+                if (far is None or reach < far) and reach < bound:
+                    bound = reach  # an insert improving or reaching a node
+        return bound
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1132,10 +1189,17 @@ class HubIndex:
     def last_repair(self) -> Tuple[tuple, tuple]:
         """``(re-explored hubs, kept hubs)`` of the last :meth:`repair`.
 
-        Kept hubs failed the membership test but passed the distance
-        test, so their rows stayed as they were.
+        Kept hubs failed the membership test but their disturbance bound
+        lies beyond their row, so their rows stayed as they were.
         """
         return self._last_repair
+
+    @property
+    def last_repair_settles(self) -> Tuple[int, int]:
+        """``(reused, explored)`` of the last :meth:`repair`: row entries
+        taken from unchanged prefixes, and nodes its re-explorations
+        settled anew."""
+        return self._last_settles
 
     def explored_count(self, node: NodeId) -> int:
         """Total nodes settled by explorations from ``node``."""

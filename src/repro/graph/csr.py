@@ -142,6 +142,7 @@ class CompactGraph:
         "_transposed",
         "_digest",
         "_zero_weight",
+        "_max_weight",
     )
 
     def __init__(
@@ -190,6 +191,7 @@ class CompactGraph:
         self._transposed = transposed
         self._digest: Optional[str] = None
         self._zero_weight: Optional[bool] = None
+        self._max_weight: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -300,6 +302,14 @@ class CompactGraph:
         if self._zero_weight is None:
             self._zero_weight = 0.0 in self._out_weights
         return self._zero_weight
+
+    @property
+    def max_weight(self) -> float:
+        """An upper bound on every edge weight (one scan, cached; ``0.0``
+        without edges).  A resumed hub exploration reads it."""
+        if self._max_weight is None:
+            self._max_weight = max(self._out_weights, default=0.0)
+        return self._max_weight
 
     def content_digest(self) -> str:
         """SHA-256 digest of directedness, node identifiers and adjacency.

@@ -146,6 +146,7 @@ class OverlayGraph(CompactGraph):
         base: CompactGraph,
         touched: Iterable[NodeId],
         appended: Iterable[NodeId] = (),
+        previous: Optional["OverlayGraph"] = None,
     ) -> "OverlayGraph":
         """Overlay the mutations of ``graph`` onto its older compilation.
 
@@ -156,6 +157,12 @@ class OverlayGraph(CompactGraph):
         normally :meth:`~repro.core.engine.ReverseKRanksEngine.
         apply_updates`, which tracks both sets — must not have removed any
         node since the base compile.
+
+        ``previous`` is an overlay of ``base`` for an earlier state of
+        ``graph``; ``touched`` then names only the nodes changed since
+        ``previous`` was built.  Every other row is taken from it as it
+        is: node indexes do not move while the base stands, so an
+        untouched node's row is the same.
         """
         if base.is_transposed:
             raise GraphValidationError(
@@ -183,14 +190,24 @@ class OverlayGraph(CompactGraph):
             index_of = base._index_of
 
         touched_nodes = set(touched)
-        touched_nodes.update(appended)
         out_rows: Dict[int, Tuple[array, array]] = {}
+        in_rows: Dict[int, Tuple[array, array]] = {}
+        if previous is None:
+            touched_nodes.update(appended)
+        else:
+            if previous.base is not base:
+                raise GraphValidationError(
+                    "the previous overlay was built over a different base"
+                )
+            touched_nodes.update(appended[len(previous.appended_nodes):])
+            out_rows.update(previous.overlay_out)
+            if graph.directed:
+                in_rows.update(previous.overlay_in)
         for node in touched_nodes:
             out_rows[index_of[node]] = _extract_row(
                 graph, node, index_of, "neighbor_items"
             )
         if graph.directed:
-            in_rows: Dict[int, Tuple[array, array]] = {}
             for node in touched_nodes:
                 in_rows[index_of[node]] = _extract_row(
                     graph, node, index_of, "in_neighbor_items"
@@ -324,6 +341,20 @@ class OverlayGraph(CompactGraph):
                 0.0 in weights for _, weights in self.overlay_out.values()
             )
         return self._zero_weight
+
+    @property
+    def max_weight(self) -> float:
+        """The larger of the base's and the overlay rows' heaviest edge.
+
+        Like :attr:`has_zero_weight`, a base edge an overlay row replaced
+        still counts: a bound, exact again after recompaction.
+        """
+        if self._max_weight is None:
+            heaviest = self._base.max_weight
+            for _, weights in self.overlay_out.values():
+                heaviest = max(heaviest, max(weights, default=0.0))
+            self._max_weight = heaviest
+        return self._max_weight
 
     # ------------------------------------------------------------------
     # Content digest / pickling

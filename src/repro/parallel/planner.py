@@ -9,12 +9,16 @@ finishes first.
 Sharding is round-robin: position ``i`` goes to shard ``i mod n``.  It
 costs nothing to plan, balances homogeneous batches to within one query,
 and is deterministic, which keeps parallel runs reproducible.
+
+Hub explorations are split differently, by :func:`chunk_evenly`: into
+contiguous runs (the order the master installs rows in), of equal
+counts for a build and of equal remaining settles for a repair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import ParallelExecutionError, is_positive_int
 
@@ -23,30 +27,40 @@ NodeId = Hashable
 __all__ = ["Shard", "ShardPlan", "ShardPlanner", "chunk_evenly"]
 
 
-def chunk_evenly(items: Sequence, parts: int) -> List[List]:
-    """Split ``items`` into ``parts`` contiguous, near-equal chunks.
+def chunk_evenly(
+    items: Sequence, parts: int, costs: Optional[Sequence[int]] = None
+) -> List[List]:
+    """Split ``items`` into ``parts`` contiguous chunks of near-equal cost.
 
     Order-preserving by construction: concatenating the chunks reproduces
     ``items`` exactly.  Sharded hub-index builds and repairs depend on
     that — dispatching *contiguous* hub runs and installing the returned
     rows in chunk order replays the sequential exploration's recording
     sequence verbatim, which is what makes the result bit-identical (not
-    merely equivalent) to exploring every hub in one process.  Chunk
-    sizes differ by at most one; trailing chunks may be empty when
-    ``parts > len(items)``.
+    merely equivalent) to exploring every hub in one process.
+
+    ``costs`` (non-negative integers, one per item; default: 1 each)
+    weighs the items: a repair's hub costs the settles it has left, the
+    budget minus its unchanged prefix.  Each item goes to the chunk that
+    holds the midpoint of its cost on the running total, so each chunk
+    boundary falls within half an item's cost of an even split; under
+    unit costs the chunk sizes differ by at most one.  Chunks may be
+    empty when ``parts > len(items)``.
     """
     if not is_positive_int(parts):
         raise ParallelExecutionError(
             f"parts must be a positive integer, got {parts!r}"
         )
     sequence = list(items)
-    base, extra = divmod(len(sequence), parts)
-    chunks: List[List] = []
-    start = 0
-    for part in range(parts):
-        size = base + (1 if part < extra else 0)
-        chunks.append(sequence[start : start + size])
-        start += size
+    weights = [1] * len(sequence) if costs is None else list(costs)
+    total = sum(weights)
+    chunks: List[List] = [[] for _ in range(parts)]
+    spent = 0
+    for item, cost in zip(sequence, weights):
+        # The chunk of the cost interval's midpoint, in exact integers.
+        part = (2 * spent + cost) * parts // (2 * total) if total else 0
+        chunks[min(part, parts - 1)].append(item)
+        spent += cost
     return chunks
 
 

@@ -755,15 +755,20 @@ class WorkerPool:
 
         The workers' index replicas follow in one of two ways:
 
-        * ``repair=(drops, hubs, limit)`` — the sharded repair, run from
-          inside :meth:`~repro.core.hub_index.HubIndex.repair` (its
-          ``explore`` hook).  Every worker keeps its replica, applies
-          the repair's drops (``drops``, a repair delta without ranks),
-          re-explores its contiguous chunk of ``hubs`` at budget
-          ``limit`` on its own overlay and returns the rows with their
-          distances; the chunks are returned concatenated, in hub order,
-          and each is queued for the other workers without the
-          distances (only the master's repair reads them).
+        * ``repair=(drops, hubs, limit, prefixes)`` — the sharded
+          repair, run from inside
+          :meth:`~repro.core.hub_index.HubIndex.repair` (its ``explore``
+          hook).  Every worker keeps its replica, applies the repair's
+          drops (``drops``, a repair delta without ranks), re-explores
+          its contiguous chunk of ``hubs`` at budget ``limit`` on its own
+          overlay, each hub resuming after its unchanged prefix in
+          ``prefixes`` (``hub -> (row, dists)``; the prefixes ship with
+          the chunk, so replicas need no stored distances), and returns
+          the rows with their distances.  The chunks balance the settles
+          left (``limit`` minus the prefix length per hub), not the hub
+          count.  They are returned concatenated, in hub order, and each
+          is queued for the other workers without the distances (only
+          the master's repair reads them).
         * otherwise the replicas are replaced by a snapshot of ``index``
           (the master, already repaired) — or dropped when ``index`` is
           ``None``.
@@ -809,14 +814,26 @@ class WorkerPool:
             if index is not None:
                 self._m_index_snapshots.inc()
             return []
-        drops, hubs, limit = repair
-        chunks = chunk_evenly(list(hubs), self._num_workers)
+        drops, hubs, limit, prefixes = repair
+        hubs = list(hubs)
+        chunks = chunk_evenly(
+            hubs,
+            self._num_workers,
+            [
+                limit - len(prefixes[hub][1]) if hub in prefixes else limit
+                for hub in hubs
+            ],
+        )
         replies = self._broadcast(
             job_id,
             [
                 (
                     "graph", job_id, self._take_pending(worker_id),
-                    update_state, None, (drops, tuple(chunk), limit),
+                    update_state, None,
+                    (
+                        drops, tuple(chunk), limit,
+                        {hub: prefixes[hub] for hub in chunk if hub in prefixes},
+                    ),
                 )
                 for worker_id, chunk in enumerate(chunks)
             ],
@@ -899,13 +916,13 @@ class WorkerPool:
     def explore_hubs(self, hubs, limit: int) -> list:
         """Explore ``hubs`` across the workers for a sharded build (blocking).
 
-        The hub list is split into contiguous chunks
-        (:func:`~repro.parallel.planner.chunk_evenly`); worker ``j``
-        explores the ``j``-th chunk at budget ``limit`` — the exploration
-        of a sharded repair's chunk, but on a throwaway index, so the
-        replicas learn nothing.  Returns the ``(hub, row, dists)``
-        triples in hub order: the ``explore`` hook of
-        :meth:`~repro.core.hub_index.HubIndex.build`.
+        The hub list is split into contiguous chunks of equal counts
+        (:func:`~repro.parallel.planner.chunk_evenly`; every hub costs
+        the budget); worker ``j`` explores the ``j``-th chunk at budget
+        ``limit`` — the exploration of a sharded repair's chunk, from
+        scratch and on a throwaway index, so the replicas learn nothing.
+        Returns the ``(hub, row, dists)`` triples in hub order: the
+        ``explore`` hook of :meth:`~repro.core.hub_index.HubIndex.build`.
 
         Raises
         ------

@@ -49,9 +49,9 @@ Message protocol (all tuples, queue-pickled)
   repair)`` to rebuild the serving engine over a delta-overlay
   (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state` side-table
   applied over the startup base compilation) — with either a
-  post-repair index snapshot or a ``repair = (drops, hubs, limit)``
-  share of a sharded repair, answered with the re-explored ``(hub,
-  row, dists)`` triples — ``("digest", job_id, forwarded)`` for the
+  post-repair index snapshot or a ``repair = (drops, hubs, limit,
+  prefixes)`` share of a sharded repair, answered with the re-explored
+  ``(hub, row, dists)`` triples — ``("digest", job_id, forwarded)`` for the
   replica check (answered with ``(graph digest, index digest)``), or
   ``None`` to shut down.  ``forwarded`` lists the learning deltas and
   repair rows the master and the other workers produced since this
@@ -217,11 +217,12 @@ class _WorkerState:
         master's post-repair
         :meth:`~repro.core.hub_index.HubIndex.export_state`, or ``None``
         for no index) and ``None`` is returned.  With ``repair = (drops,
-        hubs, limit)`` this worker's replica is repaired in place: the
-        master's drops advance it to the overlay's version, ``hubs`` —
-        this worker's chunk of the affected hubs — are re-explored on
-        the overlay, and their ``(hub, row, dists)`` triples are
-        returned.
+        hubs, limit, prefixes)`` this worker's replica is repaired in
+        place: the master's drops advance it to the overlay's version,
+        ``hubs`` — this worker's chunk of the affected hubs — are
+        re-explored on the overlay, each after its unchanged prefix in
+        ``prefixes`` (``hub -> (row, dists)``), and their ``(hub, row,
+        dists)`` triples are returned.
         """
         from repro.graph.overlay import OverlayGraph
 
@@ -229,12 +230,12 @@ class _WorkerState:
         if repair is None:
             self._build_engine(graph, index_state)
             return None
-        drops, hubs, limit = repair
+        drops, hubs, limit, prefixes = repair
         index = self.engine.index
         index.merge_delta(drops)
         index.rebind(graph)
         self._build_engine(graph, index=index)
-        return index.explore_hubs(hubs, limit)
+        return index.explore_hubs(hubs, limit, prefixes=prefixes)
 
     def digests(self):
         """``(graph content digest, index content digest or None)``."""

@@ -16,8 +16,10 @@ whichever equal-distance node settles first.  What differs is the order
 
 * :func:`_settle_stream` — a ``heapq`` lazy-deletion frontier that breaks
   ties by **node index**.  Ranks only count strictly-closer tie groups, so
-  they do not depend on it; it decides which boundary-tie nodes a
-  truncated hub exploration records.
+  they do not depend on it.  Hub explorations run the same frontier fused
+  into one loop, :func:`explore_row`, which records ranks as it settles
+  and can resume after a row's unchanged prefix; the tie order decides
+  which boundary-tie nodes a truncated exploration records.
 * :func:`insertion_order_stream` — an
   :class:`~repro.traversal.int_heap.IntHeap` frontier that breaks ties by
   **first push** (a key keeps its insertion counter across decrease-key).
@@ -27,7 +29,8 @@ whichever equal-distance node settles first.  What differs is the order
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from array import array
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.errors import NodeNotFoundError
@@ -42,6 +45,7 @@ __all__ = [
     "compact_distance_between",
     "compact_rank_stream",
     "compact_exact_rank",
+    "explore_row",
     "insertion_order_stream",
 ]
 
@@ -96,6 +100,105 @@ def _settle_stream(
                 distances[neighbor] = candidate
                 predecessors[neighbor] = node
                 heappush(frontier, (candidate, neighbor))
+
+
+def explore_row(
+    csr, source_index: int, limit: int, prefix=None
+) -> Tuple[Dict[NodeId, int], array]:
+    """A hub's row: settle up to ``limit`` nodes around ``source_index``.
+
+    Returns ``(row, dists)``: ``row`` maps each settled node, the source
+    excluded, to ``Rank(source, node)`` in settle order, and ``dists``
+    holds their distances in the same order.  Ties settle by node index,
+    as in :func:`_settle_stream`, so a row cut by ``limit`` inside a tie
+    group always keeps the same members.
+
+    ``prefix`` is ``(row, dists)`` of the first entries of the row this
+    graph gives, and the exploration resumes after them (an empty or
+    ``None`` prefix explores from the source).  It needs positive
+    weights.  The prefix nodes are marked settled at their distances.
+    Only a prefix entry at distance ``d`` with ``d + max_weight >= last``
+    (the prefix's last distance) can reach a node outside the prefix,
+    which lies at ``last`` or beyond; those entries, and the source when
+    ``max_weight >= last``, are the *seeds*.  The seeds enter the
+    frontier at their distances and settle before any other node (with
+    positive weights an outside node at ``last`` has a higher index than
+    every prefix node there), relaxing their edges without being
+    recorded again.  The test is computed in floats exactly as written:
+    rounding is monotone, so it never drops an entry whose edge reaches
+    past the prefix.  The rank count carries on from the prefix's last
+    tie group.  The result equals exploring from the source.
+    """
+    offsets, base_endpoints, base_weights = csr.out_csr()
+    patched = csr.overlay_out
+    patched_get = patched.get if patched is not None else None
+    node_ids = csr.node_ids
+    distances = [_INF] * csr.num_nodes
+    settled = bytearray(csr.num_nodes)
+    distances[source_index] = 0.0
+    if prefix is not None and len(prefix[1]):
+        row = dict(prefix[0])
+        dists = array("d", prefix[1])
+        last = dists[-1]
+        reach = csr.max_weight
+        index_of = csr.index_of
+        frontier = []
+        if reach >= last:
+            frontier.append((0.0, source_index))
+        else:
+            settled[source_index] = 1
+        for node, distance in zip(row, dists):
+            index = index_of(node)
+            distances[index] = distance
+            if distance + reach >= last:
+                frontier.append((distance, index))
+            else:
+                settled[index] = 1
+        heapify(frontier)
+        seeds = len(frontier)
+        # The last tie group may continue past the prefix.
+        closer = next(reversed(row.values())) - 1
+        tie = len(row) - closer
+        previous = last
+    else:
+        row = {}
+        dists = array("d")
+        frontier = [(0.0, source_index)]
+        seeds = 1
+        closer = tie = 0
+        previous = -1.0
+    record = dists.append
+    while frontier and len(dists) < limit:
+        distance, node = heappop(frontier)
+        if settled[node]:
+            continue
+        settled[node] = 1
+        if seeds:
+            seeds -= 1
+        else:
+            if distance > previous:
+                closer += tie
+                tie = 0
+                previous = distance
+            row[node_ids[node]] = closer + 1
+            record(distance)
+            tie += 1
+        edges = patched_get(node) if patched_get is not None else None
+        if edges is None:
+            endpoints, weights = base_endpoints, base_weights
+            start, stop = offsets[node], offsets[node + 1]
+        else:
+            endpoints, weights = edges
+            start, stop = 0, len(endpoints)
+        for position in range(start, stop):
+            neighbor = endpoints[position]
+            if settled[neighbor]:
+                continue
+            candidate = distance + weights[position]
+            if candidate < distances[neighbor]:
+                distances[neighbor] = candidate
+                heappush(frontier, (candidate, neighbor))
+    return row, dists
 
 
 def insertion_order_stream(csr, source_index: int) -> Iterator[Tuple[int, float]]:

@@ -179,3 +179,55 @@ def index_signature(index):
     state = index.export_state()
     state.pop("graph_version")
     return state
+
+
+def edge_changes(before, after):
+    """The net edge changes from graph ``before`` to graph ``after``.
+
+    ``(u, v, weight before, weight after)``, ``None`` for an absent edge;
+    an undirected edge is listed both ways, as ``HubIndex.repair`` reads
+    it.
+    """
+    directed = after.directed
+
+    def weights(graph):
+        return {
+            (u, v) if directed else frozenset((u, v)): (u, v, w)
+            for u, v, w in graph.edges()
+        }
+
+    old, new = weights(before), weights(after)
+    changes = []
+    for key in old.keys() | new.keys():
+        u, v, _ = old.get(key) or new[key]
+        pair = [None if key not in side else side[key][2] for side in (old, new)]
+        if pair[0] != pair[1]:
+            changes.append((u, v, *pair))
+            if not directed:
+                changes.append((v, u, *pair))
+    return changes
+
+
+def distance_test_keeps(hub, row, dists, edges, limit):
+    """The distance test ``HubIndex.repair``'s disturbance bound replaced.
+
+    The hub is kept when it is no endpoint of ``edges`` and no change is
+    a tight removal, an improving insert or an insert landing within the
+    radius.  The bound must keep every hub this keeps.
+    """
+    radius = dists[-1] if len(dists) >= limit else float("inf")
+    for source, target, before, after in edges:
+        if hub in (source, target):
+            return False
+        if source not in row:
+            continue
+        reach = dists[row[source] - 1]
+        far = dists[row[target] - 1] if target in row else None
+        if before is not None and (after is None or after > before):
+            if far is not None and reach + before == far:
+                return False
+        if after is not None and (before is None or after < before):
+            landing = reach + after
+            if landing <= radius if far is None else landing < far:
+                return False
+    return True

@@ -45,7 +45,7 @@ from repro.core.validation import results_equivalent
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graph import GraphBuilder
 
-from conftest import index_signature
+from conftest import distance_test_keeps, edge_changes, index_signature
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -279,6 +279,8 @@ def test_incremental_equals_rebuild(seed):
             assert index_signature(engine.index) == index_signature(
                 rebuilt
             ), context
+            # A resumed row's distances feed the next repair's bound.
+            assert engine.index._dists == rebuilt._dists, context
 
             if learner is not None:
                 # repr, not pickle: equal values in equal dict orders.
@@ -338,14 +340,15 @@ def test_truncated_budget_repair_equals_rebuild(seed, ties):
 
     ``test_incremental_equals_rebuild`` builds without ``explore_limit``,
     so every hub row is shorter than the budget and the repair's
-    distance test only ever sees an infinite radius.  Here rows are cut,
-    often inside a tie group, so the radius is finite.  Tie-heavy graphs
-    get tie-heavy batches with zero-weight inserts (which turn the
-    distance test off); the others stay positive throughout.  Every
-    round the repaired index must equal a same-hub, same-budget build,
-    and each hub the distance test kept must hold the rebuild's row in
-    the same order.  A third of the seeds keep a live pool, which shards
-    the repairs; its replicas must digest equal to the master.
+    disturbance bound only ever meets an infinite radius.  Here rows are
+    cut, often inside a tie group, so the radius is finite.  Tie-heavy
+    graphs get tie-heavy batches with zero-weight inserts (which turn
+    the bound off); the others stay positive throughout.  Every round
+    the repaired index must equal a same-hub, same-budget build, stored
+    distances included, and each hub the bound kept must hold the
+    rebuild's row in the same order.  A third of the seeds keep a live
+    pool, which shards the repairs; its replicas must digest equal to
+    the master.
     """
     rng = random.Random(0x7B0D + seed)
     graph = _random_graph(rng, tie_heavy=ties)
@@ -366,12 +369,29 @@ def test_truncated_budget_repair_equals_rebuild(seed, ties):
                     queries, 2, algorithm="dynamic", workers=2,
                     worker_context="fork",
                 )
+            before = shadow.copy()
+            known = engine.index.export_state()["known"]
+            stored = dict(engine.index._dists)
             ops = _mutation_batch(
                 rng, shadow, fresh_ids, zero_weight=ties, ties=ties
             )
             report = engine.apply_updates(ops)
             if pooled and report.applied and not report.recompacted:
                 assert report.pool_synced, context
+            positive = all(
+                weight > 0
+                for graph in (before, shadow)
+                for _, _, weight in graph.edges()
+            )
+            if positive and report.index_repaired and not report.removed:
+                # The bound keeps every hub the distance test kept.
+                edges = edge_changes(before, shadow)
+                for hub in engine.index.last_repair[0]:
+                    row = known.get(hub, {})
+                    if hub in stored and len(row) == len(stored[hub]):
+                        assert not distance_test_keeps(
+                            hub, row, stored[hub], edges, limit
+                        ), (context, hub)
             rebuilt = HubIndex.build(
                 shadow, capacity=8, hubs=engine.index.hubs,
                 explore_limit=limit,
@@ -380,6 +400,7 @@ def test_truncated_budget_repair_equals_rebuild(seed, ties):
             assert index_signature(engine.index) == index_signature(
                 rebuilt
             ), context
+            assert engine.index._dists == rebuilt._dists, context
             mine = engine.index.export_state()["known"]
             fresh = rebuilt.export_state()["known"]
             for hub in engine.index.last_repair[1]:

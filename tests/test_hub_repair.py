@@ -1,25 +1,36 @@
-"""The distance test that lets ``HubIndex.repair`` keep a hub's row.
+"""The disturbance bound that lets ``HubIndex.repair`` reuse a hub's row.
 
-A hub whose settled set holds a touched endpoint is still kept, not
-re-explored, when its pre-batch distances prove the batch's net edge
-changes cannot move its row (see the ``repair`` docstring).  Each case
-below pins one clause of that test: it asserts which hubs the repair
-re-explored and kept, and that the repaired index equals a same-hub,
-same-budget rebuild.  Deleting the clause named in a case's docstring
-flips its outcome.
+A hub whose settled set holds a touched endpoint is kept, not
+re-explored, when its pre-batch distances put the first distance the
+batch's net edge changes can disturb beyond its row, and otherwise
+resumes its exploration after the entries closer than that bound (see
+the ``repair`` docstring).  Each case below pins one term or fallback:
+it asserts which hubs the repair re-explored and kept, or how many row
+entries it reused (``last_repair_settles``), and that the repaired
+index, stored distances included, equals a same-hub, same-budget
+rebuild.  Deleting the clause named in a case's docstring flips its
+outcome.  The kernel cases at the end pin ``explore_row``'s resume.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.graph import CompactGraph, Graph
+from repro.traversal.csr_ops import compact_rank_stream, explore_row
 
-from conftest import index_signature, road_lattice, road_traffic
+from conftest import (
+    distance_test_keeps,
+    edge_changes,
+    index_signature,
+    road_lattice,
+    road_traffic,
+)
 
 REEXPLORED = ((0,), ())
 KEPT = ((), (0,))
@@ -58,6 +69,7 @@ def _repair(engine, ops, explore_limit=None):
     engine.apply_updates(ops)
     rebuilt = _rebuilt(engine, explore_limit)
     assert index_signature(engine.index) == index_signature(rebuilt)
+    assert engine.index._dists == rebuilt._dists
     return engine.index.last_repair
 
 
@@ -127,8 +139,8 @@ def test_insert_just_past_the_radius_keeps_the_hub():
 
 
 def test_hub_as_endpoint_reexplores():
-    """Kills the endpoint clause: the hub has no entry in its own row,
-    so without the clause its improving edge would go unread."""
+    """Kills ``d(hub) = 0``: the hub has no entry in its own row, so
+    without it the hub's improving edge would go unread."""
     assert _repair(_truncated_path(), [("add_edge", 0, 4, 1.5)], 3) == (
         REEXPLORED
     )
@@ -185,6 +197,161 @@ def test_outgrown_learned_row_falls_back():
 
 
 # ----------------------------------------------------------------------
+# What a re-explored hub reuses, read through the settle counter
+# ----------------------------------------------------------------------
+#: A ring of 12 unit edges under a budget of 6: hub 0 settles 1 and 11
+#: at 1.0, 2 and 10 at 2.0, then 3 and 9 at 3.0, the radius.
+_RING = [(node, (node + 1) % 12, 1.0) for node in range(12)]
+
+
+def _ring(extra=(), nodes=range(12)):
+    return _indexed(_graph(_RING + list(extra), nodes=nodes), explore_limit=6)
+
+
+def _settles(engine, ops):
+    """Apply ``ops`` (the index must equal a rebuild); ``(reused, explored)``."""
+    _repair(engine, ops, 6)
+    return engine.index.last_repair_settles
+
+
+def test_tight_removal_deep_in_the_row_reuses_the_entries_before_its_head():
+    """Kills the tight-removal term (the hub would be kept) or reads it
+    at the edge's tail: cutting 2-3 moves 3 (3.0), so the four entries
+    before it stay and 9 and 8 are settled anew."""
+    engine = _ring()
+    assert _settles(engine, [("remove_edge", 2, 3)]) == (4, 2)
+    assert engine.index.last_repair == REEXPLORED
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[("add_edge", 1, 3, 0.5)], [("add_edge", 11, 6, 0.7)]],
+    ids=["improving", "reaching-past-the-row"],
+)
+def test_insert_reuses_the_entries_closer_than_its_landing(ops):
+    """Kills the insert term, or reads it at the head (3.0 or beyond):
+    the insert lands at 1.5 or 1.7, so only 1 and 11 stay."""
+    assert _settles(_ring(), ops) == (2, 4)
+
+
+def test_insert_from_the_hub_reuses_nothing():
+    """Kills ``d(hub) = 0``: the hub is no entry of its own row, so
+    without it the insert would go unread and the hub be kept."""
+    assert _settles(_ring(), [("add_edge", 0, 5, 0.5)]) == (0, 6)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[("add_edge", 0, 2, 2.0)], [("add_edge", 0, 4, 3.5)]],
+    ids=["as-long-as-its-path", "past-the-radius"],
+)
+def test_harmless_change_at_the_hub_keeps_the_hub(ops):
+    """An endpoint clause instead of ``d(hub) = 0`` would re-explore."""
+    engine = _ring()
+    assert _repair(engine, ops, 6) == KEPT
+    assert engine.index.last_repair_settles == (0, 0)
+
+
+def _zero_weight_elsewhere():
+    engine = _ring(extra=[(12, 13, 0.0)], nodes=range(14))
+    return engine, [("remove_edge", 2, 3)]
+
+
+def _node_removal():
+    return _ring(), [("remove_edge", 2, 3), ("remove_node", 6)]
+
+
+def _no_stored_distances():
+    engine = _ring()
+    engine.adopt_index(
+        HubIndex.from_state(engine.graph, engine.index.export_state())
+    )
+    return engine, [("remove_edge", 2, 3)]
+
+
+def _outgrown_row():
+    engine = _ring()
+    engine.index.record_rank(0, 8, 7)  # as an indexed refinement would
+    return engine, [("remove_edge", 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_zero_weight_elsewhere, _node_removal, _no_stored_distances, _outgrown_row],
+    ids=["zero-weight", "node-removal", "no-distances", "outgrown-row"],
+)
+def test_each_fallback_reuses_nothing(setup):
+    """The tight removal above reuses four entries; under each fallback
+    the hub is explored from scratch instead."""
+    engine, ops = setup()
+    assert _settles(engine, ops) == (0, 6)
+
+
+def test_conservative_repair_reuses_nothing():
+    engine = _ring()
+    engine.graph.remove_edge(2, 3)
+    engine.index.repair(
+        [2, 3], conservative=True, changes=[(2, 3, 1.0, None)]
+    )
+    assert engine.index.last_repair_settles == (0, 6)
+    rebuilt = _rebuilt(engine, 6)
+    assert index_signature(engine.index) == index_signature(rebuilt)
+    assert engine.index._dists == rebuilt._dists
+
+
+# ----------------------------------------------------------------------
+# The resume kernel
+# ----------------------------------------------------------------------
+def _row(csr, hub, limit):
+    """The reference row: the generator stream hub explorations used."""
+    row, dists = {}, array("d")
+    for node, distance, rank in compact_rank_stream(csr, hub):
+        row[node] = int(rank)
+        dists.append(distance)
+        if len(row) >= limit:
+            break
+    return row, dists
+
+
+def test_resume_seeds_the_earliest_entry_within_the_weight_bound():
+    """Kills ``>=`` (as ``>``) in the seed test.  The prefix ends inside
+    the tie group at 3.0; node 4 ties it, and its only settled
+    neighbour is 1, whose 1.0 plus the heaviest weight (2.0) is exactly
+    the prefix's last distance."""
+    graph = _graph(
+        [(0, 1, 1.0), (1, 4, 2.0), (0, 2, 1.5), (2, 3, 1.5)], nodes=range(5)
+    )
+    csr = CompactGraph.from_graph(graph)
+    row, dists = explore_row(csr, csr.index_of(0), 5)
+    assert list(row.items()) == [(1, 1), (2, 2), (3, 3), (4, 3)]
+    prefix = (dict(list(row.items())[:3]), dists[:3])
+    assert explore_row(csr, csr.index_of(0), 5, prefix) == (row, dists)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_resume_after_any_prefix_equals_a_full_exploration(seed):
+    """An empty prefix is a full exploration, which equals the reference
+    stream; resuming after each longer prefix of that row gives it too,
+    ties and truncated rows included."""
+    rng = random.Random(seed)
+    edges = [
+        (u, v, rng.choice([1.0, 2.0]) if seed % 2 else rng.uniform(0.5, 3.0))
+        for u in range(24)
+        for v in range(u + 1, 24)
+        if rng.random() < 0.15
+    ]
+    csr = CompactGraph.from_graph(_graph(edges, nodes=range(24)))
+    for hub, limit in ((0, 24), (5, 9), (11, 4)):
+        row, dists = _row(csr, hub, limit)
+        entries = list(row.items())
+        source = csr.index_of(hub)
+        assert explore_row(csr, source, limit) == (row, dists)
+        for cut in range(len(entries) + 1):
+            prefix = (dict(entries[:cut]), dists[:cut])
+            assert explore_row(csr, source, limit, prefix) == (row, dists), cut
+
+
+# ----------------------------------------------------------------------
 # The gain on road-like updates, and what it keeps
 # ----------------------------------------------------------------------
 def test_road_updates_keep_hubs_whose_rows_are_unchanged():
@@ -194,20 +361,34 @@ def test_road_updates_keep_hubs_whose_rows_are_unchanged():
     engine = ReverseKRanksEngine(graph)
     engine.build_index(num_hubs=6, explore_limit=48, capacity=8)
     closed = {}
-    kept_hubs = 0
+    kept_hubs = reused = explored = 0
     for _ in range(12):
+        known = engine.index.export_state()["known"]
+        stored = dict(engine.index._dists)
+        before = shadow.copy()
         engine.apply_updates(road_traffic(rng, shadow, closed))
+        edges = edge_changes(before, shadow)
         rebuilt = HubIndex.build(
             shadow, capacity=8, hubs=engine.index.hubs, explore_limit=48,
             backend=CompactGraph.from_graph(shadow),
         )
         assert index_signature(engine.index) == index_signature(rebuilt)
+        assert engine.index._dists == rebuilt._dists
         mine = engine.index.export_state()["known"]
         fresh = rebuilt.export_state()["known"]
-        _, kept = engine.index.last_repair
+        reexplored, kept = engine.index.last_repair
         for hub in kept:
             assert list(mine[hub].items()) == list(fresh[hub].items()), hub
+        for hub in reexplored:
+            assert not distance_test_keeps(
+                hub, known[hub], stored[hub], edges, 48
+            ), hub
         kept_hubs += len(kept)
+        reused += engine.index.last_repair_settles[0]
+        explored += engine.index.last_repair_settles[1]
     family = engine.registry.get("repro_index_repair_hubs_total")
     assert family.labels(outcome="kept").value == kept_hubs > 0
     assert family.labels(outcome="reexplored").value > 0
+    settled = engine.registry.get("repro_index_repair_settled_total")
+    assert settled.labels(outcome="reused").value == reused > 0
+    assert settled.labels(outcome="explored").value == explored > 0

@@ -214,6 +214,50 @@ class TestOverlayGraph:
         with pytest.raises(GraphValidationError):
             pickle.dumps(overlay)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_batch_overlay_equals_one_over_the_cumulative_sets(self, directed):
+        """``apply_updates`` re-extracts only the batch's touched and
+        appended rows and takes every other row, the same object, from
+        the previous overlay; the result equals an overlay built from
+        scratch over everything touched and appended since the base."""
+        rng = random.Random(17)
+        graph = _gnp_graph(400, 0.012, seed=17, directed=directed)
+        engine = ReverseKRanksEngine(graph)
+        base = engine.compact_graph()
+        touched, appended = set(), []
+        for round_number in range(12):
+            edges = sorted(graph.edges(), key=repr)
+            source, target, weight = rng.choice(edges)
+            ops = [
+                ("remove_edge", *rng.choice(edges)[:2]),
+                ("add_edge", source, target, round(weight * 0.5, 2)),
+                ("add_edge", rng.randrange(400), f"new-{round_number}", 1.5),
+            ]
+            if round_number % 3 == 0:
+                ops.append(("add_node", f"lone-{round_number}"))
+            previous = engine.compact_graph()
+            report = engine.apply_updates(ops)
+            assert not report.recompacted
+            touched.update(report.touched)
+            appended += report.appended
+            overlay = engine.compact_graph()
+            fresh = OverlayGraph.from_base(graph, base, touched, appended)
+            assert overlay.overlay_out == fresh.overlay_out
+            assert overlay.overlay_in == fresh.overlay_in
+            assert overlay.appended_nodes == fresh.appended_nodes
+            assert overlay.content_digest() == fresh.content_digest()
+            if previous is not base:
+                batch = {overlay.index_of(node) for node in report.touched}
+                for index, row in previous.overlay_out.items():
+                    if index not in batch:
+                        assert overlay.overlay_out[index] is row
+
+    def test_previous_overlay_must_share_the_base(self):
+        graph, _, overlay = self._overlaid()
+        other = CompactGraph.from_graph(graph)
+        with pytest.raises(GraphValidationError, match="different base"):
+            OverlayGraph.from_base(graph, other, (), previous=overlay)
+
     def test_node_removal_requires_recompaction(self):
         graph = _mutable_gnp(seed=4, num_nodes=12)
         base = CompactGraph.from_graph(graph)
@@ -546,6 +590,7 @@ class TestIndexRepair:
             hubs=engine.index.hubs,
             backend=reference.compact_graph(),
         )
+        assert engine.index._dists == rebuilt._dists
         reference.adopt_index(rebuilt)
         queries = sample_queries(shadow, 4)
         got = engine.query_many(queries, 3, algorithm="indexed")

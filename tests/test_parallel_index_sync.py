@@ -378,7 +378,7 @@ class TestDeltaSync:
 
 def _lattice_engine(graph, **build):
     """A 16x16 road lattice's engine: rows under a budget of 48 settle
-    well inside the lattice, so the distance test keeps hubs, and a few
+    well inside the lattice, so the repair's bound keeps hubs, and a few
     rounds of traffic stay under the recompaction rule (64 nodes)."""
     engine = ReverseKRanksEngine(graph)
     engine.build_index(num_hubs=6, explore_limit=48, capacity=8, **build)
@@ -392,8 +392,9 @@ class TestExactReplicas:
     def test_pool_built_index_repairs_like_a_sequential_build(self):
         """A pool-built index stores the distances a sequential build does.
 
-        So a repair keeps the same hubs: over six rounds of road
-        traffic, the repair outcome and the exported state equal a
+        So a repair keeps the same hubs and reuses the same prefixes:
+        over six rounds of road traffic, the repair outcome, the settle
+        counts, the stored distances and the exported state equal a
         pool-less twin's every round.
         """
         rng = random.Random(5)
@@ -402,7 +403,7 @@ class TestExactReplicas:
         shadow = graph.copy()
         engine = _lattice_engine(graph, workers=2, worker_context=FAST_CONTEXT)
         closed = {}
-        kept = 0
+        kept = reused = 0
         with engine:
             assert engine._pool is not None
             assert engine.index._dists == twin.index._dists
@@ -414,11 +415,66 @@ class TestExactReplicas:
                 assert engine.apply_updates(ops).pool_synced
                 twin.apply_updates(ops)
                 assert engine.index.last_repair == twin.index.last_repair
+                assert (
+                    engine.index.last_repair_settles
+                    == twin.index.last_repair_settles
+                )
+                assert engine.index._dists == twin.index._dists
                 assert pickle.dumps(engine.export_state()) == pickle.dumps(
                     twin.export_state()
                 )
                 kept += len(twin.index.last_repair[1])
-        assert kept > 0
+                reused += twin.index.last_repair_settles[0]
+        assert kept > 0 and reused > 0
+
+    def test_sharded_build_ships_no_snapshot_of_the_index_it_replaces(self):
+        """A sharded build explores on throwaway indexes, so it does not
+        sync the replicas to the index it replaces first — a second
+        build, or one after ``adopt_index``.  The next indexed batch
+        ships the new index, once, and answers as a sequential twin."""
+        rng = random.Random(7)
+        graph = road_lattice(12, rng)
+        twin = ReverseKRanksEngine(graph.copy())
+        engine = ReverseKRanksEngine(graph)
+        queries = sample_queries(graph, 8)
+
+        def snapshots():
+            family = engine.registry.get("repro_pool_index_syncs_total")
+            return family.labels(kind="snapshot").value
+
+        def build(each, **pool):
+            each.build_index(num_hubs=6, explore_limit=48, capacity=8, **pool)
+
+        def batch():
+            got = engine.query_many(
+                queries, 4, algorithm="indexed", workers=2,
+                worker_context=FAST_CONTEXT,
+            )
+            want = twin.query_many(queries, 4, algorithm="indexed")
+            for mine, theirs in zip(got, want):
+                assert results_equivalent(theirs, mine)
+                assert mine.rank_values() == theirs.rank_values()
+
+        def adopt_copy(each):
+            each.adopt_index(
+                HubIndex.from_state(each.graph, each.index.export_state())
+            )
+
+        with engine:
+            build(engine, workers=2, worker_context=FAST_CONTEXT)
+            build(twin)
+            for replace in (lambda each: None, adopt_copy):
+                count = snapshots()
+                for each in (engine, twin):
+                    replace(each)
+                build(engine, workers=2, worker_context=FAST_CONTEXT)
+                build(twin)
+                assert snapshots() == count
+                batch()
+                assert snapshots() == count + 1
+                assert engine._pool.replica_digests() == [
+                    _master_digests(engine)
+                ] * 2
 
     def test_replicas_equal_master_after_every_step(self):
         """``query()``, 1- and 8-query indexed batches and updates, interleaved.

@@ -316,7 +316,7 @@ class TestPoolTransport:
         assert _repro_segments() == before
 
     def test_explore_hubs_returns_rows_in_hub_order(self, random_gnp):
-        """Uneven contiguous chunks (3 + 2 hubs), explored on throwaway
+        """Uneven contiguous chunks (2 + 3 hubs), explored on throwaway
         indexes: the replicas learn nothing, and installing the rows
         gives the sequential build, stored distances included."""
         csr = CompactGraph.from_graph(random_gnp)
