@@ -153,10 +153,14 @@ def run_update_crash_phase(seed, summary, problems):
     after the recovery) must equal a same-hub rebuild and answer indexed
     queries as the rebuild does, and its stored distances must equal the
     rebuild's (``dist_mismatches``): after the crash the master resumes
-    the hubs itself from the prefixes it computed.  Finally the master
+    the hubs itself from the prefixes it computed.  Then the master
     learns on its own (one indexed ``query()``) and on the pool (one
-    indexed batch), and every worker's replica must still equal the
-    master.
+    indexed batch), and a third update lands on the learned index.
+    After every in-place update, and after the learning, every worker's
+    replica must equal the master (``replica_mismatches``;
+    ``replica_checked_updates`` counts the updates checked), so the
+    phase fails at the update whose overlay delta or row trims broke a
+    replica.
     """
     workload = parse_fixture("gnp:60:13")
     graph = workload.graph
@@ -168,6 +172,7 @@ def run_update_crash_phase(seed, summary, problems):
     phase = {
         "mismatches": 0, "index_mismatches": 0, "dist_mismatches": 0,
         "degrades": 0, "in_place_syncs": 0, "replica_mismatches": 0,
+        "replica_checked_updates": 0,
     }
 
     def signature(index):
@@ -201,6 +206,34 @@ def run_update_crash_phase(seed, summary, problems):
             if want.as_pairs() != got.as_pairs():
                 phase["mismatches"] += 1
 
+    def check_replicas(after):
+        master = (
+            engine.compact_graph().content_digest(),
+            engine.index.content_digest(),
+        )
+        differing = sum(
+            digests != master for digests in engine._pool.replica_digests()
+        )
+        if differing:
+            phase["replica_mismatches"] += differing
+            problems.append(
+                f"update_crash: {differing} worker replicas differed from "
+                f"the master after {after}"
+            )
+
+    def update_in_place(ops, label):
+        report = engine.apply_updates(ops)
+        for op in ops:
+            getattr(shadow, op[0])(*op[1:])
+        if not report.pool_synced:
+            problems.append(
+                f"update_crash: {label} did not sync the live pool in place"
+            )
+            return
+        phase["in_place_syncs"] += 1
+        phase["replica_checked_updates"] += 1
+        check_replicas(label)
+
     try:
         with engine:
             # Armed before the pool forks: task 1 per worker is the warm
@@ -231,17 +264,10 @@ def run_update_crash_phase(seed, summary, problems):
                 queries, 6, algorithm="dynamic",
                 workers=2, worker_context="fork",
             )
-            report = engine.apply_updates(
-                [("add_edge", edges[1][0], edges[2][1], 0.7)]
+            update_in_place(
+                [("add_edge", edges[1][0], edges[2][1], 0.7)],
+                "the post-recovery update",
             )
-            shadow.add_edge(edges[1][0], edges[2][1], 0.7)
-            if not report.pool_synced:
-                problems.append(
-                    "update_crash: post-recovery update did not sync the "
-                    "live pool in place"
-                )
-            else:
-                phase["in_place_syncs"] += 1
             verify()
 
             # The master's own learning reaches the replicas as a delta.
@@ -250,13 +276,13 @@ def run_update_crash_phase(seed, summary, problems):
                 queries, 6, algorithm="indexed",
                 workers=2, worker_context="fork",
             )
-            master = (
-                engine.compact_graph().content_digest(),
-                engine.index.content_digest(),
-            )
-            phase["replica_mismatches"] = sum(
-                digests != master
-                for digests in engine._pool.replica_digests()
+            check_replicas("the indexed query and batch")
+            update_in_place(
+                [
+                    ("remove_edge", edges[3][0], edges[3][1]),
+                    ("add_edge", edges[4][0], edges[5][1], 0.9),
+                ],
+                "the update after the learning",
             )
     finally:
         faults.clear()
@@ -275,11 +301,6 @@ def run_update_crash_phase(seed, summary, problems):
             "update_crash: the repaired index's stored distances differed "
             f"from a same-hub rebuild's after {phase['dist_mismatches']} of "
             "2 updates"
-        )
-    if phase["replica_mismatches"]:
-        problems.append(
-            f"update_crash: {phase['replica_mismatches']} worker replicas "
-            "differed from the master index"
         )
     summary["phases"]["update_crash"] = phase
 

@@ -605,14 +605,15 @@ class ReverseKRanksEngine:
           prove the batch's net edge changes harmless are re-explored;
           the resulting :class:`~repro.core.hub_index.HubIndexDelta` is
           returned on the report for journaling;
-        * a live worker pool receives the new side-table over its
-          broadcast channel — the workers rebuild their overlay over the
-          base they already hold, no teardown, no process churn.  While
-          the workers' index replicas mirror the master index, the same
-          round trip shards the repair: each worker applies the master's
-          drops and re-explores a contiguous chunk of the affected hubs,
-          and the master installs the chunks in hub order (bit-identical
-          to repairing alone).  Otherwise (the index was replaced, or a
+        * a live worker pool receives the batch's overlay rows over its
+          broadcast channel — each worker builds its next overlay from
+          its current one over the base it already holds, no teardown,
+          no process churn.  While the workers' index replicas mirror
+          the master index, the same round trip shards the repair: each
+          worker applies the master's drops and trims and re-explores a
+          contiguous chunk of the affected hubs, and the master installs
+          the returned rows and tails in hub order (bit-identical to
+          repairing alone).  Otherwise (the index was replaced, or a
           batch raised) the master repairs alone and ships a snapshot.
           A worker that crashes or raises mid-sync costs the pool
           (dropped, rebuilt lazily; ``pool_synced=False``), never the
@@ -852,8 +853,7 @@ class ReverseKRanksEngine:
             def explore_on_pool(drops, hubs, limit, prefixes):
                 try:
                     rows = pool.update_graph(
-                        csr, csr.overlay_state(),
-                        repair=(drops, hubs, limit, prefixes),
+                        csr, repair=(drops, hubs, limit, prefixes)
                     )
                 except ParallelExecutionError:
                     return []  # the master explores every hub itself
@@ -887,7 +887,7 @@ class ReverseKRanksEngine:
             # Snapshot sync: the repaired master index (if any) replaces
             # the workers' replicas.
             try:
-                pool.update_graph(csr, csr.overlay_state(), index=self._index)
+                pool.update_graph(csr, index=self._index)
             except ParallelExecutionError:
                 pass
             else:

@@ -41,7 +41,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
@@ -109,13 +109,17 @@ class HubIndexDelta:
     **Repair deltas** (:meth:`HubIndex.repair`) additionally carry
     ``removed_sources`` — sources whose entries an incremental graph
     update invalidated, dropped *before* the re-learned ``ranks`` are
-    applied — and ``repaired_to_version``, the graph version the repair
-    advances the index to.  ``graph_version`` then names the
-    *pre*-repair version the receiving index must be at; after applying,
-    its version is ``repaired_to_version``.  Both fields default to
-    empty/``None``, so plain learning deltas (and deltas unpickled from
-    journals written before repairs existed, which lack the attributes
-    entirely) behave exactly as before.
+    applied — ``trimmed``, which maps each hub whose row the repair
+    resumed to the length of the unchanged prefix it keeps (trimmed in
+    place, with the drops; the hub's ``ranks`` and ``explorations`` then
+    hold only the tail its resumed exploration appended) — and
+    ``repaired_to_version``, the graph version the repair advances the
+    index to.  ``graph_version`` then names the *pre*-repair version the
+    receiving index must be at; after applying, its version is
+    ``repaired_to_version``.  These fields default to empty/``None``, so
+    plain learning deltas (and deltas unpickled from journals written
+    before repairs or trims existed, which lack the attributes entirely)
+    behave exactly as before.
     """
 
     graph_version: Optional[int] = None
@@ -123,6 +127,7 @@ class HubIndexDelta:
     explorations: Dict[NodeId, int] = field(default_factory=dict)
     removed_sources: Tuple[NodeId, ...] = ()
     repaired_to_version: Optional[int] = None
+    trimmed: Dict[NodeId, int] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.ranks or self.explorations or self.removed_sources)
@@ -302,25 +307,33 @@ class HubIndex:
     def explore_hubs(
         self, hubs, limit: int, search_graph=None, prefixes=None
     ) -> List[Tuple[NodeId, Dict[NodeId, int], array]]:
-        """Settle up to ``limit`` nodes around each hub, in order, recording them.
+        """Settle up to ``limit`` nodes around each hub, in order.
 
-        Returns the ``(hub, row, dists)`` triples recorded — ``row`` maps
-        each settled node to its exact rank, in settling order, and
-        ``dists`` holds their distances in the same order — so a pool
-        worker can ship its share of a build or repair to the parent,
-        which installs them with :meth:`merge_rows`.  ``search_graph``
+        Returns ``(hub, row, dists)`` triples — ``row`` maps each settled
+        node to its exact rank, in settling order, and ``dists`` holds
+        their distances in the same order — without recording them:
+        :meth:`merge_rows` installs them, here or, for a pool worker's
+        share of a build or repair, in the parent.  ``search_graph``
         (default: a compilation of the index's own graph) is what the
-        explorations run on.  ``prefixes`` maps a hub to the ``(row,
-        dists)`` prefix of its row that a repair proved unchanged; its
-        exploration resumes after it
-        (:func:`~repro.traversal.csr_ops.explore_row`).
+        explorations run on.  ``prefixes`` maps a hub whose row a repair
+        trimmed to the distances of the entries it kept; its exploration
+        resumes after the row the index holds for it
+        (:func:`~repro.traversal.csr_ops.explore_row`), and its triple
+        holds only the tail.
         """
         search_graph = as_compact(self._graph, search_graph)
         prefixes = prefixes or {}
-        return [
-            (hub, *self._explore_hub(hub, limit, search_graph, prefixes.get(hub)))
-            for hub in hubs
-        ]
+        rows = []
+        for hub in hubs:
+            prefix = prefixes.get(hub)
+            if prefix is not None:
+                prefix = (self._known[hub], prefix)
+            rows.append(
+                (hub, *explore_row(
+                    search_graph, search_graph.index_of(hub), limit, prefix
+                ))
+            )
+        return rows
 
     def _explore_in_order(
         self, hubs, limit: int, search_graph, explore, prefixes=None
@@ -337,37 +350,35 @@ class HubIndex:
         """
         rows = explore(hubs, limit) if explore is not None else []
         self.merge_rows(rows)
-        prefixes = prefixes or {}
+        # One hub at a time: a build holds one row besides the index.
         for hub in hubs[len(rows):]:
-            self._explore_hub(hub, limit, search_graph, prefixes.get(hub))
-
-    def _explore_hub(
-        self, hub: NodeId, limit: int, search_graph, prefix=None
-    ) -> Tuple[Dict[NodeId, int], array]:
-        """Settle up to ``limit`` nodes around ``hub`` on the compilation
-        ``search_graph``, after ``prefix`` if given; record the row and its
-        distances, return both."""
-        row, dists = explore_row(
-            search_graph, search_graph.index_of(hub), limit, prefix
-        )
-        self.merge_rows([(hub, row, dists)])
-        return row, dists
+            self.merge_rows(
+                self.explore_hubs([hub], limit, search_graph, prefixes)
+            )
 
     def merge_rows(self, rows) -> None:
-        """Record ``(hub, row, dists)`` explorations, one whole row per hub.
+        """Record ``(hub, row, dists)`` explorations, in order.
 
+        ``row`` continues what the index holds from ``hub``: a whole row
+        (a new hub, or one a repair dropped) or the tail a resumed
+        exploration settled after the prefix a repair trimmed the row to.
         Equivalent — values, dict insertion orders and :attr:`revision`
         — to the :meth:`record_rank` / :meth:`record_exploration` calls
         that exploring the hubs here, in the same order, would make.  The
         rows must describe this index's graph version; nothing checks it.
-        ``dists`` (the row's distances in settle order, or ``None``) is
-        kept for :meth:`repair`'s disturbance bound.
+        ``dists`` (the row's distances in settle order, or ``None``)
+        extends the hub's stored distances, kept for :meth:`repair`'s
+        disturbance bound.
         """
         for hub, row, dists in rows:
             self._record_row(hub, row)
             self.record_exploration(hub, len(row))
             if dists is not None:
-                self._dists[hub] = dists
+                stored = self._dists.get(hub)
+                if stored is None:
+                    self._dists[hub] = dists
+                else:
+                    stored.extend(dists)
 
     # ------------------------------------------------------------------
     # Persistence (stdlib-only; lets servers restart warm)
@@ -716,7 +727,9 @@ class HubIndex:
             When this index is stale for its graph, when ``delta`` is not
             a :class:`HubIndexDelta`, or when the delta was captured at a
             different graph mutation version than this index was built
-            for (its entries would describe a different adjacency).
+            for (its entries would describe a different adjacency), or
+            when a repair delta trims a row to more entries than this
+            index holds for it (then nothing changes).
         """
         if not isinstance(delta, HubIndexDelta):
             raise IndexParameterError(
@@ -753,7 +766,9 @@ class HubIndex:
         several mutations ahead of the delta being replayed — the
         version-chaining check below is the guard that matters, because a
         contiguous chain of repair deltas walks the index version forward
-        step by step to wherever the graph ended up.
+        step by step to wherever the graph ended up.  The delta's drops
+        and trims apply before its ranks, which append each trimmed row's
+        tail; every trim is checked against the row it cuts first.
         """
         if (
             delta.graph_version is not None
@@ -766,8 +781,19 @@ class HubIndex:
                 f"index is at version {self._graph_version}; replay the "
                 "intermediate deltas first"
             )
+        # ``getattr``: deltas pickled before trims existed lack the field.
+        trimmed = getattr(delta, "trimmed", None) or {}
+        for source, kept in trimmed.items():
+            held = len(self._known.get(source, ()))
+            if not 0 < kept <= held:
+                raise IndexParameterError(
+                    f"cannot trim the row of {source!r} to {kept} entries: "
+                    f"this index holds {held}; the replica is out of step"
+                )
         for source in getattr(delta, "removed_sources", ()):
             self._drop_source(source)
+        for source, kept in trimmed.items():
+            self._trim_source(source, kept)
         self._graph_version = repaired_to
         self._record_delta(delta)
         return len(delta.ranks)
@@ -814,6 +840,37 @@ class HubIndex:
         self._check.pop(source, None)
         self._explored.pop(source, None)
         self._dists.pop(source, None)
+        self._revision += 1
+
+    def _trim_source(self, source: NodeId, kept: int) -> None:
+        """Keep only the first ``kept`` (at least one) entries recorded
+        from ``source``.
+
+        The row, the back-references of its kept entries and its stored
+        distances stay where they are; the rest go.  Its Check
+        Dictionary value becomes the rank of its last kept entry and its
+        explored count ``kept`` — what recording the kept entries alone
+        gives — so appending the tail a resumed exploration settles
+        (:meth:`merge_rows`) leaves the index as dropping the row and
+        recording the whole new one would.
+        """
+        targets = self._known[source]
+        capacity = self._capacity
+        reverse = self._reverse
+        # Dicts pop in reverse insertion order: the tail, never the prefix.
+        for _ in range(len(targets) - kept):
+            target, rank = targets.popitem()
+            if rank <= capacity:
+                back = reverse.get(target)
+                if back is not None:
+                    back.pop(source, None)
+                    if not back:
+                        del reverse[target]
+        self._check[source] = next(reversed(targets.values()))
+        self._explored[source] = kept
+        dists = self._dists.get(source)
+        if dists is not None:
+            del dists[kept:]
         self._revision += 1
 
     def repair(
@@ -909,10 +966,11 @@ class HubIndex:
         order, and every other node lies at ``D`` or beyond.  Every term
         reads pre-batch distances, so the terms compose across the batch.
         The hub is kept when ``D`` is ``+inf`` or exceeds ``R``: its whole
-        row, cut included, stays.  Otherwise it resumes after the entries
-        closer than ``D`` (:func:`~repro.traversal.csr_ops.explore_row`);
-        the first resumed node starts a new tie group with rank
-        ``len(prefix) + 1``.
+        row, cut included, stays.  Otherwise its row is trimmed in place
+        to the entries closer than ``D`` and its exploration resumes after
+        them (:func:`~repro.traversal.csr_ops.explore_row`), appending
+        only the tail; the first resumed node starts a new tie group with
+        rank ``len(prefix) + 1``.
 
         The argument needs positive weights everywhere, not only on the
         changed edges: across a zero-weight edge a tie-group member is
@@ -926,12 +984,12 @@ class HubIndex:
         learned row outgrew its explored row.  Learned non-hub sources
         keep the membership test.
 
-        Affected sources are dropped entirely (learned, non-hub sources
-        are *not* re-explored — exactly the entries a from-scratch rebuild
-        would not have either, so repaired answers match a rebuild's);
-        affected hubs are re-explored in hub order at the stored
-        ``explore_limit``.  ``removed_nodes`` are pruned from the hub list
-        instead of re-explored.  :attr:`last_repair` names the hubs
+        Affected sources other than resumed hubs are dropped entirely
+        (learned, non-hub sources are *not* re-explored — exactly the
+        entries a from-scratch rebuild would not have either, so repaired
+        answers match a rebuild's); affected hubs are re-explored in hub
+        order at the stored ``explore_limit``.  ``removed_nodes`` are
+        pruned from the hub list instead of re-explored.  :attr:`last_repair` names the hubs
         re-explored and kept, :attr:`last_repair_settles` counts the row
         entries reused from prefixes and the nodes settled anew.
 
@@ -956,16 +1014,17 @@ class HubIndex:
             mutated graph (see
             :meth:`~repro.parallel.pool.WorkerPool.update_graph`).
             ``drops`` is the repair delta before any re-exploration
-            (``removed_sources`` and the two versions), ``hubs`` the
-            affected hubs in hub order, ``limit`` the exploration budget
-            and ``prefixes`` maps a hub to the ``(row, dists)`` prefix
-            its exploration resumes after (hubs without one start from
-            scratch).  Like :meth:`build`'s hook, it returns the ``(hub,
-            row, dists)`` triples of :meth:`explore_hubs` for a prefix of
-            ``hubs`` (all of them, or none when the pool failed); they
-            are installed in order and the index explores the rest
-            itself, from the same prefixes, so the result is
-            bit-identical to a repair without the hook.
+            (``removed_sources``, ``trimmed`` and the two versions),
+            ``hubs`` the affected hubs in hub order, ``limit`` the
+            exploration budget and ``prefixes`` maps each resumed hub to
+            a copy of the distances of the prefix ``drops`` trims its row
+            to (hubs without one start from scratch).  Like
+            :meth:`build`'s hook, it returns the ``(hub, row, dists)``
+            triples of :meth:`explore_hubs` for a prefix of ``hubs`` (all
+            of them, or none when the pool failed): whole rows, and only
+            the tails of resumed hubs.  They are installed in order and
+            the index explores the rest itself, from the same prefixes,
+            so the result is bit-identical to a repair without the hook.
         changes:
             The batch's net edge changes, ``(source, target, before,
             after)`` with the pre- and post-batch weights (``None`` for
@@ -975,8 +1034,8 @@ class HubIndex:
         Returns
         -------
         HubIndexDelta
-            A repair delta (``removed_sources`` + re-learned ranks,
-            ``graph_version`` = pre-repair version,
+            A repair delta (``removed_sources`` and ``trimmed`` +
+            re-learned ranks, ``graph_version`` = pre-repair version,
             ``repaired_to_version`` = the graph's current version) that
             :meth:`merge_delta` applies to replicas still at the
             pre-repair version.
@@ -1044,33 +1103,41 @@ class HubIndex:
             else self._explore_limit
         )
         kept = set()
-        prefixes = {}
+        cuts = {}
         if changes is not None and not conservative and not removed_set:
             # Before the drops below discard the rows.
-            kept, prefixes = self._resume_points(
+            kept, cuts = self._resume_points(
                 affected, changes, search_graph, limit
             )
-            affected = [source for source in affected if source not in kept]
+        removed = []
         for source in affected:
-            self._drop_source(source)
+            if source in cuts:
+                self._trim_source(source, cuts[source])
+            elif source not in kept:
+                self._drop_source(source)
+                removed.append(source)
         if removed_set:
             self._hubs = [hub for hub in self._hubs if hub not in removed_set]
         self._graph_version = new_version
         delta = HubIndexDelta(
             graph_version=old_version,
-            removed_sources=tuple(affected),
+            removed_sources=tuple(removed),
             repaired_to_version=new_version,
+            trimmed=cuts,
         )
         hubs = [hub for hub in self._hubs if hub in seen and hub not in kept]
         self._last_repair = (
             tuple(hubs), tuple(hub for hub in self._hubs if hub in kept)
         )
+        prefixes = {hub: self._dists[hub] for hub in cuts}
         if explore is not None:
-            # The hook gets its own copy: ``delta`` fills up below.
+            # The hook gets its own copy: ``delta`` fills up below.  So do
+            # the prefixes: the rows installed below extend these arrays,
+            # and a pool queue pickles them after ``put`` returns.
             explore = partial(
                 explore,
                 replace(delta, ranks={}, explorations={}),
-                prefixes=prefixes,
+                prefixes={hub: dists[:] for hub, dists in prefixes.items()},
             )
         # Route the re-explorations through the delta so replicas receive
         # exactly what the master re-learned.
@@ -1081,14 +1148,15 @@ class HubIndex:
             )
         finally:
             self._learning_log = None
-        reused = sum(len(prefixes[hub][1]) for hub in hubs if hub in prefixes)
-        self._last_settles = (reused, sum(delta.explorations.values()) - reused)
+        self._last_settles = (
+            sum(cuts.values()), sum(delta.explorations.values())
+        )
         return delta
 
     def _resume_points(self, affected, changes, search_graph, limit: int):
-        """``(kept hubs, prefixes)``: the hubs among ``affected`` whose bound
-        lies beyond their row, and the unchanged prefix of each other one
-        (hubs whose prefix is empty have no entry)."""
+        """``(kept hubs, cuts)``: the hubs among ``affected`` whose bound
+        lies beyond their row, and the length of the unchanged prefix of
+        each other one (hubs whose prefix is empty have no entry)."""
         dists = self._dists
         candidates = [
             hub
@@ -1102,21 +1170,20 @@ class HubIndex:
         if not self._graph.directed:
             edges += [(v, u, before, after) for u, v, before, after in changes]
         kept = set()
-        prefixes = {}
+        cuts = {}
         for hub in candidates:
-            row = self._known.get(hub, {})
             hub_dists = dists[hub]
-            bound = self._disturbance(hub, row, hub_dists, edges)
+            bound = self._disturbance(
+                hub, self._known.get(hub, {}), hub_dists, edges
+            )
             radius = hub_dists[-1] if len(hub_dists) >= limit else _INF
             if bound == _INF or bound > radius:
                 kept.add(hub)
                 continue
             cut = bisect_left(hub_dists, bound)
             if cut:
-                prefixes[hub] = (
-                    dict(islice(row.items(), cut)), hub_dists[:cut]
-                )
-        return kept, prefixes
+                cuts[hub] = cut
+        return kept, cuts
 
     @staticmethod
     def _disturbance(hub: NodeId, row, dists, edges) -> float:
@@ -1175,8 +1242,9 @@ class HubIndex:
 
         Incremented once per recorded rank entry and per exploration
         (including those replayed by :meth:`merge_delta` and
-        :meth:`merge_rows`) and once per source a repair drops, so an
-        unchanged value means nothing was learned or dropped.  The query
+        :meth:`merge_rows`) and once per source a repair drops or trims,
+        so an unchanged value means nothing was learned, dropped or
+        trimmed.  The query
         server's ``info`` op reports it.  The counter is local to the
         object: it is *not* serialised by :meth:`export_state`/:meth:`save`
         (a freshly loaded or rebuilt index starts at whatever its

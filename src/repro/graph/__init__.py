@@ -9,7 +9,7 @@ The paper's algorithms only ever touch a graph through three operations:
 
 :class:`~repro.graph.graph.Graph` provides exactly that with adjacency-list
 storage, and the rest of this subpackage supplies construction helpers,
-serialisation, validation, statistics and bichromatic partitions.
+serialisation, validation and bichromatic partitions.
 """
 
 from repro.graph.graph import Graph
@@ -24,7 +24,6 @@ from repro.graph.shm import (
 )
 from repro.graph.partition import BichromaticPartition
 from repro.graph.validation import validate_graph
-from repro.graph.statistics import GraphStatistics, compute_statistics
 
 __all__ = [
     "Graph",
@@ -37,6 +36,4 @@ __all__ = [
     "attach_compact_graph",
     "BichromaticPartition",
     "validate_graph",
-    "GraphStatistics",
-    "compute_statistics",
 ]

@@ -46,8 +46,10 @@ Contract
   *removals* cannot be represented (they renumber every index) and force
   recompaction upstream.
 * Overlays refuse :mod:`pickle` and shared-memory publication: workers
-  hold the same frozen base (mapped or pickled once) and receive just the
-  side-table via :meth:`overlay_state` / :meth:`from_state` over the
+  hold the same frozen base (mapped or pickled once).  A worker that
+  starts receives the whole side-table (:meth:`overlay_state` /
+  :meth:`from_state`); after that each update ships only the rows it
+  re-extracted (:meth:`overlay_delta` / :meth:`from_delta`) over the
   pool's broadcast channel.
 """
 
@@ -67,6 +69,8 @@ __all__ = ["OverlayGraph"]
 #: bumped when the payload layout changes so a worker can never misapply
 #: a side-table written by an incompatible build.
 _OVERLAY_FORMAT = "repro-overlay/1"
+#: The same for :meth:`OverlayGraph.overlay_delta`.
+_DELTA_FORMAT = "repro-overlay-delta/1"
 
 
 def _extract_row(
@@ -251,6 +255,116 @@ class OverlayGraph(CompactGraph):
                 None if self.overlay_in is self.overlay_out else self.overlay_in
             ),
         }
+
+    def overlay_delta(self, shipped: CompactGraph) -> Dict[str, object]:
+        """What a holder of ``shipped`` lacks to mirror this overlay.
+
+        ``shipped`` is this overlay's base or an earlier overlay of it:
+        the graph a pool last shipped to its workers.  Rows never leave
+        an overlay while its base stands, and :meth:`from_base` with
+        ``previous=`` takes every row a batch did not touch from the
+        previous overlay as the same object; so the rows that are not
+        ``shipped``'s own objects are the ones re-extracted since.  The
+        delta holds those rows, the nodes appended since, and the
+        version it applies on; :meth:`from_delta` rebuilds this overlay
+        from it.  A row extracted twice with equal contents only makes
+        the delta larger, never wrong.
+        """
+        if shipped.is_overlay:
+            base = shipped.base
+            shipped_out, shipped_in = shipped.overlay_out, shipped.overlay_in
+            appended_before = len(shipped.appended_nodes)
+        else:
+            base = shipped
+            shipped_out = shipped_in = {}
+            appended_before = 0
+        if base.content_digest() != self._base.content_digest():
+            raise GraphValidationError(
+                "cannot cut an overlay delta against a graph over a "
+                "different base compilation"
+            )
+
+        def fresh(rows, held):
+            return {
+                index: row
+                for index, row in rows.items()
+                if held.get(index) is not row
+            }
+
+        return {
+            "format": _DELTA_FORMAT,
+            "on_version": shipped.source_version,
+            "version": self.source_version,
+            "num_edges": self.num_edges,
+            "appended": self._appended[appended_before:],
+            "out_rows": fresh(self.overlay_out, shipped_out),
+            "in_rows": (
+                None
+                if self.overlay_in is self.overlay_out
+                else fresh(self.overlay_in, shipped_in)
+            ),
+        }
+
+    @classmethod
+    def from_delta(
+        cls, current: CompactGraph, delta: Dict[str, object]
+    ) -> "OverlayGraph":
+        """Apply an :meth:`overlay_delta` to ``current``, the graph it was cut
+        against: a worker's base compilation or its overlay of that base.
+
+        Every row the delta does not carry is ``current``'s own, as
+        :meth:`from_base` takes untouched rows from ``previous``, so the
+        result is one overlay over the base, never a stack.
+
+        Raises
+        ------
+        GraphValidationError
+            On an unrecognised payload, or when ``current`` is not at the
+            graph version the delta applies on.
+        """
+        if not isinstance(delta, dict) or delta.get("format") != _DELTA_FORMAT:
+            raise GraphValidationError(
+                f"unrecognised overlay delta payload: "
+                f"{delta.get('format') if isinstance(delta, dict) else delta!r}"
+            )
+        if delta["on_version"] != current.source_version:
+            raise GraphValidationError(
+                f"overlay delta applies on graph version "
+                f"{delta['on_version']}, but this graph is at version "
+                f"{current.source_version}; refusing to apply"
+            )
+        if current.is_overlay:
+            base = current.base
+            out_rows = dict(current.overlay_out)
+            in_rows = current.overlay_in
+            appended = current.appended_nodes
+        else:
+            base = current
+            out_rows, in_rows = {}, {}
+            appended = []
+        out_rows.update(delta["out_rows"])
+        if delta["in_rows"] is None:
+            in_rows = out_rows
+        else:
+            in_rows = dict(in_rows)
+            in_rows.update(delta["in_rows"])
+        if delta["appended"]:
+            appended = appended + list(delta["appended"])
+            nodes = list(base.node_ids) + appended
+            index_of = {node: index for index, node in enumerate(nodes)}
+        else:
+            nodes, index_of = current.node_ids, current._index_of
+        return cls(
+            base=base,
+            nodes=nodes,
+            index_of=index_of,
+            out_rows=out_rows,
+            in_rows=in_rows,
+            num_edges=int(delta["num_edges"]),
+            source_version=delta["version"],
+            source_graph=None,
+            appended=appended,
+        )
 
     @classmethod
     def from_state(

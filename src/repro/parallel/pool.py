@@ -12,7 +12,7 @@ Index replicas
 Each worker starts from a :meth:`~repro.core.hub_index.HubIndex.export_state`
 snapshot of the coordinator's (master) index and is then kept equal to
 it by deltas, not snapshots.  Whatever one worker learns in a query
-shard, and whatever rows it re-explores in a sharded repair
+shard, and whatever rows or row tails it settles in a sharded repair
 (:meth:`WorkerPool.update_graph`), reaches the master through the
 batch result; the pool queues it for every *other* worker and ships it
 with that worker's next task (never back to the worker that made it:
@@ -45,7 +45,10 @@ creating the segment raises :class:`OSError` (no writable shared memory
 on the platform) do workers receive pickled copies instead.  The segment
 is owned by the pool and unlinked on *every* exit path: normal
 :meth:`close`, worker crash, context-manager exception and the
-``__del__`` safety net.
+``__del__`` safety net.  Graph updates never republish the base: a
+worker that starts receives the whole overlay side-table, and each
+update after that only the rows it lacks
+(:meth:`WorkerPool.update_graph`).
 
 Lifecycle guarantees
 --------------------
@@ -294,11 +297,10 @@ class WorkerPool:
         else:
             self._graph = graph
         # Retained so a dead slot can be respawned with current state:
-        # the master index (exported at respawn time) and the latest
-        # update_graph() side-table, not the construction-time ones.
+        # the master index (exported at respawn time) and the whole
+        # side-table of ``_graph``, the overlay the workers hold.
         self._ctx = ctx
         self._index = index
-        self._graph_update_state = graph_update
         # Per worker: learning and repair rows other workers produced
         # that this one has not received yet; shipped with its next task.
         self._pending: List[list] = [[] for _ in range(workers)]
@@ -734,57 +736,59 @@ class WorkerPool:
         )
         self._m_index_snapshots.inc()
 
-    def update_graph(
-        self,
-        new_graph,
-        update_state: Dict[str, object],
-        index=None,
-        repair=None,
-    ) -> list:
-        """Broadcast an overlay side-table to every worker (blocking).
+    def update_graph(self, new_graph, index=None, repair=None) -> list:
+        """Ship the overlay ``new_graph`` to every worker (blocking).
 
         The incremental-maintenance twin of :meth:`update_index`: after
         the coordinator applies graph mutations as a CSR delta-overlay
         (:meth:`~repro.core.engine.ReverseKRanksEngine.apply_updates`),
-        the pool stays alive — each worker rebuilds the overlay over the
-        frozen base compilation it already holds (shared-memory mapped
-        or unpickled at startup; the side-table's base digest is
-        verified on the worker side) and swaps in a fresh engine.
-        ``new_graph`` is the coordinator's overlay view, adopted
-        parent-side for decoding shard result blocks.
+        the pool stays alive.  Each worker is sent only what it lacks:
+        the overlay's
+        :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta` against
+        the overlay this pool last shipped — the rows the batch
+        re-extracted and the nodes it appended, with the version they
+        apply on.  Each worker builds its next overlay from its current
+        one (:meth:`~repro.graph.overlay.OverlayGraph.from_delta`, which
+        refuses a delta for any other version) and swaps in a fresh
+        engine.  ``new_graph`` becomes the pool's record of what the
+        workers hold: it decodes shard result blocks, and a slot
+        respawned later starts from its whole side-table.
 
         The workers' index replicas follow in one of two ways:
 
         * ``repair=(drops, hubs, limit, prefixes)`` — the sharded
           repair, run from inside
           :meth:`~repro.core.hub_index.HubIndex.repair` (its ``explore``
-          hook).  Every worker keeps its replica, applies the repair's
-          drops (``drops``, a repair delta without ranks), re-explores
-          its contiguous chunk of ``hubs`` at budget ``limit`` on its own
-          overlay, each hub resuming after its unchanged prefix in
-          ``prefixes`` (``hub -> (row, dists)``; the prefixes ship with
-          the chunk, so replicas need no stored distances), and returns
-          the rows with their distances.  The chunks balance the settles
-          left (``limit`` minus the prefix length per hub), not the hub
-          count.  They are returned concatenated, in hub order, and each
-          is queued for the other workers without the distances (only
-          the master's repair reads them).
+          hook).  Every worker keeps its replica and applies the repair's
+          drops (``drops``, a repair delta without ranks: it drops some
+          rows and trims each resumed hub's row to its unchanged prefix,
+          in place).  It then re-explores its contiguous chunk of
+          ``hubs`` at budget ``limit`` on its own overlay, each resumed
+          hub after the prefix its replica kept; the prefix distances
+          (``prefixes``, ``hub -> dists``, copies) ship with the chunk,
+          so replicas need no stored distances.  It returns the tails,
+          with their distances; only hubs without a prefix come back
+          whole.  The chunks balance the settles left (``limit`` minus
+          the prefix length per hub), not the hub count.  The tails are
+          returned concatenated, in hub order, and each is queued for
+          the other workers without the distances (only the master's
+          repair reads them).
         * otherwise the replicas are replaced by a snapshot of ``index``
           (the master, already repaired) — or dropped when ``index`` is
           ``None``.
 
         Returns the re-explored ``(hub, row, dists)`` triples (empty
-        without ``repair``) once every worker has acknowledged.  The
-        graph state is retained first so a slot respawned later starts
-        from it.  A failed update leaves the workers in mixed states:
-        close the pool.
+        without ``repair``) once every worker has acknowledged.  A
+        failed update leaves the workers in mixed states: close the
+        pool.
 
         Raises
         ------
         ParallelExecutionError
-            When the pool is closed, the side-table was built over a
-            different base than this pool ships its workers, or a worker
-            failed to adopt the update (remote traceback embedded).
+            When the pool is closed, ``new_graph`` is not an overlay
+            over the base compilation this pool ships its workers, or a
+            worker failed to adopt the update (remote traceback
+            embedded).
         WorkerCrashError
             When a worker process died during the sync.
         """
@@ -792,22 +796,25 @@ class WorkerPool:
             raise ParallelExecutionError(
                 "cannot update the graph on a closed WorkerPool"
             )
-        if update_state.get("base_digest") != self._init_graph.content_digest():
+        if (
+            not getattr(new_graph, "is_overlay", False)
+            or new_graph.base.content_digest()
+            != self._init_graph.content_digest()
+        ):
             raise ParallelExecutionError(
-                "overlay side-table was built over a different base "
-                "compilation than this pool's workers hold; rebuild the "
-                "pool instead"
+                "the overlay was built over a different base compilation "
+                "than this pool's workers hold; rebuild the pool instead"
             )
         job_id = next(self._job_ids)
+        overlay = new_graph.overlay_delta(self._graph)
         self._graph = new_graph
-        self._graph_update_state = update_state
         if repair is None:
             self._index = index
             index_state = index.export_state() if index is not None else None
             self._pending = [[] for _ in range(self._num_workers)]
             self._broadcast(
                 job_id,
-                [("graph", job_id, [], update_state, index_state, None)]
+                [("graph", job_id, [], overlay, index_state, None)]
                 * self._num_workers,
                 "adopt the graph update",
             )
@@ -820,7 +827,7 @@ class WorkerPool:
             hubs,
             self._num_workers,
             [
-                limit - len(prefixes[hub][1]) if hub in prefixes else limit
+                limit - len(prefixes[hub]) if hub in prefixes else limit
                 for hub in hubs
             ],
         )
@@ -829,7 +836,7 @@ class WorkerPool:
             [
                 (
                     "graph", job_id, self._take_pending(worker_id),
-                    update_state, None,
+                    overlay, None,
                     (
                         drops, tuple(chunk), limit,
                         {hub: prefixes[hub] for hub in chunk if hub in prefixes},
@@ -905,7 +912,8 @@ class WorkerPool:
         """Queue ``item`` for every worker except ``holder``, which has it.
 
         ``item`` is a learning delta or a list of re-explored ``(hub,
-        row, None)`` triples; it ships with each worker's next task,
+        row, None)`` triples, whole rows or the tails of trimmed ones; it
+        ships with each worker's next task,
         after what is queued already.  The coordinator forwards the
         learning its master index made itself with ``holder=None``.
         """
@@ -1012,10 +1020,11 @@ class WorkerPool:
         """The startup payload a worker spawned *now* should receive.
 
         Always ships the frozen *base* compilation (overlays refuse both
-        pickling and shared memory); the latest overlay side-table, if
-        any, rides along as ``graph_update`` so a respawned slot comes
-        back answering against the same mutated adjacency as its peers,
-        and the master index is exported as it stands now.
+        pickling and shared memory); the whole side-table of the overlay
+        the workers hold, if any, rides along as ``graph_update`` so a
+        respawned slot comes back answering against the same mutated
+        adjacency as its peers, and the master index is exported as it
+        stands now.
         """
         return build_init_payload(
             None if self._graph_owner is not None else self._init_graph,
@@ -1026,7 +1035,9 @@ class WorkerPool:
             graph_handle=(
                 self._graph_owner.handle if self._graph_owner is not None else None
             ),
-            graph_update=self._graph_update_state,
+            graph_update=(
+                self._graph.overlay_state() if self._graph.is_overlay else None
+            ),
         )
 
     def _respawn(self, worker_id: int) -> None:

@@ -45,17 +45,24 @@ Message protocol (all tuples, queue-pickled)
   chunk of a sharded hub-index build (explored on a throwaway index,
   answered with the ``(hub, row, dists)`` triples), ``("index", job_id,
   index_state)`` to adopt a hub-index snapshot (acknowledged with a bare
-  ``"done"``), ``("graph", job_id, forwarded, update_state, index_state,
-  repair)`` to rebuild the serving engine over a delta-overlay
-  (:meth:`~repro.graph.overlay.OverlayGraph.overlay_state` side-table
-  applied over the startup base compilation) — with either a
-  post-repair index snapshot or a ``repair = (drops, hubs, limit,
-  prefixes)`` share of a sharded repair, answered with the re-explored
-  ``(hub, row, dists)`` triples — ``("digest", job_id, forwarded)`` for the
-  replica check (answered with ``(graph digest, index digest)``), or
-  ``None`` to shut down.  ``forwarded`` lists the learning deltas and
-  repair rows the master and the other workers produced since this
-  worker's last task; they are merged, in order, before the task runs.
+  ``"done"``), ``("graph", job_id, forwarded, overlay, index_state,
+  repair)`` to rebuild the serving engine over the next delta-overlay —
+  ``overlay`` is an :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta`:
+  the rows the update re-extracted and the nodes it appended, applied
+  over the worker's current overlay and refused unless that overlay is
+  at the version the delta applies on — with either a post-repair
+  index snapshot or a ``repair = (drops, hubs, limit, prefixes)`` share
+  of a sharded repair: ``drops`` is the repair delta without its ranks
+  (drops, and trims of the resumed hubs' rows), ``prefixes`` maps each
+  resumed hub of the chunk to a copy of its kept prefix's distances.
+  It is answered with the ``(hub, row, dists)`` triples of the chunk:
+  each resumed hub's tail only, other hubs' whole rows.
+  ``("digest", job_id, forwarded)`` asks for the replica check
+  (answered with ``(graph digest, index digest)``), and ``None`` shuts
+  the worker down.  ``forwarded`` lists the learning deltas and repair
+  rows and tails (``(hub, row, None)`` triples) the master and the
+  other workers produced since this worker's last task; they are
+  merged, in order, before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
   ``(shard_index, positions, block, delta, trace)`` for a query shard —
@@ -155,11 +162,8 @@ class _WorkerState:
                     "worker received a corrupted graph payload: content digest "
                     f"{digest} != expected {init['digest']}"
                 )
-        # The frozen base compilation and facility set are retained for
-        # the worker's whole lifetime: every later ("graph", ...) task
-        # rebuilds its overlay over *this* base, never over a previous
-        # overlay (overlays do not stack).
-        self._base_graph = graph
+        # Every later ("graph", ...) task builds its overlay over *this*
+        # base, from the current overlay's rows (overlays do not stack).
         self._facilities = init["facilities"]
         graph_update = init.get("graph_update")
         if graph_update is not None:
@@ -194,7 +198,7 @@ class _WorkerState:
 
         ``forwarded`` holds :class:`~repro.core.hub_index.HubIndexDelta`
         learning deltas and lists of re-explored ``(hub, row, None)``
-        triples, installed one whole row per hub.
+        triples: whole rows, or the tails of rows a repair trimmed.
         """
         from repro.core.hub_index import HubIndexDelta
 
@@ -205,13 +209,15 @@ class _WorkerState:
             else:
                 index.merge_rows(item)
 
-    def update_graph(self, update_state, index_state, repair):
-        """Swap in a new delta-overlay without restarting the process.
+    def update_graph(self, overlay, index_state, repair):
+        """Swap in the next delta-overlay without restarting the process.
 
-        ``update_state`` is the coordinator's
-        :meth:`~repro.graph.overlay.OverlayGraph.overlay_state` — a full
-        replacement, not an increment: it is applied over the retained
-        startup *base*, so consecutive updates never stack overlays.
+        ``overlay`` is the coordinator's
+        :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta` against
+        the overlay this worker holds: it is applied over the current
+        overlay's rows (:meth:`~repro.graph.overlay.OverlayGraph.from_delta`,
+        which raises, before anything changes, unless the current
+        overlay is at the version the delta applies on).
 
         Without ``repair`` the index is replaced by ``index_state`` (the
         master's post-repair
@@ -219,14 +225,17 @@ class _WorkerState:
         for no index) and ``None`` is returned.  With ``repair = (drops,
         hubs, limit, prefixes)`` this worker's replica is repaired in
         place: the master's drops advance it to the overlay's version,
-        ``hubs`` — this worker's chunk of the affected hubs — are
-        re-explored on the overlay, each after its unchanged prefix in
-        ``prefixes`` (``hub -> (row, dists)``), and their ``(hub, row,
-        dists)`` triples are returned.
+        dropping rows and trimming each resumed hub's row to its
+        unchanged prefix; ``hubs`` — this worker's chunk of the affected
+        hubs — are re-explored on the overlay, each resumed hub after its
+        trimmed row, whose distances ``prefixes`` holds (``hub ->
+        dists``).  The rows and tails are recorded without distances
+        (replicas keep none) and returned as ``(hub, row, dists)``
+        triples.
         """
         from repro.graph.overlay import OverlayGraph
 
-        graph = OverlayGraph.from_state(self._base_graph, update_state)
+        graph = OverlayGraph.from_delta(self.engine.graph, overlay)
         if repair is None:
             self._build_engine(graph, index_state)
             return None
@@ -235,7 +244,9 @@ class _WorkerState:
         index.merge_delta(drops)
         index.rebind(graph)
         self._build_engine(graph, index=index)
-        return index.explore_hubs(hubs, limit, prefixes=prefixes)
+        rows = index.explore_hubs(hubs, limit, prefixes=prefixes)
+        index.merge_rows([(hub, row, None) for hub, row, _ in rows])
+        return rows
 
     def digests(self):
         """``(graph content digest, index content digest or None)``."""
@@ -314,9 +325,8 @@ class _WorkerState:
         """This worker's chunk of a sharded build: ``(hub, row, dists)`` triples.
 
         The same exploration a sharded repair runs
-        (:meth:`~repro.core.hub_index.HubIndex.explore_hubs`), but on a
-        throwaway index: the replica must not learn rows the master has
-        not installed.
+        (:meth:`~repro.core.hub_index.HubIndex.explore_hubs`), on a
+        throwaway index: the worker may hold none.
         """
         from repro.core.hub_index import HubIndex
 
@@ -335,7 +345,6 @@ class _WorkerState:
         segment = self._segment
         self._segment = None
         self.engine = None
-        self._base_graph = None
         if segment is None:
             return
         import gc
@@ -401,11 +410,9 @@ def worker_main(
                     state.update_index(index_state)
                     payload = None
                 elif tag == "graph":
-                    forwarded, update_state, index_state, repair = task[2:]
+                    forwarded, overlay, index_state, repair = task[2:]
                     state.absorb(forwarded)
-                    payload = state.update_graph(
-                        update_state, index_state, repair
-                    )
+                    payload = state.update_graph(overlay, index_state, repair)
                 elif tag == "digest":
                     (forwarded,) = task[2:]
                     state.absorb(forwarded)

@@ -115,11 +115,14 @@ def explore_row(
 
     ``prefix`` is ``(row, dists)`` of the first entries of the row this
     graph gives, and the exploration resumes after them (an empty or
-    ``None`` prefix explores from the source).  It needs positive
-    weights.  The prefix nodes are marked settled at their distances.
-    Only a prefix entry at distance ``d`` with ``d + max_weight >= last``
-    (the prefix's last distance) can reach a node outside the prefix,
-    which lies at ``last`` or beyond; those entries, and the source when
+    ``None`` prefix explores from the source); the result is then only
+    the *tail*, the entries after the prefix, and the prefix is read,
+    never copied.  The prefix plus the tail equals exploring from the
+    source, ``limit`` counting both.  It needs positive weights.  The
+    prefix nodes are marked settled at their distances.  Only a prefix
+    entry at distance ``d`` with ``d + max_weight >= last`` (the
+    prefix's last distance) can reach a node outside the prefix, which
+    lies at ``last`` or beyond; those entries, and the source when
     ``max_weight >= last``, are the *seeds*.  The seeds enter the
     frontier at their distances and settle before any other node (with
     positive weights an outside node at ``last`` has a higher index than
@@ -127,7 +130,7 @@ def explore_row(
     recorded again.  The test is computed in floats exactly as written:
     rounding is monotone, so it never drops an entry whose edge reaches
     past the prefix.  The rank count carries on from the prefix's last
-    tie group.  The result equals exploring from the source.
+    tie group.
     """
     offsets, base_endpoints, base_weights = csr.out_csr()
     patched = csr.overlay_out
@@ -136,10 +139,11 @@ def explore_row(
     distances = [_INF] * csr.num_nodes
     settled = bytearray(csr.num_nodes)
     distances[source_index] = 0.0
+    row = {}
+    dists = array("d")
     if prefix is not None and len(prefix[1]):
-        row = dict(prefix[0])
-        dists = array("d", prefix[1])
-        last = dists[-1]
+        kept, kept_dists = prefix
+        last = kept_dists[-1]
         reach = csr.max_weight
         index_of = csr.index_of
         frontier = []
@@ -147,7 +151,7 @@ def explore_row(
             frontier.append((0.0, source_index))
         else:
             settled[source_index] = 1
-        for node, distance in zip(row, dists):
+        for node, distance in zip(kept, kept_dists):
             index = index_of(node)
             distances[index] = distance
             if distance + reach >= last:
@@ -157,12 +161,11 @@ def explore_row(
         heapify(frontier)
         seeds = len(frontier)
         # The last tie group may continue past the prefix.
-        closer = next(reversed(row.values())) - 1
-        tie = len(row) - closer
+        closer = next(reversed(kept.values())) - 1
+        tie = len(kept_dists) - closer
         previous = last
+        limit -= len(kept_dists)
     else:
-        row = {}
-        dists = array("d")
         frontier = [(0.0, source_index)]
         seeds = 1
         closer = tie = 0

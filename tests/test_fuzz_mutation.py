@@ -371,7 +371,10 @@ def test_truncated_budget_repair_equals_rebuild(seed, ties):
                 )
             before = shadow.copy()
             known = engine.index.export_state()["known"]
-            stored = dict(engine.index._dists)
+            # Copies: a repair trims and extends the stored arrays in place.
+            stored = {
+                hub: dists[:] for hub, dists in engine.index._dists.items()
+            }
             ops = _mutation_batch(
                 rng, shadow, fresh_ids, zero_weight=ties, ties=ties
             )

@@ -313,6 +313,13 @@ def _row(csr, hub, limit):
     return row, dists
 
 
+def _resumed(csr, source, limit, prefix):
+    """The prefix plus the tail ``explore_row`` settles after it."""
+    row, dists = prefix
+    tail, tail_dists = explore_row(csr, source, limit, prefix)
+    return {**row, **tail}, dists + tail_dists
+
+
 def test_resume_seeds_the_earliest_entry_within_the_weight_bound():
     """Kills ``>=`` (as ``>``) in the seed test.  The prefix ends inside
     the tie group at 3.0; node 4 ties it, and its only settled
@@ -325,14 +332,18 @@ def test_resume_seeds_the_earliest_entry_within_the_weight_bound():
     row, dists = explore_row(csr, csr.index_of(0), 5)
     assert list(row.items()) == [(1, 1), (2, 2), (3, 3), (4, 3)]
     prefix = (dict(list(row.items())[:3]), dists[:3])
-    assert explore_row(csr, csr.index_of(0), 5, prefix) == (row, dists)
+    assert explore_row(csr, csr.index_of(0), 5, prefix) == (
+        {4: 3}, array("d", [3.0])
+    )
+    assert _resumed(csr, csr.index_of(0), 5, prefix) == (row, dists)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_resume_after_any_prefix_equals_a_full_exploration(seed):
     """An empty prefix is a full exploration, which equals the reference
-    stream; resuming after each longer prefix of that row gives it too,
-    ties and truncated rows included."""
+    stream; each longer prefix of that row plus the tail resumed after
+    it gives it too, ties and truncated rows included, and the prefix
+    is left as it was."""
     rng = random.Random(seed)
     edges = [
         (u, v, rng.choice([1.0, 2.0]) if seed % 2 else rng.uniform(0.5, 3.0))
@@ -348,7 +359,10 @@ def test_resume_after_any_prefix_equals_a_full_exploration(seed):
         assert explore_row(csr, source, limit) == (row, dists)
         for cut in range(len(entries) + 1):
             prefix = (dict(entries[:cut]), dists[:cut])
-            assert explore_row(csr, source, limit, prefix) == (row, dists), cut
+            resumed = _resumed(csr, source, limit, prefix)
+            assert list(resumed[0].items()) == entries, cut
+            assert resumed[1] == dists, cut
+            assert prefix == (dict(entries[:cut]), dists[:cut]), cut
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +378,10 @@ def test_road_updates_keep_hubs_whose_rows_are_unchanged():
     kept_hubs = reused = explored = 0
     for _ in range(12):
         known = engine.index.export_state()["known"]
-        stored = dict(engine.index._dists)
+        # Copies: a repair trims and extends the stored arrays in place.
+        stored = {
+            hub: dists[:] for hub, dists in engine.index._dists.items()
+        }
         before = shadow.copy()
         engine.apply_updates(road_traffic(rng, shadow, closed))
         edges = edge_changes(before, shadow)
@@ -392,3 +409,33 @@ def test_road_updates_keep_hubs_whose_rows_are_unchanged():
     settled = engine.registry.get("repro_index_repair_settled_total")
     assert settled.labels(outcome="reused").value == reused > 0
     assert settled.labels(outcome="explored").value == explored > 0
+
+
+def test_resumed_rows_are_trimmed_in_place():
+    """A resumed hub keeps its prefix where it is: after the repair its
+    row and its distances are the same objects, the prefix entries
+    unmoved, and the repair delta records the trim and only the tail."""
+    rng = random.Random(5)
+    graph = road_lattice(12, rng)
+    shadow = graph.copy()
+    engine = ReverseKRanksEngine(graph)
+    engine.build_index(num_hubs=6, explore_limit=48, capacity=8)
+    closed = {}
+    trimmed = 0
+    for _ in range(12):
+        index = engine.index
+        rows = dict(index._known)
+        dists = dict(index._dists)
+        before = {hub: list(row.items()) for hub, row in rows.items()}
+        delta = engine.apply_updates(road_traffic(rng, shadow, closed)).index_delta
+        for hub, cut in delta.trimmed.items():
+            assert index._known[hub] is rows[hub]
+            assert index._dists[hub] is dists[hub]
+            assert list(rows[hub].items())[:cut] == before[hub][:cut]
+            tail = [target for source, target in delta.ranks if source == hub]
+            assert tail == list(rows[hub])[cut:]
+            assert delta.explorations[hub] == len(tail)
+            assert hub not in delta.removed_sources
+            trimmed += 1
+        assert sum(delta.trimmed.values()) == index.last_repair_settles[0]
+    assert trimmed > 0

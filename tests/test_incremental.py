@@ -37,7 +37,13 @@ from repro.errors import (
 from repro.graph import BichromaticPartition, CompactGraph, Graph
 from repro.graph.overlay import OverlayGraph
 
-from conftest import _gnp_graph, index_signature, sample_queries
+from conftest import (
+    _gnp_graph,
+    index_signature,
+    road_lattice,
+    road_traffic,
+    sample_queries,
+)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -251,6 +257,61 @@ class TestOverlayGraph:
                 for index, row in previous.overlay_out.items():
                     if index not in batch:
                         assert overlay.overlay_out[index] is row
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_delta_chain_rebuilds_each_overlay(self, directed):
+        """A holder that applies each batch's ``overlay_delta`` to what it
+        holds, starting from the base, mirrors every overlay: the delta
+        carries exactly the batch's touched and appended rows, and the
+        holder's overlay equals the master's, content digest included."""
+        rng = random.Random(19)
+        graph = _gnp_graph(120, 0.04, seed=19, directed=directed)
+        engine = ReverseKRanksEngine(graph)
+        held = engine.compact_graph()
+        for round_number in range(6):
+            edges = sorted(graph.edges(), key=repr)
+            ops = [
+                ("remove_edge", *rng.choice(edges)[:2]),
+                ("add_edge", rng.randrange(120), f"new-{round_number}", 1.5),
+            ]
+            if round_number % 2:
+                ops.append(("add_node", f"lone-{round_number}"))
+            shipped = engine.compact_graph()
+            report = engine.apply_updates(ops)
+            assert not report.recompacted
+            overlay = engine.compact_graph()
+            delta = pickle.loads(pickle.dumps(overlay.overlay_delta(shipped)))
+            batch = {overlay.index_of(node) for node in report.touched}
+            assert set(delta["out_rows"]) == batch
+            assert delta["appended"] == list(report.appended)
+            if directed:
+                assert set(delta["in_rows"]) == batch
+            else:
+                assert delta["in_rows"] is None
+            held = OverlayGraph.from_delta(held, delta)
+            assert held.overlay_out == overlay.overlay_out
+            assert held.overlay_in == overlay.overlay_in
+            assert held.appended_nodes == overlay.appended_nodes
+            assert held.content_digest() == overlay.content_digest()
+            assert list(held.edges()) == list(overlay.edges())
+
+    def test_delta_refuses_another_version(self):
+        """A delta applies only on the version it was cut against."""
+        graph, base, overlay = self._overlaid()
+        delta = overlay.overlay_delta(base)
+        assert OverlayGraph.from_delta(base, delta).content_digest() == (
+            overlay.content_digest()
+        )
+        with pytest.raises(GraphValidationError, match="refusing to apply"):
+            OverlayGraph.from_delta(overlay, delta)
+        with pytest.raises(GraphValidationError, match="unrecognised"):
+            OverlayGraph.from_delta(base, overlay.overlay_state())
+
+    def test_delta_refuses_a_foreign_base(self):
+        _, _, overlay = self._overlaid()
+        other = CompactGraph.from_graph(_mutable_gnp(seed=9, num_nodes=14))
+        with pytest.raises(GraphValidationError, match="different base"):
+            overlay.overlay_delta(other)
 
     def test_previous_overlay_must_share_the_base(self):
         graph, _, overlay = self._overlaid()
@@ -570,6 +631,63 @@ class TestIndexRepair:
         replica.merge_delta(second.index_delta)
         assert replica.export_state() == engine.index.export_state()
 
+    def test_replica_trims_like_the_master(self):
+        """A repair delta that trims resumed hubs brings a replica without
+        stored distances to the master's state, pickle for pickle."""
+        rng = random.Random(5)
+        graph = road_lattice(12, rng)
+        shadow = graph.copy()
+        engine = ReverseKRanksEngine(graph)
+        engine.build_index(num_hubs=6, explore_limit=48, capacity=8)
+        closed = {}
+        trims = 0
+        for _ in range(6):
+            replica = HubIndex.from_state(graph, engine.index.export_state())
+            report = engine.apply_updates(road_traffic(rng, shadow, closed))
+            trims += len(report.index_delta.trimmed)
+            replica.merge_delta(pickle.loads(pickle.dumps(report.index_delta)))
+            assert pickle.dumps(replica.export_state()) == pickle.dumps(
+                engine.index.export_state()
+            )
+        assert trims > 0
+
+    def test_delta_pickled_before_trims_merges(self):
+        """A repair delta without the ``trimmed`` attribute (as unpickled
+        from a journal written before trims existed) merges, read as
+        empty."""
+        graph, engine = self._indexed_engine(seed=26)
+        # Distances are not exported: this repair drops, never trims.
+        engine.adopt_index(
+            HubIndex.from_state(graph, engine.index.export_state())
+        )
+        replica = HubIndex.from_state(graph, engine.index.export_state())
+        edges = sorted(graph.edges())
+        report = engine.apply_updates(
+            [("remove_edge", edges[0][0], edges[0][1])]
+        )
+        old = pickle.loads(pickle.dumps(report.index_delta))
+        assert old.trimmed == {}
+        del old.__dict__["trimmed"]
+        replica.merge_delta(old)
+        assert replica.export_state() == engine.index.export_state()
+
+    def test_trim_beyond_the_row_is_refused_before_any_change(self):
+        graph, engine = self._indexed_engine(seed=27)
+        index = engine.index
+        state = index.export_state()
+        hub = index.hubs[0]
+        held = len(state["known"][hub])
+        dropped = next(source for source in state["known"] if source != hub)
+        delta = HubIndexDelta(
+            graph_version=state["graph_version"],
+            removed_sources=(dropped,),
+            repaired_to_version=state["graph_version"] + 1,
+            trimmed={hub: held + 1},
+        )
+        with pytest.raises(IndexParameterError, match="out of step"):
+            index.merge_delta(delta)
+        assert pickle.dumps(index.export_state()) == pickle.dumps(state)
+
     def test_repaired_index_matches_same_hub_rebuild(self):
         graph, engine = self._indexed_engine(seed=24)
         shadow = graph.copy()
@@ -756,4 +874,4 @@ class TestPoolGraphSync:
                 other_graph, base, {edges[0][0], edges[0][1]}
             )
             with pytest.raises(ParallelExecutionError, match="rebuild the pool"):
-                engine._pool.update_graph(overlay, overlay.overlay_state())
+                engine._pool.update_graph(overlay)

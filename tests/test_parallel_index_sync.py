@@ -15,9 +15,12 @@ only the events above.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import random
+import signal
 import threading
+from array import array
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex, HubIndexDelta
 from repro.core.validation import results_equivalent
 from repro.errors import ParallelExecutionError
+from repro.parallel.pool import WorkerPool
 from repro.serve import DurableIndexStore, QueryServer, ServeClient, ServeConfig
 
 from conftest import _gnp_graph, road_lattice, road_traffic, sample_queries
@@ -573,3 +577,190 @@ class TestExactReplicas:
             assert pickle.dumps(replayed.export_state()) == pickle.dumps(
                 engine.export_state()
             )
+
+
+def _graph_broadcasts(monkeypatch):
+    """Record the ``(tasks, replies)`` of every graph update a pool ships."""
+    seen = []
+    broadcast = WorkerPool._broadcast
+
+    def spy(self, job_id, tasks, action):
+        replies = broadcast(self, job_id, tasks, action)
+        if tasks[0][0] == "graph":
+            seen.append((tasks, replies))
+        return replies
+
+    monkeypatch.setattr(WorkerPool, "_broadcast", spy)
+    return seen
+
+
+@needs_fork
+class TestUpdateTransport:
+    """An update ships each worker only what it lacks."""
+
+    def test_round_trip_ships_no_prefix_entry(self, monkeypatch):
+        """Each task's overlay holds exactly the batch's rows, and its
+        repair share the drops, the trims and copies of the kept
+        prefixes' distances; each reply holds whole rows or tails, which
+        reach the other worker without distances.  The shipped
+        distances and the replied entries are the repair's reused and
+        explored settles."""
+        seen = _graph_broadcasts(monkeypatch)
+        rng = random.Random(5)
+        graph = road_lattice(12, rng)
+        shadow = graph.copy()
+        engine = _lattice_engine(graph)
+        closed = {}
+        last = []  # the previous update's replies
+        reused = explored = 0
+        with engine:
+            engine.prepare_parallel(2, FAST_CONTEXT)
+            for _ in range(8):
+                report = engine.apply_updates(
+                    road_traffic(rng, shadow, closed, size=2)
+                )
+                assert report.pool_synced and not report.recompacted
+                ((tasks, replies),) = seen
+                seen.clear()
+                overlay = engine.compact_graph()
+                batch = {overlay.index_of(node) for node in report.touched}
+                index = engine.index
+                trimmed = report.index_delta.trimmed
+                known = index.export_state()["known"]
+                shipped = replied = 0
+                for worker, (task, rows) in enumerate(zip(tasks, replies)):
+                    _, _, forwarded, delta, _, repair = task
+                    drops, chunk, _, prefixes = repair
+                    assert set(delta["out_rows"]) == batch
+                    assert delta["in_rows"] is None
+                    assert not drops.ranks and drops.trimmed == trimmed
+                    assert forwarded == [
+                        [(hub, row, None) for hub, row, _ in other]
+                        for peer, other in enumerate(last)
+                        if peer != worker and other
+                    ]
+                    for hub, dists in prefixes.items():
+                        assert type(dists) is array
+                        assert dists is not index._dists[hub]
+                        assert dists == index._dists[hub][: trimmed[hub]]
+                        shipped += len(dists)
+                    assert [hub for hub, _, _ in rows] == list(chunk)
+                    for hub, row, dists in rows:
+                        entries = list(known[hub].items())
+                        assert list(row.items()) == entries[trimmed.get(hub, 0):]
+                        assert len(dists) == len(row)
+                        replied += len(row)
+                assert (shipped, replied) == index.last_repair_settles
+                reused += shipped
+                explored += replied
+                last = replies
+        assert reused > 0 and explored > 0
+
+    def test_respawned_worker_gets_the_side_table_then_deltas(
+        self, monkeypatch
+    ):
+        """A worker killed after an in-place update is respawned, by the
+        next indexed batch, from the whole side-table of the current
+        overlay; the two updates after that reach it as deltas, and
+        after each update every replica equals the master."""
+        seen = _graph_broadcasts(monkeypatch)
+        starts = []
+        init_bytes = WorkerPool._current_init_bytes
+
+        def spy(self):
+            payload = init_bytes(self)
+            starts.append(pickle.loads(payload)["graph_update"])
+            return payload
+
+        monkeypatch.setattr(WorkerPool, "_current_init_bytes", spy)
+        rng = random.Random(71)
+        graph = road_lattice(16, rng)
+        shadow = graph.copy()
+        engine = _lattice_engine(graph)
+        closed = {}
+        with engine:
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            assert engine.apply_updates(
+                road_traffic(rng, shadow, closed)
+            ).pool_synced
+            assert pool.replica_digests() == [_master_digests(engine)] * 2
+            victim = pool._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            engine.query_many(
+                sample_queries(engine.graph, 8), 4, algorithm="indexed",
+                workers=2, worker_context=FAST_CONTEXT,
+            )
+            assert pool.respawn_count == 1
+            overlay = engine.compact_graph()
+            (side_table,) = starts
+            assert side_table["version"] == overlay.source_version
+            assert side_table["out_rows"].keys() == overlay.overlay_out.keys()
+            for _ in range(2):
+                held = engine.compact_graph().source_version
+                seen.clear()
+                report = engine.apply_updates(road_traffic(rng, shadow, closed))
+                assert report.pool_synced
+                overlay = engine.compact_graph()
+                batch = {overlay.index_of(node) for node in report.touched}
+                ((tasks, _),) = seen
+                for task in tasks:
+                    assert task[3]["on_version"] == held
+                    assert set(task[3]["out_rows"]) == batch
+                assert pool.replica_digests() == [
+                    _master_digests(engine)
+                ] * 2
+            assert len(starts) == 1
+
+    def test_worker_refuses_a_delta_for_another_version(self, monkeypatch):
+        """With the pool's record of the overlay it last shipped made
+        stale, the workers refuse the delta cut against it: the update
+        still applies, the master repairs alone as a pool-less twin
+        does, and the pool is closed.  The next indexed batch starts a
+        pool from the whole side-table, and the update after it ships as
+        a delta again."""
+        refusals = []
+        update_graph = WorkerPool.update_graph
+
+        def spy(self, *args, **kwargs):
+            try:
+                return update_graph(self, *args, **kwargs)
+            except ParallelExecutionError as exc:
+                refusals.append(str(exc))
+                raise
+
+        monkeypatch.setattr(WorkerPool, "update_graph", spy)
+        rng = random.Random(73)
+        graph = road_lattice(16, rng)
+        shadow = graph.copy()
+        engine = _lattice_engine(graph)
+        twin = _lattice_engine(graph.copy())
+        closed = {}
+        with engine:
+            pool = engine.prepare_parallel(2, FAST_CONTEXT)
+            ops = road_traffic(rng, shadow, closed)
+            assert engine.apply_updates(ops).pool_synced
+            twin.apply_updates(ops)
+            pool._graph = pool._init_graph  # the overlay the workers hold is newer
+            ops = road_traffic(rng, shadow, closed)
+            report = engine.apply_updates(ops)
+            expected = twin.apply_updates(ops)
+            assert report.applied == len(ops)
+            assert not report.pool_synced
+            assert engine._pool is None and pool.is_closed
+            assert len(refusals) == 1
+            assert "refusing to apply" in refusals[0]
+            assert repr(report.index_delta) == repr(expected.index_delta)
+            assert repr(engine.export_state()) == repr(twin.export_state())
+            assert engine.index.last_repair == twin.index.last_repair
+            assert engine.index._dists == twin.index._dists
+            engine.query_many(
+                sample_queries(engine.graph, 8), 4, algorithm="indexed",
+                workers=2, worker_context=FAST_CONTEXT,
+            )
+            assert engine.apply_updates(
+                road_traffic(rng, shadow, closed)
+            ).pool_synced
+            assert engine._pool.replica_digests() == [
+                _master_digests(engine)
+            ] * 2
