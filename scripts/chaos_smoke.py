@@ -48,6 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import faults  # noqa: E402
 from repro.core import ReverseKRanksEngine  # noqa: E402
 from repro.core.hub_index import HubIndex  # noqa: E402
+from repro.errors import ParallelExecutionError  # noqa: E402
 from repro.serve.bootstrap import parse_fixture  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.journal import DurableIndexStore  # noqa: E402
@@ -142,7 +143,7 @@ def run_update_crash_phase(seed, summary, problems):
     """Phase 4: a worker dies holding the graph-sync broadcast.
 
     ``engine.apply_updates`` ships each mutation batch to the live pool
-    as an overlay side-table + repaired-index broadcast.  With a crash
+    as its overlay rows and a share of the index repair.  With a crash
     armed on every second worker task, the pool dies exactly when that
     broadcast arrives; the engine must degrade (drop the pool, report
     ``pool_synced=False``) without surfacing an error, keep answering
@@ -160,7 +161,13 @@ def run_update_crash_phase(seed, summary, problems):
     replica must equal the master (``replica_mismatches``;
     ``replica_checked_updates`` counts the updates checked), so the
     phase fails at the update whose overlay delta or row trims broke a
-    replica.
+    replica.  Last, two events that leave the replicas no longer
+    mirroring the master close the pool: swapping the index
+    (``adopt_index`` of a copy) and a batch whose shard raises (a
+    one-shot failpoint, armed before the pool that takes it forks).
+    After each, the next indexed batch must run on new workers
+    (``pool_restarts`` counts them), and the next in-place update must
+    leave every replica equal to the master.
     """
     workload = parse_fixture("gnp:60:13")
     graph = workload.graph
@@ -172,7 +179,7 @@ def run_update_crash_phase(seed, summary, problems):
     phase = {
         "mismatches": 0, "index_mismatches": 0, "dist_mismatches": 0,
         "degrades": 0, "in_place_syncs": 0, "replica_mismatches": 0,
-        "replica_checked_updates": 0,
+        "replica_checked_updates": 0, "pool_restarts": 0,
     }
 
     def signature(index):
@@ -220,6 +227,21 @@ def run_update_crash_phase(seed, summary, problems):
                 f"update_crash: {differing} worker replicas differed from "
                 f"the master after {after}"
             )
+
+    def indexed_batch():
+        engine.query_many(
+            queries, 6, algorithm="indexed", workers=2, worker_context="fork"
+        )
+
+    def restarted_batch(pids, after):
+        indexed_batch()
+        if set(engine._pool.worker_pids) & set(pids):
+            problems.append(
+                f"update_crash: the indexed batch after {after} ran on "
+                "the workers from before it"
+            )
+        else:
+            phase["pool_restarts"] += 1
 
     def update_in_place(ops, label):
         report = engine.apply_updates(ops)
@@ -283,6 +305,39 @@ def run_update_crash_phase(seed, summary, problems):
                     ("add_edge", edges[4][0], edges[5][1], 0.9),
                 ],
                 "the update after the learning",
+            )
+
+            # Swapping the index closes the pool: the next indexed batch
+            # starts fresh workers seeded with the adopted index.
+            pids = engine._pool.worker_pids
+            engine.adopt_index(
+                HubIndex.from_state(graph, engine.index.export_state())
+            )
+            restarted_batch(pids, "the index swap")
+            update_in_place(
+                [("add_edge", edges[6][0], edges[7][1], 0.8)],
+                "the update after the index swap",
+            )
+
+            # So does a shard that raises: its workers may have learned
+            # what the master never merged.  The failpoint reaches only
+            # workers forked after it is armed.
+            engine.close_pool()
+            faults.configure("worker.before_result=error*1", seed=seed)
+            pids = engine.prepare_parallel(2, "fork").worker_pids
+            faults.clear()
+            try:
+                indexed_batch()
+            except ParallelExecutionError:
+                pass
+            else:
+                problems.append(
+                    "update_crash: the batch armed to raise did not raise"
+                )
+            restarted_batch(pids, "the raised shard")
+            update_in_place(
+                [("remove_edge", edges[8][0], edges[8][1])],
+                "the update after the raised shard",
             )
     finally:
         faults.clear()

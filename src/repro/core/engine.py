@@ -211,9 +211,11 @@ class ReverseKRanksEngine:
     indexed query the engine answers in-process (:meth:`query`, and
     :meth:`query_many` batches that stay sequential): it runs inside a
     learning log whose delta the pool forwards to every worker.  A full
-    snapshot ships only when a replica starts or the master index is
-    replaced — pool start, a respawned worker, :meth:`build_index` /
-    :meth:`adopt_index`, and after a parallel batch that raised.
+    snapshot ships only when a worker process starts: at pool start and
+    when a worker is respawned.  What leaves the replicas no longer
+    mirroring the master index — :meth:`build_index`,
+    :meth:`adopt_index`, a parallel batch that raised — closes the pool
+    instead, and the next parallel call starts a fresh one.
 
     An engine answers **one query at a time**: it owns a single
     :class:`~repro.traversal.arena.ScratchArena` (plus CSR/mask caches
@@ -269,30 +271,19 @@ class ReverseKRanksEngine:
         self._graph = graph
         self._partition = partition
         self._index = index
+        # The CSR compilation (apply_updates layers an overlay onto its
+        # frozen base) and the graph version it describes.
         self._csr: Optional[CompactGraph] = None
         self._csr_version: Optional[int] = None
-        # Incremental-maintenance state: the frozen base compilation the
-        # current overlay (if any) patches, plus the accumulated mutation
-        # side-table keys.  apply_updates() layers effective changes onto
-        # the base instead of recompiling; compact_graph() resets all
-        # three whenever it performs a full compile.
-        self._overlay_base: Optional[CompactGraph] = None
-        self._overlay_touched: set = set()
-        self._overlay_appended: list = []
         # Bichromatic candidate/counted masks over the compact node order,
         # cached per graph version (building them is O(n) per query
         # otherwise — see CompactSDSTreeSearch).
         self._masks: Optional[tuple] = None
         self._masks_version: Optional[int] = None
         # The persistent repro.parallel worker pool (created lazily by
-        # query_many(workers=N)) and the graph version it was built for.
+        # query_many(workers=N)).  While it is live its replicas mirror
+        # self._index (pool.index) and it holds self._csr (pool.graph).
         self._pool = None
-        self._pool_version: Optional[int] = None
-        # The index object the workers' replicas mirror: set by every
-        # snapshot, None when the replicas may differ from the master (a
-        # batch raised).  Anything but self._index means the next sync
-        # must be a snapshot.
-        self._pool_index = None
         # Reusable epoch-stamped scratch memory, threaded through every
         # SDS-tree query this engine answers (worker-process engines get
         # their own).  Graph mutations don't invalidate it: it only grows,
@@ -490,9 +481,6 @@ class ReverseKRanksEngine:
         if self._csr is None or self._csr_version != version:
             self._csr = CompactGraph.from_graph(self._graph)
             self._csr_version = version
-            self._overlay_base = self._csr
-            self._overlay_touched = set()
-            self._overlay_appended = []
             self._m_recompactions.inc()
             self._m_overlay_rows.set(0)
         return self._csr
@@ -523,12 +511,12 @@ class ReverseKRanksEngine:
         exploring a contiguous hub run on its own shared-memory mapping
         (or pickled copy) of the compilation.  The index, stored
         distances included, is bit-identical to the sequential build.  A
-        pool error costs the pool (closed, rebuilt lazily), not the
-        build: the master explores the hubs itself.  The pool is reused
-        by subsequent ``query_many(workers=N)`` calls with a matching key.
-        The build ships no index to the workers (a pool it starts holds
-        none); the new index is snapshotted into them on their next
-        parallel batch or graph update.
+        pool error costs the pool, not the build: the master explores
+        the hubs itself.
+
+        Any build closes the pool: its replicas mirror the index the
+        build replaces (or none).  The next parallel call starts a fresh
+        pool seeded with the new index.
         """
         if self._partition is not None:
             raise IndexParameterError(
@@ -540,34 +528,38 @@ class ReverseKRanksEngine:
             )
         explore = None
         if workers > 1:
-            # The explorations run on throwaway indexes, so the replicas
-            # are not synced first: the index they would get is replaced.
-            pool = self._live_pool(workers, worker_context, index=None)
+            # The explorations run on throwaway indexes: the replicas
+            # learn nothing.
+            pool = self._live_pool(workers, worker_context)
 
             def explore(hubs, limit):
                 try:
                     return pool.explore_hubs(hubs, limit)
                 except ParallelExecutionError:
-                    self.close_pool()
                     return []  # the master explores every hub itself
 
-        self._index = HubIndex.build(
-            self._graph,
-            num_hubs=num_hubs,
-            explore_limit=explore_limit,
-            capacity=capacity,
-            strategy=strategy,
-            rng=rng,
-            backend=self.compact_graph(),
-            explore=explore,
-        )
+        try:
+            self._index = HubIndex.build(
+                self._graph,
+                num_hubs=num_hubs,
+                explore_limit=explore_limit,
+                capacity=capacity,
+                strategy=strategy,
+                rng=rng,
+                backend=self.compact_graph(),
+                explore=explore,
+            )
+        finally:
+            self.close_pool()
         return self._index
 
     def adopt_index(self, index: HubIndex) -> HubIndex:
         """Adopt a prebuilt (e.g. :meth:`HubIndex.load`-ed) hub index.
 
         The index must have been built for — or loaded against — this
-        engine's graph at its current mutation version.
+        engine's graph at its current mutation version.  Adopting closes
+        the pool, whose replicas mirror the index being replaced; the
+        next parallel call starts a fresh pool seeded with ``index``.
         """
         if self._partition is not None:
             raise IndexParameterError(_INDEXED_IS_MONOCHROMATIC)
@@ -576,6 +568,7 @@ class ReverseKRanksEngine:
                 "hub index was built for a different graph than the engine's"
             )
         index.ensure_fresh()
+        self.close_pool()
         self._index = index
         return index
 
@@ -585,12 +578,11 @@ class ReverseKRanksEngine:
     def apply_updates(self, updates: Iterable[tuple]) -> UpdateReport:
         """Apply a batch of graph mutations, maintaining every derived cache.
 
-        Historically *any* mutation of the engine's graph bumped its
-        version and nuked everything keyed by it on the next query: the
-        CSR compilation recompiled from scratch, the hub index raised
-        stale, and the worker pool was torn down and respawned.  This
-        method applies mutations *through* the engine instead, so each
-        derived artefact is patched incrementally:
+        A mutation made directly on the engine's graph bumps its version,
+        and everything keyed by it is rebuilt on the next query: the CSR
+        compilation recompiles, the hub index raises stale and the
+        worker pool restarts.  Mutations applied through this method
+        patch each derived artefact incrementally instead:
 
         * the CSR compilation becomes an
           :class:`~repro.graph.overlay.OverlayGraph` — frozen base
@@ -608,16 +600,15 @@ class ReverseKRanksEngine:
         * a live worker pool receives the batch's overlay rows over its
           broadcast channel — each worker builds its next overlay from
           its current one over the base it already holds, no teardown,
-          no process churn.  While the workers' index replicas mirror
-          the master index, the same round trip shards the repair: each
-          worker applies the master's drops and trims and re-explores a
-          contiguous chunk of the affected hubs, and the master installs
-          the returned rows and tails in hub order (bit-identical to
-          repairing alone).  Otherwise (the index was replaced, or a
-          batch raised) the master repairs alone and ships a snapshot.
-          A worker that crashes or raises mid-sync costs the pool
-          (dropped, rebuilt lazily; ``pool_synced=False``), never the
-          update.
+          no process churn.  With an index, the same round trip shards
+          the repair over the workers' replicas, which mirror the
+          master index while the pool is live: each worker applies the
+          master's drops and trims and re-explores a contiguous chunk
+          of the affected hubs, and the master installs the returned
+          rows and tails in hub order (bit-identical to repairing
+          alone).  A worker that crashes or raises mid-sync costs the
+          pool (dropped, rebuilt lazily; ``pool_synced=False``), never
+          the update.
 
         Supported operations (tuples, applied in order)::
 
@@ -796,42 +787,30 @@ class ReverseKRanksEngine:
         self._m_updates_applied.inc(applied)
 
         # ---- CSR: overlay or recompact --------------------------------
-        base = self._overlay_base
         removed_set = set(removed)
-        base_usable = (
-            not removed
-            and base is not None
-            and self._csr is not None
-            and self._csr_version == pre_version
-        )
-        if base_usable:
-            new_touched = set(self._overlay_touched)
-            new_touched.update(touched)
-            new_appended = self._overlay_appended + appended
-            if len(new_touched | set(new_appended)) > max(
-                8, base.num_nodes // 4
-            ):
-                base_usable = False
-        if base_usable:
+        csr = self._csr
+        recompacted = True
+        if not removed and csr is not None and self._csr_version == pre_version:
             # Rows this batch did not touch are the previous overlay's.
             # Without one the compilation is the base, at ``pre_version``.
-            previous = self._csr if self._csr.is_overlay else None
+            previous = csr if csr.is_overlay else None
+            base = csr.base if previous else csr
             csr = OverlayGraph.from_base(
-                graph, base, touched, new_appended, previous=previous
+                graph,
+                base,
+                touched,
+                (previous.appended_nodes if previous else []) + appended,
+                previous=previous,
             )
+            # One row per node touched or appended since the base.
+            recompacted = csr.overlay_rows > max(8, base.num_nodes // 4)
+        if recompacted:
+            self._csr = None
+            csr = self.compact_graph()  # full compile
+        else:
             self._csr = csr
             self._csr_version = post_version
-            self._overlay_touched = new_touched
-            self._overlay_appended = new_appended
             self._m_overlay_rows.set(csr.overlay_rows)
-            recompacted = False
-        else:
-            self._csr = None
-            self._overlay_base = None
-            self._overlay_touched = set()
-            self._overlay_appended = []
-            csr = self.compact_graph()  # full compile; resets overlay state
-            recompacted = True
 
         # ---- Hub index repair + worker pool sync ----------------------
         pool = self._pool
@@ -842,25 +821,22 @@ class ReverseKRanksEngine:
             pool = None
         explore = None
         synced = []
-        if (
-            pool is not None
-            and self._index is not None
-            and self._pool_index is self._index
-        ):
-            # The workers' replicas equal the master, so the graph
-            # broadcast doubles as the repair's exploration round trip:
-            # each worker re-explores a chunk of the hubs.
-            def explore_on_pool(drops, hubs, limit, prefixes):
+        if pool is not None:
+
+            def sync(repair=None):
                 try:
-                    rows = pool.update_graph(
-                        csr, repair=(drops, hubs, limit, prefixes)
-                    )
+                    rows = pool.update_graph(csr, repair)
                 except ParallelExecutionError:
                     return []  # the master explores every hub itself
                 synced.append(True)
                 return rows
 
-            explore = explore_on_pool
+            def explore(drops, hubs, limit, prefixes):
+                # The workers' replicas equal the master, so the graph
+                # broadcast doubles as the repair's exploration round
+                # trip: each worker re-explores a chunk of the hubs.
+                return sync((drops, hubs, limit, prefixes))
+
         index_delta = None
         if self._index is not None:
             changes = []
@@ -883,19 +859,10 @@ class ReverseKRanksEngine:
             reused, explored = self._index.last_repair_settles
             self._m_repair_reused.inc(reused)
             self._m_repair_explored.inc(explored)
-        if pool is not None and explore is None:
-            # Snapshot sync: the repaired master index (if any) replaces
-            # the workers' replicas.
-            try:
-                pool.update_graph(csr, index=self._index)
-            except ParallelExecutionError:
-                pass
-            else:
-                synced.append(True)
-                self._pool_index = self._index
+        elif pool is not None:
+            sync()
         pool_synced = bool(synced)
         if pool_synced:
-            self._pool_version = post_version
             self._m_pool_graph_syncs.inc()
         elif pool is not None:
             # A worker crashed or raised mid-sync (WorkerCrashError is a
@@ -997,18 +964,24 @@ class ReverseKRanksEngine:
             persistent worker processes (see :mod:`repro.parallel`): each
             worker maps the CSR compilation from shared memory (falling
             back to a pickled private copy where shared memory is
-            unavailable; holds a snapshot of the hub index, when one is
-            set), results come back
-            in input order, and everything indexed queries *learn* in the
-            workers is merged back into this engine's master index
+            unavailable) and holds a replica of the hub index, when one
+            is set; results come back in input order, and everything
+            indexed queries *learn* in the workers is merged back into
+            this engine's master index
             (:meth:`~repro.core.hub_index.HubIndex.merge_delta`).  The
-            pool persists across batches and is invalidated by graph
-            mutations; see :meth:`prepare_parallel` / :meth:`close_pool`.
+            pool persists across batches and across
+            :meth:`apply_updates`, which syncs it in place; a mutation
+            made directly on the graph, a recompaction,
+            :meth:`build_index` and :meth:`adopt_index` restart it.  See
+            :meth:`prepare_parallel` / :meth:`close_pool`.
             Single-query batches fall back to sequential execution
             (nothing to shard).  The batch is sharded round-robin and
             every result carries its full
             :class:`~repro.core.types.QueryStats`, exactly as in
-            sequential mode.
+            sequential mode.  A worker that raises fails the batch with
+            :class:`~repro.errors.ParallelExecutionError` (the remote
+            traceback embedded) and closes the pool: its replicas may
+            hold learning the master never merged.
 
             When the pool fails a batch even after its in-place healing
             (crash budget exhausted, a replacement worker that would not
@@ -1078,9 +1051,7 @@ class ReverseKRanksEngine:
                 # are batch constants, so the cache key degenerates to the
                 # query node) and the unique results fanned back out
                 # afterwards — duplicate positions share one QueryResult
-                # object, exactly like a sequential cache hit.  Previously
-                # the parallel branch silently ignored cache_size and
-                # dispatched every duplicate.
+                # object, exactly like a sequential cache hit.
                 dispatch = batch
                 if cache_size and cache_size > 0:
                     dispatch = list(dict.fromkeys(batch))
@@ -1179,7 +1150,7 @@ class ReverseKRanksEngine:
     def _forwarding_learning(self, kind: AlgorithmKind):
         """Forward what in-process ``kind`` queries learn to the pool's replicas.
 
-        While a live pool's replicas mirror the master index, the
+        With a live pool (whose replicas mirror the master index), the
         enclosed indexed queries run inside a learning log (nested in
         any log the caller keeps, such as the query server's journal
         log) whose delta the pool queues for every worker.  Anything
@@ -1192,7 +1163,6 @@ class ReverseKRanksEngine:
             or pool is None
             or pool.is_closed
             or index is None
-            or self._pool_index is not index
         ):
             yield
             return
@@ -1251,11 +1221,11 @@ class ReverseKRanksEngine:
 
         :meth:`query_many` creates the pool lazily, which folds process
         startup — spawn can take seconds — into the first batch.  Callers
-        that time batches call this first.  If the engine holds a hub
-        index, its current state is snapshotted into the workers.
-        Returns the pool.
+        that time batches call this first.  A pool it starts is seeded
+        with the compilation as it stands (overlay rows included) and a
+        snapshot of the engine's hub index, if any.  Returns the pool.
         """
-        return self._ensure_pool(workers, worker_context)
+        return self._live_pool(workers, worker_context)
 
     def close_pool(self) -> None:
         """Shut down the worker pool, if one is running.  Idempotent.
@@ -1267,8 +1237,6 @@ class ReverseKRanksEngine:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._pool_index = None
-            self._pool_version = None
 
     @property
     def parallel_degraded(self) -> bool:
@@ -1321,82 +1289,43 @@ class ReverseKRanksEngine:
     def __exit__(self, exc_type, exc_value, tb) -> None:
         self.close_pool()
 
-    def _ensure_pool(self, workers: int, worker_context: Optional[str]):
-        """The cached worker pool, rebuilt or re-synced when its key drifted.
+    def _live_pool(self, workers: int, worker_context: Optional[str]):
+        """The cached worker pool, restarted when its key drifted.
 
-        A replaced master index never rebuilds the pool (see
-        :meth:`_live_pool`) — the workers are *re-synced* in place with a
-        snapshot via :meth:`~repro.parallel.pool.WorkerPool.update_index`
-        whenever their replicas do not mirror the master index: it was
-        replaced (a new object may carry a different capacity, which
-        worker-side k validation must agree with), or a batch raised.
-        """
-        pool = self._live_pool(workers, worker_context, self._index)
-        if self._index is not None and self._pool_index is not self._index:
-            # Until the snapshot lands the replicas are unknown.
-            self._pool_index = None
-            try:
-                pool.update_index(self._index)
-            except WorkerCrashError:
-                self.close_pool()
-                raise
-            self._pool_index = self._index
-        return pool
-
-    def _live_pool(self, workers: int, worker_context: Optional[str], index):
-        """The cached worker pool, rebuilt when its key drifted.
-
-        The *rebuild* key is (worker count, start method, graph mutation
-        version): a mutated graph means the workers hold a wrong
-        compilation, and process count / start method cannot change in
-        place.  The start method is compared as ``worker_context``
-        resolves (``None`` is the platform default).  A new pool starts
-        with a snapshot of ``index`` (or none); the replicas of a pool
-        kept are left as they are.
+        The key is (worker count, start method, compilation): process
+        count and start method cannot change in place, and workers that
+        hold another compilation than :meth:`compact_graph` (the graph
+        was mutated directly, or recompacted) would answer wrongly.  The
+        start method is compared as ``worker_context`` resolves
+        (``None`` is the platform default).  A new pool is seeded with
+        the compilation as it stands and a snapshot of the engine's
+        index.
         """
         from repro.parallel.pool import WorkerPool, start_context
 
-        version = getattr(self._graph, "version", None)
-        if self._pool is not None:
-            stale = (
-                self._pool.is_closed
-                or self._pool.num_workers != workers
-                or self._pool_version != version
-                or self._pool.start_method
-                != start_context(worker_context).get_start_method()
-                # The engine can gain or swap an index in place (the
-                # workers adopt the new snapshot), but not un-set one.
-                or (self._index is None and self._pool_index is not None)
-            )
-            if stale:
-                self.close_pool()
+        compact = self.compact_graph()
+        pool = self._pool
+        if pool is not None and (
+            pool.is_closed
+            or pool.num_workers != workers
+            or pool.graph is not compact
+            or pool.start_method
+            != start_context(worker_context).get_start_method()
+        ):
+            self.close_pool()
         if self._pool is None:
             facilities = (
                 self._partition.facilities if self._partition is not None else None
             )
-            # Overlays refuse pickling and shared memory by design: the
-            # pool is always built around the frozen *base* compilation,
-            # and an active side-table rides along as a broadcast-style
-            # init payload the workers apply after attaching the base.
-            compact = self.compact_graph()
-            if getattr(compact, "is_overlay", False):
-                init_graph = compact.base
-                graph_update = compact.overlay_state()
-            else:
-                init_graph = compact
-                graph_update = None
             self._pool = WorkerPool(
-                init_graph,
+                compact,
                 workers=workers,
-                index=index,
+                index=self._index,
                 facilities=facilities,
                 context=worker_context,
                 crash_retries=self.pool_crash_retries,
                 registry=self._registry,
-                graph_update=graph_update,
             )
-            self._pool_version = version
-            self._pool_index = index
         return self._pool
 
     def _query_many_parallel(
@@ -1413,7 +1342,7 @@ class ReverseKRanksEngine:
 
         tracer = self.tracer
         with tracer.span("engine.pool_ensure", workers=workers):
-            pool = self._ensure_pool(workers, worker_context)
+            pool = self._live_pool(workers, worker_context)
         with tracer.span("engine.plan") as plan_span:
             plan = ShardPlanner(pool.num_workers).plan(batch)
             skew = plan.skew()
@@ -1434,17 +1363,14 @@ class ReverseKRanksEngine:
                 # per batch, one trace id across the IPC boundary.
                 tracer.attach(outcome.worker_traces)
                 dispatch_span.set(ipc_bytes=outcome.ipc_bytes)
-        except (WorkerCrashError, WorkerTimeoutError):
-            # The pool exhausted its in-place healing (or blew the batch
-            # deadline); drop it so a caller's retry gets a fresh pool
-            # instead of re-dispatching shards to the corpse forever.
-            self.close_pool()
-            raise
         except ParallelExecutionError:
-            # A shard raised: workers that finished may have learned
-            # ranks the master never merges, so the next sync must be a
-            # snapshot.
-            self._pool_index = None
+            # Drop the pool.  After its in-place healing ran out (or the
+            # batch deadline passed) a caller's retry then gets a fresh
+            # pool instead of re-dispatching shards to the corpse; after
+            # a shard raised, workers that finished may have learned
+            # ranks the master never merges, so their replicas no
+            # longer mirror it.
+            self.close_pool()
             raise
         if kind is AlgorithmKind.INDEXED and self._index is not None:
             # Deltas arrive in shard order (see merge_shard_outputs), so

@@ -120,6 +120,10 @@ class HubIndexDelta:
     plain learning deltas (and deltas unpickled from journals written
     before repairs or trims existed, which lack the attributes entirely)
     behave exactly as before.
+
+    A delta is falsy only when merging it changes nothing: a repair
+    delta is always truthy, because it advances the index's version
+    even when it carries no entry.
     """
 
     graph_version: Optional[int] = None
@@ -130,7 +134,12 @@ class HubIndexDelta:
     trimmed: Dict[NodeId, int] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
-        return bool(self.ranks or self.explorations or self.removed_sources)
+        return bool(
+            self.ranks
+            or self.explorations
+            or self.removed_sources
+            or self.repaired_to_version is not None
+        )
 
     def __len__(self) -> int:
         return len(self.ranks)

@@ -46,11 +46,10 @@ Contract
   *removals* cannot be represented (they renumber every index) and force
   recompaction upstream.
 * Overlays refuse :mod:`pickle` and shared-memory publication: workers
-  hold the same frozen base (mapped or pickled once).  A worker that
-  starts receives the whole side-table (:meth:`overlay_state` /
-  :meth:`from_state`); after that each update ships only the rows it
-  re-extracted (:meth:`overlay_delta` / :meth:`from_delta`) over the
-  pool's broadcast channel.
+  hold the same frozen base (mapped or pickled once).  Rows travel in
+  one format, :meth:`overlay_delta` / :meth:`from_delta`: a worker that
+  starts receives the delta against the base (the whole side-table),
+  and each update after that the rows it re-extracted.
 """
 
 from __future__ import annotations
@@ -65,12 +64,12 @@ from repro.graph.graph import NodeId, Weight
 
 __all__ = ["OverlayGraph"]
 
-#: Side-table wire-format marker for :meth:`OverlayGraph.overlay_state`;
-#: bumped when the payload layout changes so a worker can never misapply
-#: a side-table written by an incompatible build.
+#: Layout marker hashed into :meth:`OverlayGraph.content_digest`.
 _OVERLAY_FORMAT = "repro-overlay/1"
-#: The same for :meth:`OverlayGraph.overlay_delta`.
-_DELTA_FORMAT = "repro-overlay-delta/1"
+#: Wire-format marker for :meth:`OverlayGraph.overlay_delta`; bumped when
+#: the payload layout changes so a worker can never misapply a delta
+#: written by an incompatible build.
+_DELTA_FORMAT = "repro-overlay-delta/2"
 
 
 def _extract_row(
@@ -89,10 +88,10 @@ class OverlayGraph(CompactGraph):
     """A :class:`CompactGraph` view of a *mutated* graph over a frozen base.
 
     Build with :meth:`from_base` (coordinator side, from the live
-    :class:`~repro.graph.Graph`) or :meth:`from_state` (worker side, from a
-    broadcast side-table).  Implements the same read-only adjacency
-    protocol as the base class; every accessor consults the row dicts
-    first and falls back to the base buffers.
+    :class:`~repro.graph.Graph`) or :meth:`from_delta` (worker side, from
+    a shipped :meth:`overlay_delta`).  Implements the same read-only
+    adjacency protocol as the base class; every accessor consults the
+    row dicts first and falls back to the base buffers.
     """
 
     is_overlay = True
@@ -232,30 +231,8 @@ class OverlayGraph(CompactGraph):
         )
 
     # ------------------------------------------------------------------
-    # Side-table transport (worker broadcast)
+    # Row transport (worker seeding and update broadcast)
     # ------------------------------------------------------------------
-    def overlay_state(self) -> Dict[str, object]:
-        """The picklable side-table a worker needs to mirror this overlay.
-
-        Rows are keyed by dense node index and carry ``array`` buffers, so
-        the payload stays proportional to the mutation set, not the graph.
-        The base digest pins the payload to one exact base compilation:
-        :meth:`from_state` refuses a side-table built over different
-        buffers.
-        """
-        return {
-            "format": _OVERLAY_FORMAT,
-            "base_digest": self._base.content_digest(),
-            "directed": self.directed,
-            "version": self.source_version,
-            "num_edges": self.num_edges,
-            "appended": list(self._appended),
-            "out_rows": self.overlay_out,
-            "in_rows": (
-                None if self.overlay_in is self.overlay_out else self.overlay_in
-            ),
-        }
-
     def overlay_delta(self, shipped: CompactGraph) -> Dict[str, object]:
         """What a holder of ``shipped`` lacks to mirror this overlay.
 
@@ -265,10 +242,12 @@ class OverlayGraph(CompactGraph):
         ``previous=`` takes every row a batch did not touch from the
         previous overlay as the same object; so the rows that are not
         ``shipped``'s own objects are the ones re-extracted since.  The
-        delta holds those rows, the nodes appended since, and the
-        version it applies on; :meth:`from_delta` rebuilds this overlay
-        from it.  A row extracted twice with equal contents only makes
-        the delta larger, never wrong.
+        delta holds those rows, the nodes appended since, the version it
+        applies on and the base's digest; :meth:`from_delta` rebuilds
+        this overlay from it.  Cut against the base itself it is the
+        whole side-table, which seeds a worker that starts.  A row
+        extracted twice with equal contents only makes the delta larger,
+        never wrong.
         """
         if shipped.is_overlay:
             base = shipped.base
@@ -293,6 +272,7 @@ class OverlayGraph(CompactGraph):
 
         return {
             "format": _DELTA_FORMAT,
+            "base_digest": self._base.content_digest(),
             "on_version": shipped.source_version,
             "version": self.source_version,
             "num_edges": self.num_edges,
@@ -319,13 +299,21 @@ class OverlayGraph(CompactGraph):
         Raises
         ------
         GraphValidationError
-            On an unrecognised payload, or when ``current`` is not at the
-            graph version the delta applies on.
+            On an unrecognised payload, when the delta was cut over
+            another base than ``current``'s (their content digests
+            differ), or when ``current`` is not at the graph version the
+            delta applies on.
         """
         if not isinstance(delta, dict) or delta.get("format") != _DELTA_FORMAT:
             raise GraphValidationError(
                 f"unrecognised overlay delta payload: "
                 f"{delta.get('format') if isinstance(delta, dict) else delta!r}"
+            )
+        base = current.base if current.is_overlay else current
+        if delta["base_digest"] != base.content_digest():
+            raise GraphValidationError(
+                "overlay delta was cut over a different base compilation "
+                "(content digest mismatch); refusing to apply"
             )
         if delta["on_version"] != current.source_version:
             raise GraphValidationError(
@@ -334,12 +322,10 @@ class OverlayGraph(CompactGraph):
                 f"{current.source_version}; refusing to apply"
             )
         if current.is_overlay:
-            base = current.base
             out_rows = dict(current.overlay_out)
             in_rows = current.overlay_in
             appended = current.appended_nodes
         else:
-            base = current
             out_rows, in_rows = {}, {}
             appended = []
         out_rows.update(delta["out_rows"])
@@ -362,54 +348,6 @@ class OverlayGraph(CompactGraph):
             in_rows=in_rows,
             num_edges=int(delta["num_edges"]),
             source_version=delta["version"],
-            source_graph=None,
-            appended=appended,
-        )
-
-    @classmethod
-    def from_state(
-        cls, base: CompactGraph, state: Dict[str, object]
-    ) -> "OverlayGraph":
-        """Rebuild the overlay a coordinator broadcast, over a local base.
-
-        ``base`` is the worker's own copy of the frozen base compilation
-        (shared-memory mapped or unpickled at startup); it must digest
-        equal to the coordinator's, which guarantees identical node
-        indexing and therefore a bit-identical overlay.
-        """
-        if not isinstance(state, dict) or state.get("format") != _OVERLAY_FORMAT:
-            raise GraphValidationError(
-                f"unrecognised overlay side-table payload: "
-                f"{state.get('format') if isinstance(state, dict) else state!r}"
-            )
-        if state["base_digest"] != base.content_digest():
-            raise GraphValidationError(
-                "overlay side-table was built over a different base "
-                "compilation (content digest mismatch); refusing to apply"
-            )
-        if bool(state["directed"]) != base.directed:
-            raise GraphValidationError(
-                "overlay side-table directedness does not match the base"
-            )
-        appended = list(state["appended"])
-        base_nodes = base.node_ids
-        if appended:
-            nodes = list(base_nodes) + appended
-            index_of = {node: index for index, node in enumerate(nodes)}
-        else:
-            nodes = base_nodes
-            index_of = base._index_of
-        out_rows = dict(state["out_rows"])
-        in_rows = state["in_rows"]
-        in_rows = out_rows if in_rows is None else dict(in_rows)
-        return cls(
-            base=base,
-            nodes=nodes,
-            index_of=index_of,
-            out_rows=out_rows,
-            in_rows=in_rows,
-            num_edges=int(state["num_edges"]),
-            source_version=state["version"],
             source_graph=None,
             appended=appended,
         )
@@ -480,7 +418,7 @@ class OverlayGraph(CompactGraph):
         comparable to a from-scratch compilation's digest — the bytes are
         laid out differently even though traversal is identical.  Nothing
         transports overlays by digest: workers verify the *base* digest
-        and rebuild the side-table deterministically.
+        and rebuild the side-table deterministically from deltas.
         """
         if self._digest is None:
             digest = hashlib.sha256()
@@ -508,8 +446,8 @@ class OverlayGraph(CompactGraph):
     def __reduce__(self):
         raise GraphValidationError(
             "cannot pickle an OverlayGraph: workers already hold the frozen "
-            "base; broadcast overlay_state() and rebuild with "
-            "OverlayGraph.from_state() on the receiving side"
+            "base; ship overlay_delta() and rebuild with "
+            "OverlayGraph.from_delta() on the receiving side"
         )
 
     # ------------------------------------------------------------------

@@ -221,7 +221,7 @@ def share_compact_graph(graph: CompactGraph) -> SharedGraphOwner:
     if getattr(graph, "is_overlay", False):
         raise GraphValidationError(
             "cannot share an OverlayGraph: publish the frozen base "
-            "compilation and broadcast overlay_state() to workers instead"
+            "compilation and ship overlay_delta() to workers instead"
         )
     out_offsets, out_targets, out_weights = graph.out_csr()
     in_offsets, in_sources, in_weights = graph.in_csr()

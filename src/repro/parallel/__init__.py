@@ -10,9 +10,9 @@ substrate that exploits the former and reconciles the latter:
 * :mod:`repro.parallel.planner` — :class:`ShardPlanner`, deterministic
   round-robin batch chunking;
 * :mod:`repro.parallel.worker` — the spawn-safe worker process entry
-  point (a private engine per worker, rebuilt from one pickled graph
-  compilation + hub-index snapshot, then kept in step with the master
-  index by forwarded deltas);
+  point (a private engine per worker, seeded once from the base
+  compilation, its overlay rows and a hub-index snapshot, then kept in
+  step with the master by deltas);
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`, the persistent
   process pool with startup barrier, typed crash surfacing and graceful
   shutdown;
@@ -28,9 +28,9 @@ substrate that exploits the former and reconciles the latter:
 
 The high-level entry point is
 :meth:`repro.core.engine.ReverseKRanksEngine.query_many` with
-``workers=N`` — the engine owns the pool, keys it by graph version, and
-merges the learned rank deltas back into its master index after every
-indexed batch.
+``workers=N`` — the engine owns the pool, keys it by the compilation
+its workers hold, and merges the learned rank deltas back into its
+master index after every indexed batch.
 """
 
 from repro.parallel.codec import ShardResultBlock, ShardResultCodec

@@ -11,7 +11,7 @@ Index replicas
 --------------
 Each worker starts from a :meth:`~repro.core.hub_index.HubIndex.export_state`
 snapshot of the coordinator's (master) index and is then kept equal to
-it by deltas, not snapshots.  Whatever one worker learns in a query
+it by deltas only.  Whatever one worker learns in a query
 shard, and whatever rows or row tails it settles in a sharded repair
 (:meth:`WorkerPool.update_graph`), reaches the master through the
 batch result; the pool queues it for every *other* worker and ships it
@@ -19,12 +19,12 @@ with that worker's next task (never back to the worker that made it:
 exploration counts add).  What the master learns itself — the indexed
 queries it answers in-process — the coordinator hands to
 :meth:`WorkerPool.forward`, which queues it for every worker.  A full
-snapshot ships only when a replica starts or the master index is
-replaced: at pool start, when a worker is respawned (exported from the
-master at that moment, its queued deltas dropped), and when the
-coordinator asks for one (:meth:`WorkerPool.update_index`, or
-:meth:`WorkerPool.update_graph` with ``index``) because it swapped its
-index or a batch raised.  Once its queued deltas are delivered, every
+snapshot ships only when a worker process starts: at pool start, and
+when a worker is respawned (exported from the master at that moment,
+its queued deltas dropped).  A pool cannot adopt another index: a
+coordinator that replaces its index, or whose batch raised (its workers
+may have learned what the master never merged), closes the pool and
+starts a new one.  Once its queued deltas are delivered, every
 replica equals the master (:meth:`WorkerPool.replica_digests`), and a
 worker never knows more than the master, which is what keeps the
 master's affected-source test in
@@ -45,10 +45,12 @@ creating the segment raises :class:`OSError` (no writable shared memory
 on the platform) do workers receive pickled copies instead.  The segment
 is owned by the pool and unlinked on *every* exit path: normal
 :meth:`close`, worker crash, context-manager exception and the
-``__del__`` safety net.  Graph updates never republish the base: a
-worker that starts receives the whole overlay side-table, and each
-update after that only the rows it lacks
-(:meth:`WorkerPool.update_graph`).
+``__del__`` safety net.  The pool takes the coordinator's compilation
+as it is and publishes its frozen base; graph updates never republish
+it.  A worker that starts is seeded with the overlay's
+:meth:`~repro.graph.overlay.OverlayGraph.overlay_delta` against the
+base (the whole side-table), and each update after that ships only the
+rows it lacks (:meth:`WorkerPool.update_graph`).
 
 Lifecycle guarantees
 --------------------
@@ -67,8 +69,9 @@ Lifecycle guarantees
   :class:`~repro.errors.ParallelExecutionError`; a worker that *dies*
   (signal, OOM kill, interpreter abort) is detected by liveness polling.
   :meth:`run_batch` heals from deaths in place: the dead slot is
-  respawned from the retained startup state (with a fresh export of
-  the master hub index, not the construction-time one) and the shards the
+  respawned from the current state (the base, the overlay the workers
+  hold and a fresh export of the master hub index, not the
+  construction-time ones) and the shards the
   casualty was holding are re-dispatched, up to ``crash_retries`` deaths
   per batch — only then does the batch fail with
   :class:`~repro.errors.WorkerCrashError` naming the unanswered
@@ -109,7 +112,7 @@ import multiprocessing.connection
 import os
 import queue as queue_module
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro import faults
 from repro.core.config import AlgorithmKind
@@ -197,9 +200,11 @@ class WorkerPool:
     Parameters
     ----------
     graph:
-        A :class:`~repro.graph.csr.CompactGraph` compilation, shipped to
-        workers over shared memory, or pickled where that is unavailable
-        (see the module docstring).
+        A :class:`~repro.graph.csr.CompactGraph` compilation, a plain one
+        or an :class:`~repro.graph.overlay.OverlayGraph`.  Its frozen
+        base is shipped to workers over shared memory, or pickled where
+        that is unavailable (see the module docstring), and an overlay's
+        rows ride along as a delta against it.
     workers:
         Number of worker processes (>= 1).
     index:
@@ -208,7 +213,8 @@ class WorkerPool:
         :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot of
         it and reports its learning back per batch.  The pool keeps the
         reference so a respawned worker starts from the master's state
-        at that moment (see *Index replicas* in the module docstring).
+        at that moment (see *Index replicas* in the module docstring);
+        it never adopts another index.
     facilities:
         Optional bichromatic facility (V2) node set; workers rebuild the
         partition from it.
@@ -228,13 +234,6 @@ class WorkerPool:
         Number of worker deaths :meth:`run_batch` heals from (respawn +
         re-dispatch) before giving up on a batch; ``0`` restores the
         fail-fast behaviour.
-    graph_update:
-        Optional :meth:`~repro.graph.overlay.OverlayGraph.overlay_state`
-        side-table: workers attach the (base) ``graph`` as usual, then
-        rebuild the overlay over it before constructing their engines —
-        the startup twin of :meth:`update_graph`, used when a pool is
-        created while the coordinator's compilation already carries
-        incremental mutations.
     """
 
     def __init__(
@@ -248,7 +247,6 @@ class WorkerPool:
         respawn_timeout: float = 10.0,
         crash_retries: int = 2,
         registry=None,
-        graph_update: Optional[Dict[str, object]] = None,
     ) -> None:
         # Attributes close() touches come first: a constructor failure at
         # any later point must leave close() safe to run.
@@ -271,34 +269,19 @@ class WorkerPool:
                 "array buffers are what make shipping the graph cheap); "
                 "compile with CompactGraph.from_graph() first"
             )
-        if getattr(graph, "is_overlay", False):
-            raise ParallelExecutionError(
-                "WorkerPool is built around the frozen base compilation; "
-                "pass overlay.base as the graph and overlay.overlay_state() "
-                "as graph_update"
-            )
         ctx = start_context(context)
 
         self._num_workers = workers
         self._start_method = ctx.get_start_method()
         self._job_ids = itertools.count()
-        # The *base* compilation: the only graph the workers' startup
+        # The frozen base compilation: the only graph the workers' startup
         # transports (shared segment or pickled copy) ever carry.
-        self._init_graph = graph
-        # Kept for decoding shard result blocks (entry nodes travel as
-        # CSR indexes of this compilation).  With an overlay side-table
-        # in play this is the overlay view — same node indexing for base
-        # nodes, appended nodes at the tail — rebuilt parent-side so
-        # decode agrees with what the workers compute against.
-        if graph_update is not None:
-            from repro.graph.overlay import OverlayGraph
-
-            self._graph = OverlayGraph.from_state(graph, graph_update)
-        else:
-            self._graph = graph
-        # Retained so a dead slot can be respawned with current state:
-        # the master index (exported at respawn time) and the whole
-        # side-table of ``_graph``, the overlay the workers hold.
+        self._base = graph.base if graph.is_overlay else graph
+        # What the workers hold: it decodes shard result blocks (entry
+        # nodes travel as CSR indexes of this compilation), and a worker
+        # that starts is seeded with its rows and a fresh export of
+        # ``index``.
+        self._graph = graph
         self._ctx = ctx
         self._index = index
         # Per worker: learning and repair rows other workers produced
@@ -350,32 +333,19 @@ class WorkerPool:
         index_syncs = metrics.counter(
             "repro_pool_index_syncs_total",
             "Hub-index syncs shipped to pool workers, by kind: full "
-            "snapshots (pool start, respawn, index swap, recovery after a "
-            "failed batch) vs deltas (sharded repairs).",
+            "snapshots (pool start, respawn) vs deltas (sharded repairs).",
             labels=("kind",),
         )
         self._m_index_snapshots = index_syncs.labels(kind="snapshot")
         self._m_index_deltas = index_syncs.labels(kind="delta")
         try:
             try:
-                self._graph_owner = share_compact_graph(graph)
+                self._graph_owner = share_compact_graph(self._base)
             except OSError:
                 # No (writable) shared memory on this platform: fall
                 # back to the pickled transport.
                 self._graph_owner = None
-            init_bytes = build_init_payload(
-                None if self._graph_owner is not None else graph,
-                index_state=(
-                    index.export_state() if index is not None else None
-                ),
-                facilities=facilities,
-                graph_handle=(
-                    self._graph_owner.handle
-                    if self._graph_owner is not None
-                    else None
-                ),
-                graph_update=graph_update,
-            )
+            init_bytes = self._current_init_bytes()
             self._startup_payload_bytes = len(init_bytes)
             self._m_ipc_startup.inc(len(init_bytes) * workers)
             # One result queue PER worker: crash isolation (see the
@@ -405,6 +375,16 @@ class WorkerPool:
     def start_method(self) -> str:
         """The multiprocessing start method the workers were created with."""
         return self._start_method
+
+    @property
+    def graph(self):
+        """The compilation the workers hold: the base or an overlay of it."""
+        return self._graph
+
+    @property
+    def index(self):
+        """The master hub index the workers' replicas mirror, or ``None``."""
+        return self._index
 
     @property
     def uses_shared_graph(self) -> bool:
@@ -509,8 +489,7 @@ class WorkerPool:
         docstring), and the caller merges
         :attr:`ParallelBatchResult.deltas` into the master.  A batch that
         raises may leave workers knowing more than the master, so the
-        caller must ship a snapshot (:meth:`update_index`) before
-        relying on the replicas again.
+        caller must not rely on the replicas again: close the pool.
 
         ``timeout`` bounds the batch in wall-clock seconds; ``None``
         waits indefinitely (liveness-polled, so crashes still surface).
@@ -698,49 +677,11 @@ class WorkerPool:
             self._m_ipc_result.inc(merged.ipc_bytes)
         return merged
 
-    def update_index(self, index) -> None:
-        """Broadcast a snapshot of the master hub index ``index`` (blocking).
-
-        Each worker rebuilds its private index from an
-        :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot of
-        ``index`` and adopts it into its engine, replacing whatever
-        replica it held; deltas still queued for the workers are dropped
-        (the snapshot contains them).  This is the in-place alternative
-        to tearing the pool down when the master index is swapped or the
-        replicas may have diverged.
-        Returns once every worker has acknowledged, so the next
-        :meth:`run_batch` is guaranteed to run on the new state.
-
-        Raises
-        ------
-        ParallelExecutionError
-            When the pool is closed or a worker failed to adopt the
-            snapshot (remote traceback embedded).
-        WorkerCrashError
-            When a worker process died during the sync.
-        """
-        if self._closed:
-            raise ParallelExecutionError(
-                "cannot update the index on a closed WorkerPool"
-            )
-        # Retain it first: even if a worker dies mid-sync and the caller
-        # retries, a respawned replacement must start from this index.
-        self._index = index
-        index_state = index.export_state()
-        self._pending = [[] for _ in range(self._num_workers)]
-        job_id = next(self._job_ids)
-        self._broadcast(
-            job_id,
-            [("index", job_id, index_state)] * self._num_workers,
-            "adopt the hub-index snapshot",
-        )
-        self._m_index_snapshots.inc()
-
-    def update_graph(self, new_graph, index=None, repair=None) -> list:
+    def update_graph(self, new_graph, repair=None) -> list:
         """Ship the overlay ``new_graph`` to every worker (blocking).
 
-        The incremental-maintenance twin of :meth:`update_index`: after
-        the coordinator applies graph mutations as a CSR delta-overlay
+        After the coordinator applies graph mutations as a CSR
+        delta-overlay
         (:meth:`~repro.core.engine.ReverseKRanksEngine.apply_updates`),
         the pool stays alive.  Each worker is sent only what it lacks:
         the overlay's
@@ -752,30 +693,25 @@ class WorkerPool:
         refuses a delta for any other version) and swaps in a fresh
         engine.  ``new_graph`` becomes the pool's record of what the
         workers hold: it decodes shard result blocks, and a slot
-        respawned later starts from its whole side-table.
+        respawned later is seeded with its rows.
 
-        The workers' index replicas follow in one of two ways:
-
-        * ``repair=(drops, hubs, limit, prefixes)`` — the sharded
-          repair, run from inside
-          :meth:`~repro.core.hub_index.HubIndex.repair` (its ``explore``
-          hook).  Every worker keeps its replica and applies the repair's
-          drops (``drops``, a repair delta without ranks: it drops some
-          rows and trims each resumed hub's row to its unchanged prefix,
-          in place).  It then re-explores its contiguous chunk of
-          ``hubs`` at budget ``limit`` on its own overlay, each resumed
-          hub after the prefix its replica kept; the prefix distances
-          (``prefixes``, ``hub -> dists``, copies) ship with the chunk,
-          so replicas need no stored distances.  It returns the tails,
-          with their distances; only hubs without a prefix come back
-          whole.  The chunks balance the settles left (``limit`` minus
-          the prefix length per hub), not the hub count.  The tails are
-          returned concatenated, in hub order, and each is queued for
-          the other workers without the distances (only the master's
-          repair reads them).
-        * otherwise the replicas are replaced by a snapshot of ``index``
-          (the master, already repaired) — or dropped when ``index`` is
-          ``None``.
+        A pool with an index takes ``repair=(drops, hubs, limit,
+        prefixes)``, the sharded repair, run from inside
+        :meth:`~repro.core.hub_index.HubIndex.repair` (its ``explore``
+        hook).  Every worker keeps its replica and applies the repair's
+        drops (``drops``, a repair delta without ranks: it drops some
+        rows and trims each resumed hub's row to its unchanged prefix,
+        in place).  It then re-explores its contiguous chunk of ``hubs``
+        at budget ``limit`` on its own overlay, each resumed hub after
+        the prefix its replica kept; the prefix distances (``prefixes``,
+        ``hub -> dists``, copies) ship with the chunk, so replicas need
+        no stored distances.  It returns the tails, with their
+        distances; only hubs without a prefix come back whole.  The
+        chunks balance the settles left (``limit`` minus the prefix
+        length per hub), not the hub count.  The tails are returned
+        concatenated, in hub order, and each is queued for the other
+        workers without the distances (only the master's repair reads
+        them).  A pool without an index takes ``repair=None``.
 
         Returns the re-explored ``(hub, row, dists)`` triples (empty
         without ``repair``) once every worker has acknowledged.  A
@@ -798,8 +734,7 @@ class WorkerPool:
             )
         if (
             not getattr(new_graph, "is_overlay", False)
-            or new_graph.base.content_digest()
-            != self._init_graph.content_digest()
+            or new_graph.base.content_digest() != self._base.content_digest()
         ):
             raise ParallelExecutionError(
                 "the overlay was built over a different base compilation "
@@ -808,41 +743,30 @@ class WorkerPool:
         job_id = next(self._job_ids)
         overlay = new_graph.overlay_delta(self._graph)
         self._graph = new_graph
-        if repair is None:
-            self._index = index
-            index_state = index.export_state() if index is not None else None
-            self._pending = [[] for _ in range(self._num_workers)]
-            self._broadcast(
-                job_id,
-                [("graph", job_id, [], overlay, index_state, None)]
-                * self._num_workers,
-                "adopt the graph update",
+        shares = [None] * self._num_workers
+        if repair is not None:
+            drops, hubs, limit, prefixes = repair
+            hubs = list(hubs)
+            chunks = chunk_evenly(
+                hubs,
+                self._num_workers,
+                [
+                    limit - len(prefixes[hub]) if hub in prefixes else limit
+                    for hub in hubs
+                ],
             )
-            if index is not None:
-                self._m_index_snapshots.inc()
-            return []
-        drops, hubs, limit, prefixes = repair
-        hubs = list(hubs)
-        chunks = chunk_evenly(
-            hubs,
-            self._num_workers,
-            [
-                limit - len(prefixes[hub]) if hub in prefixes else limit
-                for hub in hubs
-            ],
-        )
+            shares = [
+                (
+                    drops, tuple(chunk), limit,
+                    {hub: prefixes[hub] for hub in chunk if hub in prefixes},
+                )
+                for chunk in chunks
+            ]
         replies = self._broadcast(
             job_id,
             [
-                (
-                    "graph", job_id, self._take_pending(worker_id),
-                    overlay, None,
-                    (
-                        drops, tuple(chunk), limit,
-                        {hub: prefixes[hub] for hub in chunk if hub in prefixes},
-                    ),
-                )
-                for worker_id, chunk in enumerate(chunks)
+                ("graph", job_id, self._take_pending(worker_id), overlay, share)
+                for worker_id, share in enumerate(shares)
             ],
             "adopt the graph update",
         )
@@ -851,7 +775,8 @@ class WorkerPool:
                 self.forward(
                     [(hub, row, None) for hub, row, _ in rows], worker_id
                 )
-        self._m_index_deltas.inc()
+        if repair is not None:
+            self._m_index_deltas.inc()
         return [row for rows in replies for row in rows]
 
     def replica_digests(self) -> List[tuple]:
@@ -1019,15 +944,15 @@ class WorkerPool:
     def _current_init_bytes(self) -> bytes:
         """The startup payload a worker spawned *now* should receive.
 
-        Always ships the frozen *base* compilation (overlays refuse both
-        pickling and shared memory); the whole side-table of the overlay
-        the workers hold, if any, rides along as ``graph_update`` so a
-        respawned slot comes back answering against the same mutated
-        adjacency as its peers, and the master index is exported as it
-        stands now.
+        Always ships the frozen base compilation (overlays refuse both
+        pickling and shared memory); the overlay the workers hold, if
+        any, rides along as its delta against the base, so a worker
+        starts answering against the same mutated adjacency as its
+        peers, and the master index is exported as it stands now.
         """
+        graph = self._graph
         return build_init_payload(
-            None if self._graph_owner is not None else self._init_graph,
+            None if self._graph_owner is not None else self._base,
             index_state=(
                 self._index.export_state() if self._index is not None else None
             ),
@@ -1035,8 +960,8 @@ class WorkerPool:
             graph_handle=(
                 self._graph_owner.handle if self._graph_owner is not None else None
             ),
-            graph_update=(
-                self._graph.overlay_state() if self._graph.is_overlay else None
+            overlay=(
+                graph.overlay_delta(self._base) if graph.is_overlay else None
             ),
         )
 

@@ -9,9 +9,14 @@ mutations).
 Startup contract
 ----------------
 Each worker receives one :func:`pickle.dumps`-ed init payload — built by
-:func:`build_init_payload` in the parent — containing the graph in one of
-two transports plus the optional bichromatic facility set and an optional
-:meth:`~repro.core.hub_index.HubIndex.export_state` snapshot:
+:func:`build_init_payload` in the parent — containing the base
+compilation in one of two transports, the optional
+:meth:`~repro.graph.overlay.OverlayGraph.overlay_delta` of the overlay
+the pool holds against that base, the optional bichromatic facility set
+and an optional :meth:`~repro.core.hub_index.HubIndex.export_state`
+snapshot.  This is the only time a worker receives whole state; after
+it, its replica changes only by the deltas the tasks below carry.  The
+base travels as:
 
 * **pickled** (``"graph"`` key): the coordinator's
   :class:`~repro.graph.csr.CompactGraph` compilation serialised in full.
@@ -29,40 +34,46 @@ two transports plus the optional bichromatic facility set and an optional
   views into it) and never unlinks: the segment's lifecycle belongs to
   the parent pool.
 
-The worker rebuilds a full :class:`~repro.core.engine.ReverseKRanksEngine`
-around the compilation itself (a :class:`CompactGraph` satisfies the whole
-read-only graph protocol, and the engine traverses it as its own
-:meth:`~repro.core.engine.ReverseKRanksEngine.compact_graph`), then serves
-tasks until it reads the ``None`` shutdown sentinel.
+The worker applies the overlay delta over the base (refused unless cut
+over a base of the same digest), rebuilds a full
+:class:`~repro.core.engine.ReverseKRanksEngine` around the resulting
+compilation (a :class:`CompactGraph` satisfies the whole read-only graph
+protocol, and the engine traverses it as its own
+:meth:`~repro.core.engine.ReverseKRanksEngine.compact_graph`), then
+serves tasks until it reads the ``None`` shutdown sentinel.
 
 Message protocol (all tuples, queue-pickled)
 --------------------------------------------
-* parent -> worker: tagged tuples —
-  ``("query", job_id, forwarded, shard_index, positions, queries, k,
-  algorithm_value, bounds, trace_id)`` for a query shard (``trace_id``
-  is ``None`` unless the parent batch is being traced — see
-  :mod:`repro.obs.trace`), ``("explore", job_id, hubs, limit)`` for a
-  chunk of a sharded hub-index build (explored on a throwaway index,
-  answered with the ``(hub, row, dists)`` triples), ``("index", job_id,
-  index_state)`` to adopt a hub-index snapshot (acknowledged with a bare
-  ``"done"``), ``("graph", job_id, forwarded, overlay, index_state,
-  repair)`` to rebuild the serving engine over the next delta-overlay —
-  ``overlay`` is an :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta`:
-  the rows the update re-extracted and the nodes it appended, applied
-  over the worker's current overlay and refused unless that overlay is
-  at the version the delta applies on — with either a post-repair
-  index snapshot or a ``repair = (drops, hubs, limit, prefixes)`` share
-  of a sharded repair: ``drops`` is the repair delta without its ranks
-  (drops, and trims of the resumed hubs' rows), ``prefixes`` maps each
-  resumed hub of the chunk to a copy of its kept prefix's distances.
-  It is answered with the ``(hub, row, dists)`` triples of the chunk:
-  each resumed hub's tail only, other hubs' whole rows.
-  ``("digest", job_id, forwarded)`` asks for the replica check
-  (answered with ``(graph digest, index digest)``), and ``None`` shuts
-  the worker down.  ``forwarded`` lists the learning deltas and repair
-  rows and tails (``(hub, row, None)`` triples) the master and the
-  other workers produced since this worker's last task; they are
-  merged, in order, before the task runs.
+* parent -> worker: four kinds of tagged tuples, and ``None``, which
+  shuts the worker down.
+
+  - ``("query", job_id, forwarded, shard_index, positions, queries, k,
+    algorithm_value, bounds, trace_id)`` runs a query shard
+    (``trace_id`` is ``None`` unless the parent batch is being traced —
+    see :mod:`repro.obs.trace`).
+  - ``("explore", job_id, hubs, limit)`` explores a chunk of a sharded
+    hub-index build on a throwaway index and is answered with the
+    ``(hub, row, dists)`` triples.
+  - ``("graph", job_id, forwarded, overlay, repair)`` rebuilds the
+    serving engine over the next delta-overlay.  ``overlay`` is an
+    :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta`: the rows
+    the update re-extracted and the nodes it appended, applied over the
+    worker's current overlay and refused unless that overlay is at the
+    version the delta applies on.  A worker with an index replica gets
+    ``repair = (drops, hubs, limit, prefixes)``, its share of a sharded
+    repair: ``drops`` is the repair delta without its ranks (drops, and
+    trims of the resumed hubs' rows), ``prefixes`` maps each resumed
+    hub of the chunk to a copy of its kept prefix's distances.  It is
+    answered with the ``(hub, row, dists)`` triples of the chunk: each
+    resumed hub's tail only, other hubs' whole rows.  A worker without
+    an index gets ``repair = None`` and answers ``[]``.
+  - ``("digest", job_id, forwarded)`` asks for the replica check,
+    answered with ``(graph digest, index digest)``.
+
+  ``forwarded`` lists the learning deltas and repair rows and tails
+  (``(hub, row, None)`` triples) the master and the other workers
+  produced since this worker's last task; they are merged, in order,
+  before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
   ``(shard_index, positions, block, delta, trace)`` for a query shard —
@@ -103,29 +114,29 @@ def build_init_payload(
     index_state: Optional[Dict[str, object]] = None,
     facilities=None,
     graph_handle=None,
-    graph_update: Optional[Dict[str, object]] = None,
+    overlay: Optional[Dict[str, object]] = None,
 ) -> bytes:
     """Serialise the per-worker startup state (parent side).
 
-    Exactly one graph transport is encoded: when ``graph_handle`` (a
-    :class:`~repro.graph.shm.SharedGraphHandle`) is given the payload
-    carries only that handle — the CSR buffers never enter the pickle and
-    the payload stays a few hundred bytes regardless of graph size;
-    otherwise ``graph`` (a :class:`~repro.graph.csr.CompactGraph`) is
-    pickled in full alongside its content digest.  ``facilities`` is the
-    bichromatic V2 node set (or ``None``); ``index_state`` an
+    Exactly one transport of the base compilation is encoded: when
+    ``graph_handle`` (a :class:`~repro.graph.shm.SharedGraphHandle`) is
+    given the payload carries only that handle — the CSR buffers never
+    enter the pickle and the payload stays a few hundred bytes
+    regardless of graph size; otherwise ``graph`` (a
+    :class:`~repro.graph.csr.CompactGraph`) is pickled in full alongside
+    its content digest.  ``facilities`` is the bichromatic V2 node set
+    (or ``None``); ``index_state`` an
     :meth:`~repro.core.hub_index.HubIndex.export_state` snapshot (or
-    ``None``); ``graph_update`` an
-    :meth:`~repro.graph.overlay.OverlayGraph.overlay_state` side-table to
-    re-apply over the transported base (or ``None``) — overlays refuse
-    pickling by design, so the base always travels frozen and the worker
-    reconstructs the overlay locally, digest-verified against the base it
-    actually attached.
+    ``None``); ``overlay`` the
+    :meth:`~repro.graph.overlay.OverlayGraph.overlay_delta` of the pool's
+    overlay against the base (or ``None``) — overlays refuse pickling by
+    design, so the base always travels frozen and the worker rebuilds
+    the overlay over the base it actually attached.
     """
     payload = {
         "facilities": None if facilities is None else frozenset(facilities),
         "index_state": index_state,
-        "graph_update": graph_update,
+        "overlay": overlay,
     }
     if graph_handle is not None:
         payload["graph_handle"] = graph_handle
@@ -165,13 +176,12 @@ class _WorkerState:
         # Every later ("graph", ...) task builds its overlay over *this*
         # base, from the current overlay's rows (overlays do not stack).
         self._facilities = init["facilities"]
-        graph_update = init.get("graph_update")
-        if graph_update is not None:
+        if init["overlay"] is not None:
             from repro.graph.overlay import OverlayGraph
 
-            # from_state digest-verifies the side-table against the base
-            # this worker actually attached/unpickled.
-            graph = OverlayGraph.from_state(graph, graph_update)
+            # from_delta digest-verifies the delta against the base this
+            # worker actually attached/unpickled.
+            graph = OverlayGraph.from_delta(graph, init["overlay"])
         self._build_engine(graph, init["index_state"])
 
     def _build_engine(self, graph, index_state=None, index=None) -> None:
@@ -209,7 +219,7 @@ class _WorkerState:
             else:
                 index.merge_rows(item)
 
-    def update_graph(self, overlay, index_state, repair):
+    def update_graph(self, overlay, repair):
         """Swap in the next delta-overlay without restarting the process.
 
         ``overlay`` is the coordinator's
@@ -219,28 +229,27 @@ class _WorkerState:
         which raises, before anything changes, unless the current
         overlay is at the version the delta applies on).
 
-        Without ``repair`` the index is replaced by ``index_state`` (the
-        master's post-repair
-        :meth:`~repro.core.hub_index.HubIndex.export_state`, or ``None``
-        for no index) and ``None`` is returned.  With ``repair = (drops,
-        hubs, limit, prefixes)`` this worker's replica is repaired in
-        place: the master's drops advance it to the overlay's version,
-        dropping rows and trimming each resumed hub's row to its
-        unchanged prefix; ``hubs`` — this worker's chunk of the affected
-        hubs — are re-explored on the overlay, each resumed hub after its
-        trimmed row, whose distances ``prefixes`` holds (``hub ->
-        dists``).  The rows and tails are recorded without distances
-        (replicas keep none) and returned as ``(hub, row, dists)``
-        triples.
+        A worker without an index gets ``repair = None`` and returns
+        ``[]``.  With ``repair = (drops, hubs, limit, prefixes)`` this
+        worker's replica is repaired in place: the master's drops advance
+        it to the overlay's version, dropping rows and trimming each
+        resumed hub's row to its unchanged prefix; ``hubs`` — this
+        worker's chunk of the affected hubs — are re-explored on the
+        overlay, each resumed hub after its trimmed row, whose distances
+        ``prefixes`` holds (``hub -> dists``).  The rows and tails are
+        recorded without distances (replicas keep none) and returned as
+        ``(hub, row, dists)`` triples.
         """
         from repro.graph.overlay import OverlayGraph
 
         graph = OverlayGraph.from_delta(self.engine.graph, overlay)
-        if repair is None:
-            self._build_engine(graph, index_state)
-            return None
-        drops, hubs, limit, prefixes = repair
         index = self.engine.index
+        if repair is None:
+            # A replica still bound to the previous overlay fails the
+            # engine's graph check instead of serving stale ranks.
+            self._build_engine(graph, index=index)
+            return []
+        drops, hubs, limit, prefixes = repair
         index.merge_delta(drops)
         index.rebind(graph)
         self._build_engine(graph, index=index)
@@ -305,21 +314,6 @@ class _WorkerState:
                 block = ShardResultCodec.encode(results, self.engine.graph)
         trace = tracer.last_trace["root"] if trace_id is not None else None
         return shard_index, tuple(positions), block, delta, trace
-
-    def update_index(self, index_state) -> None:
-        """Replace the engine's hub-index replica with a snapshot.
-
-        The pool broadcasts the master's
-        :meth:`~repro.core.hub_index.HubIndex.export_state` when the
-        master index was replaced or the replicas may have diverged (a
-        batch raised); adopting it keeps this worker answering with the
-        same knowledge — and the same capacity bound — as the master.
-        """
-        from repro.core.hub_index import HubIndex
-
-        self.engine.adopt_index(
-            HubIndex.from_state(self.engine.graph, index_state)
-        )
 
     def explore_hubs(self, hubs, limit):
         """This worker's chunk of a sharded build: ``(hub, row, dists)`` triples.
@@ -405,14 +399,10 @@ def worker_main(
                 elif tag == "explore":
                     hubs, limit = task[2:]
                     payload = state.explore_hubs(hubs, limit)
-                elif tag == "index":
-                    (index_state,) = task[2:]
-                    state.update_index(index_state)
-                    payload = None
                 elif tag == "graph":
-                    forwarded, overlay, index_state, repair = task[2:]
+                    forwarded, overlay, repair = task[2:]
                     state.absorb(forwarded)
-                    payload = state.update_graph(overlay, index_state, repair)
+                    payload = state.update_graph(overlay, repair)
                 elif tag == "digest":
                     (forwarded,) = task[2:]
                     state.absorb(forwarded)

@@ -30,7 +30,7 @@ from repro.traversal.dijkstra import (
 )
 from repro.traversal.sssp import ShortestPathTree
 from repro.traversal.knn import k_nearest_nodes
-from repro.traversal.rank import exact_rank, rank_row, rank_stream, rank_matrix
+from repro.traversal.rank import exact_rank, rank_row, rank_matrix
 from repro.traversal.csr_ops import (
     compact_distance_map,
     compact_exact_rank,
@@ -49,7 +49,6 @@ __all__ = [
     "k_nearest_nodes",
     "exact_rank",
     "rank_row",
-    "rank_stream",
     "rank_matrix",
     "compact_distance_map",
     "compact_exact_rank",

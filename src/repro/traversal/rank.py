@@ -9,14 +9,14 @@ hub-index construction and the benchmark's spot checks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.graph.csr import as_compact
 from repro.traversal.csr_ops import compact_exact_rank, compact_rank_stream
 
 NodeId = Hashable
 
-__all__ = ["exact_rank", "rank_row", "rank_stream", "rank_matrix"]
+__all__ = ["exact_rank", "rank_row", "rank_matrix"]
 
 
 def exact_rank(
@@ -51,23 +51,6 @@ def exact_rank(
     return compact_exact_rank(as_compact(graph), source, target, counted=counted)
 
 
-def rank_stream(
-    graph,
-    source: NodeId,
-    counted: Optional[Callable[[NodeId], bool]] = None,
-) -> Iterator[Tuple[NodeId, float, float]]:
-    """Yield ``(node, distance, Rank(source, node))`` in settling order.
-
-    One lazy Dijkstra run from ``source``; nodes settled at the same
-    distance form a tie group and share the same "number of strictly
-    closer counted nodes", and settle by node index.  :func:`rank_row`
-    and the hub-index construction both consume this stream; consumers
-    may stop iterating at any point (e.g. after ``M`` nodes) and every
-    rank yielded so far is exact.
-    """
-    return compact_rank_stream(as_compact(graph), source, counted=counted)
-
-
 def rank_row(
     graph,
     source: NodeId,
@@ -77,8 +60,11 @@ def rank_row(
 
     One full Dijkstra run is shared across all targets, so this is the
     efficient way to build whole rows of the rank matrix (Table 1).
+    Nodes settled at the same distance form a tie group and share one
+    rank; the row lists them by node index.
     """
-    return {node: rank for node, _, rank in rank_stream(graph, source, counted=counted)}
+    stream = compact_rank_stream(as_compact(graph), source, counted=counted)
+    return {node: rank for node, _, rank in stream}
 
 
 def rank_matrix(

@@ -161,9 +161,9 @@ def test_chaos_phases_serve_correctly_and_heal(random_gnp, reference):
 def test_chaos_worker_crash_during_graph_sync():
     """A worker dying mid graph-broadcast degrades the sync, never the answers.
 
-    apply_updates ships the overlay side-table + repaired index to the
-    live pool; arming a crash on each worker's second task makes both
-    workers die exactly when that broadcast arrives.  The engine must
+    apply_updates ships the overlay rows and the sharded index repair to
+    the live pool; arming a crash on each worker's second task makes
+    both workers die exactly when that broadcast arrives.  The engine must
     absorb the WorkerCrashError (drop the pool, report
     ``pool_synced=False``), keep serving bit-identical sequential
     answers, rebuild a healthy pool on the next parallel batch, and sync

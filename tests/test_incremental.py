@@ -196,24 +196,36 @@ class TestOverlayGraph:
         assert overlay.overlay_rows >= 5
 
     def test_state_round_trip_is_bit_identical(self):
+        """A starting worker's seed — the overlay's delta against its
+        base, the whole side-table — rebuilds the overlay bit for bit."""
         _, base, overlay = self._overlaid()
-        state = overlay.overlay_state()
-        rebuilt = OverlayGraph.from_state(base, state)
+        seed = pickle.loads(pickle.dumps(overlay.overlay_delta(base)))
+        assert seed["out_rows"].keys() == overlay.overlay_out.keys()
+        assert seed["appended"] == [99]
+        rebuilt = OverlayGraph.from_delta(base, seed)
         assert list(rebuilt.edges()) == list(overlay.edges())
         assert rebuilt.overlay_rows == overlay.overlay_rows
         assert rebuilt.appended_nodes == overlay.appended_nodes
         assert rebuilt.content_digest() == overlay.content_digest()
 
     def test_state_refuses_foreign_base(self):
-        _, _, overlay = self._overlaid()
+        """A delta cut over another base is refused by the base's digest,
+        even when the version it applies on matches."""
+        _, base, overlay = self._overlaid()
         other = CompactGraph.from_graph(_mutable_gnp(seed=9, num_nodes=14))
+        seed = dict(overlay.overlay_delta(base), on_version=other.version)
         with pytest.raises(GraphValidationError, match="digest mismatch"):
-            OverlayGraph.from_state(other, overlay.overlay_state())
+            OverlayGraph.from_delta(other, seed)
 
     def test_state_refuses_unknown_format(self):
-        _, base, _ = self._overlaid()
+        _, base, overlay = self._overlaid()
         with pytest.raises(GraphValidationError, match="unrecognised"):
-            OverlayGraph.from_state(base, {"format": "bogus"})
+            OverlayGraph.from_delta(base, {"format": "bogus"})
+        # The layout before deltas carried the base digest.
+        older = dict(overlay.overlay_delta(base), format="repro-overlay-delta/1")
+        del older["base_digest"]
+        with pytest.raises(GraphValidationError, match="unrecognised"):
+            OverlayGraph.from_delta(base, older)
 
     def test_overlay_refuses_pickle(self):
         _, _, overlay = self._overlaid()
@@ -305,7 +317,7 @@ class TestOverlayGraph:
         with pytest.raises(GraphValidationError, match="refusing to apply"):
             OverlayGraph.from_delta(overlay, delta)
         with pytest.raises(GraphValidationError, match="unrecognised"):
-            OverlayGraph.from_delta(base, overlay.overlay_state())
+            OverlayGraph.from_delta(base, dict(delta, format="repro-overlay/1"))
 
     def test_delta_refuses_a_foreign_base(self):
         _, _, overlay = self._overlaid()
@@ -433,7 +445,10 @@ class TestApplyUpdates:
 
     def test_overlay_threshold_forces_recompaction(self):
         """Past ``max(8, n // 4)`` touched nodes — 8 of 22 here — a batch
-        recompacts; exactly 8 stays an overlay."""
+        recompacts; exactly 8 stays an overlay.  The count is cumulative
+        over the batches since the base: a row a later batch touches
+        again counts once, an appended node counts, and the batch that
+        takes the count past the limit recompacts."""
 
         def cuts(nodes):
             # Weights are at least 1.0, so each cut is effective.
@@ -454,6 +469,29 @@ class TestApplyUpdates:
         assert report.recompacted
         recompactions = engine.registry.get("repro_csr_recompactions_total")
         # Initial compile + threshold-forced recompile.
+        assert recompactions.value == 2
+
+        cumulative = ReverseKRanksEngine(_mutable_gnp(seed=10))
+        cumulative.compact_graph()
+        outcomes = [
+            (report.recompacted, report.overlay_rows)
+            for report in map(
+                cumulative.apply_updates,
+                [
+                    cuts(nodes[:4]),
+                    # nodes[0] and nodes[1] again, then one touched and
+                    # one appended node.
+                    [
+                        ("add_edge", nodes[0], nodes[1], 0.25),
+                        ("add_edge", nodes[4], "new", 1.0),
+                    ],
+                    cuts(nodes[5:7]),
+                    [("add_edge", nodes[7], nodes[0], 0.5)],
+                ],
+            )
+        ]
+        assert outcomes == [(False, 4), (False, 6), (False, 8), (True, 0)]
+        recompactions = cumulative.registry.get("repro_csr_recompactions_total")
         assert recompactions.value == 2
 
     @needs_fork
@@ -630,6 +668,33 @@ class TestIndexRepair:
         replica.merge_delta(first.index_delta)
         replica.merge_delta(second.index_delta)
         assert replica.export_state() == engine.index.export_state()
+
+    def test_chain_replays_under_a_truthiness_test(self):
+        """A repair delta is truthy even when it carries no entry: it
+        still advances the version.  Replayed the way a journal load
+        does (``if delta: merge_delta(delta)``), the chain reaches the
+        master's state; skipping an empty one would break it."""
+        rng = random.Random(5)
+        graph = road_lattice(16, rng)
+        shadow = graph.copy()
+        engine = ReverseKRanksEngine(graph)
+        engine.build_index(num_hubs=4, explore_limit=40, capacity=8)
+        replica = HubIndex.from_state(graph, engine.index.export_state())
+        closed = {}
+        deltas = [
+            engine.apply_updates(road_traffic(rng, shadow, closed)).index_delta
+            for _ in range(12)
+        ]
+        assert any(
+            not (delta.ranks or delta.explorations or delta.removed_sources)
+            for delta in deltas
+        )
+        assert all(deltas)
+        for delta in deltas:
+            if delta:
+                replica.merge_delta(delta)
+        assert replica.export_state() == engine.index.export_state()
+        assert not HubIndexDelta(graph_version=graph.version)
 
     def test_replica_trims_like_the_master(self):
         """A repair delta that trims resumed hubs brings a replica without

@@ -1,15 +1,16 @@
 """Worker hub-index replicas: what the master knows must reach the pool.
 
 Hub rows cross the process boundary by two routes only.  A snapshot
-(``export_state``) ships when a replica starts or the master index is
-replaced: pool start, a respawned worker, ``build_index`` /
-``adopt_index``, and after a batch that raised.  Everything else travels
-as deltas: each worker's shard learning is forwarded to the other
-workers, graph updates shard the index repair over the workers, and the
-learning of every indexed query the master answers in-process is
-forwarded to all of them.  After any mix of these the replicas equal the
-master (``WorkerPool.replica_digests``) and the snapshot counter names
-only the events above.
+(``export_state``) ships when a worker process starts: at pool start and
+when a worker is respawned.  Everything else travels as deltas: each
+worker's shard learning is forwarded to the other workers, graph updates
+shard the index repair over the workers, and the learning of every
+indexed query the master answers in-process is forwarded to all of them.
+What leaves the replicas no longer mirroring the master — ``build_index``,
+``adopt_index``, a batch whose shard raised — closes the pool, and the
+next parallel call starts a fresh one.  After any mix of these the
+replicas of a live pool equal the master (``WorkerPool.replica_digests``)
+and the snapshot counter counts the pool starts and respawns.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex, HubIndexDelta
 from repro.core.validation import results_equivalent
 from repro.errors import ParallelExecutionError
+from repro.parallel import ShardPlanner
 from repro.parallel.pool import WorkerPool
 from repro.serve import DurableIndexStore, QueryServer, ServeClient, ServeConfig
 
@@ -123,32 +125,34 @@ class TestPoolIndexSync:
             assert syncs.labels(kind="snapshot").value == 1
 
     def test_swapped_index_object_is_always_shipped(self, random_gnp):
-        """adopt_index swaps identity: the next batch ships a snapshot.
+        """adopt_index closes the pool; the next batch starts a fresh one
+        seeded with the adopted index.
 
-        The swapped-in index may have a different capacity, and the
+        The adopted index may have a different capacity, and the
         worker-side k validation runs against *its* snapshot — serving
         from the old one would wrongly reject (or mis-bound) queries.
-        Until then the master's learning is not forwarded: the snapshot
-        carries it.
+        Until then there is no pool to forward the master's learning
+        to: the snapshot carries it.
         """
         queries = sample_queries(random_gnp, 6)
         engine = self.build_engine(random_gnp)
+        twin = ReverseKRanksEngine(random_gnp)
         with engine:
             pool = engine.prepare_parallel(2, FAST_CONTEXT)
-            syncs = engine.registry.get("repro_pool_index_syncs_total")
-            replacement = HubIndex.build(
-                random_gnp, num_hubs=4, capacity=32
-            )
+            replacement = HubIndex.build(random_gnp, num_hubs=4, capacity=32)
             engine.adopt_index(replacement)
-            engine.query(queries[0], 20, algorithm="indexed")
-            assert pool._pending == [[], []]
-            engine.query_many(
-                queries, 20, algorithm="indexed", workers=2,
-                worker_context=FAST_CONTEXT,
+            twin.adopt_index(HubIndex.build(random_gnp, num_hubs=4, capacity=32))
+            assert engine._pool is None and pool.is_closed
+            for each in (engine, twin):
+                each.query(queries[0], 20, algorithm="indexed")
+            _assert_restarted(
+                engine, twin, queries, pool.worker_pids, _snapshots(engine),
+                k=20,
             )
-            assert engine._pool_index is replacement
-            assert syncs.labels(kind="snapshot").value == 2
-            assert pool.replica_digests() == [_master_digests(engine)] * 2
+            assert engine._pool.index is replacement
+            assert engine._pool.replica_digests() == [
+                _master_digests(engine)
+            ] * 2
 
     def test_synced_parallel_matches_sequential_reference(self, random_gnp):
         """End to end: answers with forwarded learning match a sequential engine's.
@@ -190,12 +194,19 @@ class TestPoolIndexSync:
                     if source in ref_known and target in ref_known[source]:
                         assert ref_known[source][target] == rank
 
-    def test_update_index_rejected_on_closed_pool(self, random_gnp):
+    def test_closed_pool_refuses_every_task(self, random_gnp):
         engine = self.build_engine(random_gnp)
         pool = engine.prepare_parallel(2, FAST_CONTEXT)
         engine.close_pool()
-        with pytest.raises(ParallelExecutionError, match="closed"):
-            pool.update_index(engine.index)
+        plan = ShardPlanner(2).plan(sample_queries(random_gnp, 4))
+        for task in (
+            lambda: pool.run_batch(plan, 4, "indexed"),
+            lambda: pool.update_graph(engine.compact_graph()),
+            lambda: pool.explore_hubs(engine.index.hubs, 8),
+            pool.replica_digests,
+        ):
+            with pytest.raises(ParallelExecutionError, match="closed"):
+                task()
 
 
 def _mutable_graph(seed):
@@ -229,6 +240,30 @@ def _update_batch(rng, graph):
 def _master_digests(engine):
     return (engine.compact_graph().content_digest(),
             engine.index.content_digest())
+
+
+def _snapshots(engine):
+    return engine.registry.sample(
+        "repro_pool_index_syncs_total", {"kind": "snapshot"}
+    )
+
+
+def _assert_restarted(engine, twin, queries, pids, snapshots, k=4):
+    """The next pooled indexed batch runs on workers none of ``pids``,
+    ships one snapshot more than ``snapshots``, and answers as the
+    pool-less ``twin``.  Indexed parallel answers are rank-value
+    equivalent to sequential ones (boundary ties may order differently
+    — the documented contract)."""
+    got = engine.query_many(
+        queries, k, algorithm="indexed", workers=2,
+        worker_context=FAST_CONTEXT,
+    )
+    want = twin.query_many(queries, k, algorithm="indexed")
+    for mine, theirs in zip(got, want):
+        assert results_equivalent(theirs, mine)
+        assert mine.rank_values() == theirs.rank_values()
+    assert set(engine._pool.worker_pids).isdisjoint(pids)
+    assert _snapshots(engine) == snapshots + 1
 
 
 @needs_fork
@@ -325,17 +360,19 @@ class TestDeltaSync:
             faults.clear()
 
     def test_failed_batch_forces_a_snapshot(self):
-        """After a shard raised, the next sync ships a snapshot.
+        """After a shard raised, the next batch runs on a fresh pool,
+        seeded with a snapshot.
 
         The failpoint fires after each worker answered (and learned from)
         its shard, so the workers know ranks the master never merged;
         repairing them by deltas would leave entries the master's
-        affected-source test cannot see.
+        affected-source test cannot see.  The caller gets the remote
+        traceback, and the engine closes the pool.
         """
         rng = random.Random(47)
         graph = _mutable_graph(47)
-        shadow = graph.copy()
         engine = _indexed_engine(graph)
+        twin = _indexed_engine(_mutable_graph(47))
         queries = sample_queries(graph, 8)
         # Armed before the fork; task 1 is the first update, task 2 the
         # query shard.
@@ -343,39 +380,28 @@ class TestDeltaSync:
         try:
             with engine:
                 pool = engine.prepare_parallel(2, FAST_CONTEXT)
-                syncs = engine.registry.get("repro_pool_index_syncs_total")
-                for attempt in range(2):
-                    ops = _update_batch(rng, graph)
-                    for op in ops:
-                        getattr(shadow, op[0])(*op[1:])
-                    assert engine.apply_updates(ops).pool_synced
-                    if attempt == 0:
-                        with pytest.raises(ParallelExecutionError):
-                            engine.query_many(
-                                queries, 4, algorithm="indexed", workers=2,
-                                worker_context=FAST_CONTEXT,
-                            )
-                assert syncs.labels(kind="delta").value == 1
-                assert syncs.labels(kind="snapshot").value == 2
-                master = _master_digests(engine)
-                assert pool.replica_digests() == [master, master]
-
-                reference = ReverseKRanksEngine(shadow)
-                reference.adopt_index(
-                    HubIndex.build(
-                        shadow, capacity=8, explore_limit=20,
-                        hubs=engine.index.hubs,
-                        backend=reference.compact_graph(),
+                ops = _update_batch(rng, graph)
+                assert engine.apply_updates(ops).pool_synced
+                twin.apply_updates(ops)
+                with pytest.raises(
+                    ParallelExecutionError, match="FailpointError"
+                ):
+                    engine.query_many(
+                        queries, 4, algorithm="indexed", workers=2,
+                        worker_context=FAST_CONTEXT,
                     )
+                assert engine._pool is None and pool.is_closed
+                faults.clear()  # the next pool forks without it
+                _assert_restarted(
+                    engine, twin, queries, pool.worker_pids,
+                    _snapshots(engine),
                 )
-                got = engine.query_many(
-                    queries, 4, algorithm="indexed", workers=2,
-                    worker_context=FAST_CONTEXT,
-                )
-                want = reference.query_many(queries, 4, algorithm="indexed")
-                for mine, theirs in zip(got, want):
-                    assert results_equivalent(theirs, mine)
-                    assert mine.rank_values() == theirs.rank_values()
+                ops = _update_batch(rng, graph)
+                assert engine.apply_updates(ops).pool_synced
+                twin.apply_updates(ops)
+                assert engine._pool.replica_digests() == [
+                    _master_digests(engine)
+                ] * 2
         finally:
             faults.clear()
 
@@ -409,7 +435,8 @@ class TestExactReplicas:
         closed = {}
         kept = reused = 0
         with engine:
-            assert engine._pool is not None
+            assert engine._pool is None  # the build closed its pool
+            engine.prepare_parallel(2, FAST_CONTEXT)
             assert engine.index._dists == twin.index._dists
             assert pickle.dumps(engine.export_state()) == pickle.dumps(
                 twin.export_state()
@@ -432,50 +459,31 @@ class TestExactReplicas:
         assert kept > 0 and reused > 0
 
     def test_sharded_build_ships_no_snapshot_of_the_index_it_replaces(self):
-        """A sharded build explores on throwaway indexes, so it does not
-        sync the replicas to the index it replaces first — a second
-        build, or one after ``adopt_index``.  The next indexed batch
-        ships the new index, once, and answers as a sequential twin."""
+        """Any build closes the pool, whose replicas mirror the index the
+        build replaces: a sharded build explores on a pool (starting one
+        if there is none) but ships it no snapshot, and a sequential
+        build ships nothing either.  After a first sharded build, a
+        sequential rebuild and a sharded rebuild, the next indexed batch
+        runs on new workers, ships the new index once and answers as a
+        pool-less twin."""
         rng = random.Random(7)
         graph = road_lattice(12, rng)
         twin = ReverseKRanksEngine(graph.copy())
         engine = ReverseKRanksEngine(graph)
         queries = sample_queries(graph, 8)
-
-        def snapshots():
-            family = engine.registry.get("repro_pool_index_syncs_total")
-            return family.labels(kind="snapshot").value
-
-        def build(each, **pool):
-            each.build_index(num_hubs=6, explore_limit=48, capacity=8, **pool)
-
-        def batch():
-            got = engine.query_many(
-                queries, 4, algorithm="indexed", workers=2,
-                worker_context=FAST_CONTEXT,
-            )
-            want = twin.query_many(queries, 4, algorithm="indexed")
-            for mine, theirs in zip(got, want):
-                assert results_equivalent(theirs, mine)
-                assert mine.rank_values() == theirs.rank_values()
-
-        def adopt_copy(each):
-            each.adopt_index(
-                HubIndex.from_state(each.graph, each.index.export_state())
-            )
-
+        sharded = {"workers": 2, "worker_context": FAST_CONTEXT}
+        pids = []
         with engine:
-            build(engine, workers=2, worker_context=FAST_CONTEXT)
-            build(twin)
-            for replace in (lambda each: None, adopt_copy):
-                count = snapshots()
-                for each in (engine, twin):
-                    replace(each)
-                build(engine, workers=2, worker_context=FAST_CONTEXT)
-                build(twin)
-                assert snapshots() == count
-                batch()
-                assert snapshots() == count + 1
+            for pool in (sharded, {}, sharded):
+                count = _snapshots(engine)
+                for each, options in ((engine, pool), (twin, {})):
+                    each.build_index(
+                        num_hubs=6, explore_limit=48, capacity=8, **options
+                    )
+                assert engine._pool is None
+                assert _snapshots(engine) == count
+                _assert_restarted(engine, twin, queries, pids, count)
+                pids = engine._pool.worker_pids
                 assert engine._pool.replica_digests() == [
                     _master_digests(engine)
                 ] * 2
@@ -519,6 +527,89 @@ class TestExactReplicas:
                     ] * 2
             assert syncs.labels(kind="snapshot").value == 1
             assert syncs.labels(kind="delta").value == 3
+
+    def test_replicas_equal_master_through_every_event(self, monkeypatch):
+        """Updates, ``query()``, 1- and 8-query indexed batches,
+        ``adopt_index``, a sequential and a sharded rebuild and a batch
+        whose shard raised, in one run.  After every step that leaves a
+        live pool the replicas equal the master, and the snapshot
+        counter equals the pool starts that shipped an index (no worker
+        is respawned here)."""
+        starts = []
+        init = WorkerPool.__init__
+
+        def spy(self, graph, workers, index=None, **options):
+            starts.append(index is not None)
+            init(self, graph, workers, index=index, **options)
+
+        monkeypatch.setattr(WorkerPool, "__init__", spy)
+        rng = random.Random(83)
+        graph = road_lattice(16, rng)
+        shadow = graph.copy()
+        engine = _lattice_engine(graph)
+        queries = sorted(graph.nodes())[7::29]
+        closed = {}
+
+        def update():
+            live = engine._pool is not None
+            report = engine.apply_updates(road_traffic(rng, shadow, closed))
+            assert report.pool_synced == live
+
+        def batch(nodes):
+            engine.query_many(
+                nodes, 4, algorithm="indexed", workers=2,
+                worker_context=FAST_CONTEXT,
+            )
+
+        def raised_shard():
+            # Armed before the pool that takes it forks: no pool is live.
+            assert engine._pool is None
+            faults.configure("worker.before_result=error*1")
+            try:
+                with pytest.raises(ParallelExecutionError):
+                    batch(queries[:8])
+            finally:
+                faults.clear()
+            assert engine._pool is None
+
+        steps = [
+            lambda: engine.prepare_parallel(2, FAST_CONTEXT),
+            update,
+            lambda: engine.query(queries[0], 4, algorithm="indexed"),
+            lambda: batch(queries[1:2]),
+            lambda: batch(queries[:8]),
+            update,
+            lambda: engine.adopt_index(
+                HubIndex.from_state(graph, engine.index.export_state())
+            ),
+            lambda: batch(queries[:8]),
+            update,
+            lambda: engine.build_index(
+                num_hubs=6, explore_limit=48, capacity=8
+            ),
+            lambda: batch(queries[2:10]),
+            lambda: engine.build_index(
+                num_hubs=6, explore_limit=48, capacity=8,
+                workers=2, worker_context=FAST_CONTEXT,
+            ),
+            raised_shard,
+            lambda: batch(queries[:8]),
+            update,
+            lambda: engine.query(queries[3], 4, algorithm="indexed"),
+        ]
+        with engine:
+            for step in steps:
+                step()
+                if engine._pool is not None:
+                    assert engine._pool.replica_digests() == [
+                        _master_digests(engine)
+                    ] * 2
+                assert _snapshots(engine) == sum(starts)
+        # Started by prepare_parallel and by the first batch after the
+        # adoption, the sequential rebuild and the raised shard, and by
+        # the raising batch itself; the sharded rebuild explored on the
+        # pool the batch before it started.
+        assert len(starts) == sum(starts) == 5
 
     def test_served_batches_keep_replicas_and_journal_equal(self, tmp_path):
         """The same through ``QueryServer(workers=2)`` and its journal.
@@ -629,7 +720,7 @@ class TestUpdateTransport:
                 known = index.export_state()["known"]
                 shipped = replied = 0
                 for worker, (task, rows) in enumerate(zip(tasks, replies)):
-                    _, _, forwarded, delta, _, repair = task
+                    _, _, forwarded, delta, repair = task
                     drops, chunk, _, prefixes = repair
                     assert set(delta["out_rows"]) == batch
                     assert delta["in_rows"] is None
@@ -669,7 +760,7 @@ class TestUpdateTransport:
 
         def spy(self):
             payload = init_bytes(self)
-            starts.append(pickle.loads(payload)["graph_update"])
+            starts.append(pickle.loads(payload)["overlay"])
             return payload
 
         monkeypatch.setattr(WorkerPool, "_current_init_bytes", spy)
@@ -693,7 +784,9 @@ class TestUpdateTransport:
             )
             assert pool.respawn_count == 1
             overlay = engine.compact_graph()
-            (side_table,) = starts
+            start, side_table = starts
+            assert start is None  # the pool started on the base
+            assert side_table["on_version"] == overlay.base.source_version
             assert side_table["version"] == overlay.source_version
             assert side_table["out_rows"].keys() == overlay.overlay_out.keys()
             for _ in range(2):
@@ -710,15 +803,16 @@ class TestUpdateTransport:
                 assert pool.replica_digests() == [
                     _master_digests(engine)
                 ] * 2
-            assert len(starts) == 1
+            assert len(starts) == 2
 
     def test_worker_refuses_a_delta_for_another_version(self, monkeypatch):
         """With the pool's record of the overlay it last shipped made
         stale, the workers refuse the delta cut against it: the update
         still applies, the master repairs alone as a pool-less twin
         does, and the pool is closed.  The next indexed batch starts a
-        pool from the whole side-table, and the update after it ships as
-        a delta again."""
+        pool mid-overlay, seeded with the overlay's delta against the
+        base (the whole side-table), and the update after it ships as a
+        delta again."""
         refusals = []
         update_graph = WorkerPool.update_graph
 
@@ -741,7 +835,7 @@ class TestUpdateTransport:
             ops = road_traffic(rng, shadow, closed)
             assert engine.apply_updates(ops).pool_synced
             twin.apply_updates(ops)
-            pool._graph = pool._init_graph  # the overlay the workers hold is newer
+            pool._graph = pool._base  # the overlay the workers hold is newer
             ops = road_traffic(rng, shadow, closed)
             report = engine.apply_updates(ops)
             expected = twin.apply_updates(ops)
@@ -754,10 +848,24 @@ class TestUpdateTransport:
             assert repr(engine.export_state()) == repr(twin.export_state())
             assert engine.index.last_repair == twin.index.last_repair
             assert engine.index._dists == twin.index._dists
+            seeds = []
+            init_bytes = WorkerPool._current_init_bytes
+
+            def seeding(self):
+                payload = init_bytes(self)
+                seeds.append(pickle.loads(payload)["overlay"])
+                return payload
+
+            monkeypatch.setattr(WorkerPool, "_current_init_bytes", seeding)
             engine.query_many(
                 sample_queries(engine.graph, 8), 4, algorithm="indexed",
                 workers=2, worker_context=FAST_CONTEXT,
             )
+            overlay = engine.compact_graph()
+            (seed,) = seeds
+            assert seed["base_digest"] == overlay.base.content_digest()
+            assert seed["on_version"] == overlay.base.source_version
+            assert seed["out_rows"].keys() == overlay.overlay_out.keys()
             assert engine.apply_updates(
                 road_traffic(rng, shadow, closed)
             ).pool_synced

@@ -5,7 +5,8 @@ through ``engine.query``, a bichromatic query, a cached ``query_many``
 batch), and the fourth (*Parallel execution*) continues it on a worker
 pool; the later blocks are fragments.  The expected output is what the
 quickstart has always printed.  Every documented CLI command (README's
-bash blocks, and CI's serve commands) must parse with its CLI's parser.
+bash blocks, and CI's serve commands) must parse with its CLI's parser,
+and every row of the *Fault tolerance* table names tests that exist.
 """
 
 from __future__ import annotations
@@ -166,3 +167,29 @@ def test_documented_serve_commands_parse():
             cli._parse_args(words[3:])
         except SystemExit:
             pytest.fail(f"command does not parse: {' '.join(words)}")
+
+
+def fault_table_rows():
+    """The body rows of README's *Fault tolerance* table."""
+    section = README.read_text().split("## Fault tolerance", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [
+        line
+        for line in section.splitlines()
+        if line.startswith("| ") and not line.startswith("| Failure ")
+    ]
+
+
+def test_fault_table_rows_name_their_tests():
+    """Each row names the tests that pin it (backticked ``test_*`` names)
+    and the files they live in; each must be defined in one of them."""
+    rows = fault_table_rows()
+    assert len(rows) >= 7
+    for row in rows:
+        failure = row.split("|")[1].strip()
+        files = re.findall(r"`(tests/test_\w+\.py)`", row)
+        names = re.findall(r"`(test_\w+)`", row)
+        assert files and names, f"row {failure!r} names no test"
+        source = "".join((ROOT / path).read_text() for path in files)
+        for name in names:
+            assert re.search(rf"\bdef {name}\(", source), (failure, name)
