@@ -10,8 +10,11 @@ The in-process test suite covers every obs component; this script is the
    plain-HTTP ``/metrics`` endpoint twice mid-load, asserting (a) every
    required metric family is present in one scrape — batcher batch
    sizes, pool batch latency, worker respawn/timeout
-   counters, journal fsync latency, codec IPC bytes — and (b) the
-   serve/query counters are monotone across the two scrapes;
+   counters, journal fsync latency, pickled shard reply (IPC) bytes —
+   and (b) the serve/query counters are monotone across the two
+   scrapes; every served rank, pool-served coalesced answers included,
+   must arrive as an ``int`` (a pool answer of ``3.0`` where a
+   sequential one is ``3`` fails the smoke);
 3. fetch the last batch trace via the framed-JSON ``trace`` op and
    assert the parent + worker spans are stitched under one trace id with
    every worker span contained in the parent batch duration;
@@ -116,6 +119,18 @@ def start_server(args, state_dir):
     return process, host, int(port), metrics_endpoint
 
 
+def check_int_ranks(answers):
+    """Raise unless every rank in ``answers`` (per query, ``(node, rank)``
+    pairs as served) is an ``int``."""
+    for pairs in answers:
+        for node, rank in pairs:
+            if type(rank) is not int:
+                raise SystemExit(
+                    f"served rank {rank!r} of node {node!r} is "
+                    f"{type(rank).__name__}, not int"
+                )
+
+
 def scrape(metrics_endpoint):
     """One HTTP scrape; returns ``(raw_text, {name{labels}: value})``."""
     with urllib.request.urlopen(
@@ -164,6 +179,7 @@ def main() -> int:
                             node = (offset * per_thread + i) % num_nodes
                             result = client.query(node, k=args.k)
                             assert len(result) == args.k, result
+                            check_int_ranks([result])
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
 
@@ -230,7 +246,7 @@ def main() -> int:
                 # trailing batches can be single-query and run
                 # sequentially), then its stitched trace.
                 probe = list(range(0, num_nodes, max(1, num_nodes // 12)))
-                client.query_many(probe, k=args.k)
+                check_int_ranks(client.query_many(probe, k=args.k))
                 state = client.trace()
             if not state["enabled"]:
                 raise SystemExit("--trace did not enable the server tracer")

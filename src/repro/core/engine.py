@@ -10,9 +10,9 @@ Beyond single-query dispatch the engine provides the batch front door
 across a whole workload: the graph is compiled once into a
 :class:`~repro.graph.csr.CompactGraph` CSR backend (cached across batches
 and invalidated by the graph's mutation :attr:`~repro.graph.Graph.version`),
-the hub index stays warm and keeps learning across the batch, and repeated
-``(query, k, algorithm, bounds)`` requests can be served from an LRU result
-cache.
+the hub index stays warm and keeps learning across the batch, and a
+query repeated within a batch runs once, its result shared by every
+position that asked for it.
 
 Validation contract
 -------------------
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
@@ -291,8 +290,8 @@ class ReverseKRanksEngine:
         self._arena = ScratchArena()
         #: Aggregated QueryStats of the most recent query_many batch.
         self.last_batch_stats = None
-        #: Flat payload bytes the most recent parallel batch shipped back
-        #: through the result queues (codec-reported; 0 for sequential
+        #: Pickled reply bytes the most recent parallel batch's shards
+        #: shipped back through the result queues (0 for sequential
         #: batches).
         self.last_batch_ipc_bytes = 0
         #: Batch-level pool failures observed (crash budget exhausted,
@@ -920,7 +919,6 @@ class ReverseKRanksEngine:
         k: int,
         algorithm: Union[AlgorithmKind, str] = AlgorithmKind.DYNAMIC,
         bounds: Optional[BoundSet] = None,
-        cache_size: Optional[int] = None,
         workers: int = 1,
         worker_context: Optional[str] = None,
         batch_timeout: Optional[float] = None,
@@ -937,9 +935,12 @@ class ReverseKRanksEngine:
         * **warm hub-index reuse** — indexed queries share the engine's hub
           index, which keeps learning ranks across the batch (Algorithm 4),
           so later queries get progressively cheaper;
-        * **optional LRU result cache** — with ``cache_size`` set, repeated
-          ``(query, k, algorithm, bounds)`` requests within the batch are
-          answered from cache (useful for skewed query workloads).
+        * **one run per distinct query** — ``k``, the algorithm and the
+          bounds are shared by the batch, so a repeated query node is a
+          repeated request: each distinct query runs once (before the
+          sequential/parallel choice), and its positions share one
+          :class:`~repro.core.types.QueryResult` object.
+          ``last_batch_stats`` sums the queries that ran.
 
         Parameters
         ----------
@@ -948,17 +949,6 @@ class ReverseKRanksEngine:
             front, so a bad query fails the batch before any work is done.
         k, algorithm, bounds:
             As in :meth:`query`, shared by the whole batch.
-        cache_size:
-            Capacity of the per-batch LRU result cache; ``None``/``0``
-            disables caching.  Cache hits return the same
-            :class:`~repro.core.types.QueryResult` object.  In parallel
-            mode a truthy ``cache_size`` deduplicates repeated queries
-            parent-side before shard planning (only unique queries are
-            dispatched; the capacity bound is irrelevant there because
-            the whole batch's unique set is kept), and duplicate
-            positions share one result object just like sequential
-            cache hits.  ``last_batch_stats`` then aggregates over the
-            *dispatched* unique queries, not the duplicated positions.
         workers:
             With ``workers > 1``, the batch is sharded across that many
             persistent worker processes (see :mod:`repro.parallel`): each
@@ -974,9 +964,9 @@ class ReverseKRanksEngine:
             made directly on the graph, a recompaction,
             :meth:`build_index` and :meth:`adopt_index` restart it.  See
             :meth:`prepare_parallel` / :meth:`close_pool`.
-            Single-query batches fall back to sequential execution
-            (nothing to shard).  The batch is sharded round-robin and
-            every result carries its full
+            Batches of one distinct query fall back to sequential
+            execution (nothing to shard).  The batch is sharded
+            round-robin and every result carries its full
             :class:`~repro.core.types.QueryStats`, exactly as in
             sequential mode.  A worker that raises fails the batch with
             :class:`~repro.errors.ParallelExecutionError` (the remote
@@ -1043,62 +1033,50 @@ class ReverseKRanksEngine:
                 algorithm=kind.value, queries=len(batch), workers=workers,
             )
         )
+        # k, algorithm and bounds are batch constants, so a repeated
+        # query node is a repeated request: each distinct query runs once
+        # and its positions share the one result object.
+        distinct = list(dict.fromkeys(batch))
         with root:
+            results = None
             path = "sequential"
-            if workers > 1:
-                # The result cache, parallel-side: repeated queries are
-                # deduplicated *before* shard planning (k/algorithm/bounds
-                # are batch constants, so the cache key degenerates to the
-                # query node) and the unique results fanned back out
-                # afterwards — duplicate positions share one QueryResult
-                # object, exactly like a sequential cache hit.
-                dispatch = batch
-                if cache_size and cache_size > 0:
-                    dispatch = list(dict.fromkeys(batch))
-                if len(dispatch) >= max(1, self.parallel_min_batch):
-                    # One attempt plus one retry on a fresh pool, unless
-                    # the circuit breaker is (or becomes) open.
-                    unique = None
-                    for attempt in range(2):
-                        if self.parallel_degraded:
-                            break
-                        if attempt:
-                            self._m_parallel_retries.inc()
-                        try:
-                            unique = self._query_many_parallel(
-                                dispatch, k, kind, bounds, workers,
-                                worker_context, batch_timeout,
-                            )
-                            break
-                        except (WorkerCrashError, WorkerTimeoutError):
-                            # _query_many_parallel already pruned the pool.
-                            self.pool_failures += 1
-                            self._m_pool_failures.inc()
-                    if unique is not None:
-                        self._m_batches_parallel.inc()
-                        self._m_queries.labels(algorithm=kind.value).inc(
-                            len(batch)
+            if workers > 1 and len(distinct) >= max(1, self.parallel_min_batch):
+                # One attempt plus one retry on a fresh pool, unless the
+                # circuit breaker is (or becomes) open.
+                for attempt in range(2):
+                    if self.parallel_degraded:
+                        break
+                    if attempt:
+                        self._m_parallel_retries.inc()
+                    try:
+                        results = self._query_many_parallel(
+                            distinct, k, kind, bounds, workers,
+                            worker_context, batch_timeout,
                         )
-                        if len(dispatch) == len(batch):
-                            return unique
-                        by_query = dict(zip(dispatch, unique))
-                        return [by_query[query] for query in batch]
+                        break
+                    except (WorkerCrashError, WorkerTimeoutError):
+                        # _query_many_parallel already pruned the pool.
+                        self.pool_failures += 1
+                        self._m_pool_failures.inc()
+                if results is not None:
+                    self._m_batches_parallel.inc()
+                else:
                     # Graceful degradation: the pool is gone (or the
                     # breaker is open) — serve the batch on the sequential
                     # path, which is bit-identical, just unsharded.
                     self._m_batches_fallback.inc()
                     path = "sequential_fallback"
-                # Batch too small to amortise dispatch (and an empty batch
-                # has nothing to shard) — fall through to the sequential
-                # path, whose LRU serves the duplicates.
-
-            results = self._query_many_sequential(
-                batch, k, kind, bounds, cache_size
-            )
-            if path == "sequential":
-                self._m_batches_sequential.inc()
+            # Too few distinct queries to amortise dispatch (an empty
+            # batch has nothing to shard) also run in-process.
+            if results is None:
+                results = self._query_many_sequential(distinct, k, kind, bounds)
+                if path == "sequential":
+                    self._m_batches_sequential.inc()
             self._m_queries.labels(algorithm=kind.value).inc(len(batch))
+        if len(distinct) == len(batch):
             return results
+        by_query = dict(zip(distinct, results))
+        return [by_query[query] for query in batch]
 
     def _query_many_sequential(
         self,
@@ -1106,42 +1084,24 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        cache_size: Optional[int],
     ) -> List[QueryResult]:
         """The in-process batch path (also the parallel fallback).
 
         Factored out of :meth:`query_many` so graceful degradation runs
         *exactly* this code — the fallback cannot drift from what
-        ``workers=1`` would have answered.  ``last_batch_stats`` sums the
-        queries that ran; a cache hit ran nothing.
+        ``workers=1`` would have answered.  ``batch`` holds distinct
+        queries; ``last_batch_stats`` sums them.
         """
         backend = self.compact_graph()
-
-        cache: Optional[OrderedDict] = (
-            OrderedDict() if cache_size and cache_size > 0 else None
-        )
         results: List[QueryResult] = []
         aggregated = QueryStats()
         with self.tracer.span(
             "engine.sequential", queries=len(batch)
-        ) as span, self._forwarding_learning(kind):
-            cache_hits = 0
+        ), self._forwarding_learning(kind):
             for query in batch:
-                key = (query, k, kind, bounds)
-                if cache is not None and key in cache:
-                    cache.move_to_end(key)
-                    results.append(cache[key])
-                    cache_hits += 1
-                    continue
                 result = self._dispatch(query, k, kind, bounds, backend)
                 aggregated.merge(result.stats)
-                if cache is not None:
-                    cache[key] = result
-                    if len(cache) > cache_size:
-                        cache.popitem(last=False)
                 results.append(result)
-            if cache is not None:
-                span.set(cache_hits=cache_hits)
         self.last_batch_stats = aggregated
         self.last_batch_ipc_bytes = 0
         return results

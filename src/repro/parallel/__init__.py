@@ -16,13 +16,12 @@ substrate that exploits the former and reconciles the latter:
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`, the persistent
   process pool with startup barrier, typed crash surfacing and graceful
   shutdown;
-* :mod:`repro.parallel.codec` — :class:`ShardResultCodec`, the flat-array
-  transport of shard results (ranks as doubles, entry nodes as CSR
-  indexes, per-query offsets, per-query stats counters) that replaced
-  per-object result pickling;
-* :mod:`repro.parallel.merge` — deterministic reassembly of shard
-  results in input order (decoding the flat blocks against the parent's
-  compilation, header-validated first), with aggregated
+* :mod:`repro.parallel.codec` — :class:`ShardResultCodec`, the reply
+  format of a query shard: one pickle of its
+  :class:`~repro.core.types.QueryResult` list, decoded on the master
+  against its own plan;
+* :mod:`repro.parallel.merge` — deterministic reassembly of the decoded
+  shard results in input order, with aggregated
   :class:`~repro.core.types.QueryStats` and the workers' learning deltas
   ready for :meth:`~repro.core.hub_index.HubIndex.merge_delta`.
 
@@ -33,7 +32,7 @@ its workers hold, and merges the learned rank deltas back into its
 master index after every indexed batch.
 """
 
-from repro.parallel.codec import ShardResultBlock, ShardResultCodec
+from repro.parallel.codec import ShardResultCodec
 from repro.parallel.merge import (
     ParallelBatchResult,
     ShardOutput,
@@ -47,7 +46,6 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "ShardOutput",
-    "ShardResultBlock",
     "ShardResultCodec",
     "ParallelBatchResult",
     "merge_shard_outputs",

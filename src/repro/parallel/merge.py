@@ -1,14 +1,11 @@
 """Deterministic reassembly of sharded batch results.
 
 Workers finish in nondeterministic order; this module makes the batch
-outcome independent of that order.  Shard results arrive either as plain
-:class:`~repro.core.types.QueryResult` sequences (in-process callers, unit
-tests) or — the pool's wire path — as flat
-:class:`~repro.parallel.codec.ShardResultBlock` buffers, which are
-**validated against their header first** and only then decoded back into
-rich results, so a truncated or corrupted buffer fails loudly before any
-position is trusted.  Results are slotted back by the batch positions
-their shard carried, the per-query
+outcome independent of that order.  Each shard's results arrive already
+decoded (the pool decodes every reply against its own plan as it
+arrives, :class:`~repro.parallel.codec.ShardResultCodec`); they are
+slotted back by the batch positions their shard carried, with every
+position checked to be in range and filled exactly once, the per-query
 :class:`~repro.core.types.QueryStats` are combined into one batch-level
 view, and the workers' hub-index learning deltas are returned sorted by
 shard index — so a last-writer-wins merge into the master index applies
@@ -18,30 +15,22 @@ them in the same order every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.types import QueryResult, QueryStats
 from repro.errors import ParallelExecutionError
-from repro.parallel.codec import ShardResultBlock, ShardResultCodec
 
 __all__ = ["ShardOutput", "ParallelBatchResult", "merge_shard_outputs"]
 
 
 @dataclass(frozen=True)
 class ShardOutput:
-    """What one worker returned for one shard of a batch.
-
-    ``results`` is either a decoded result sequence or an encoded
-    :class:`ShardResultBlock`; in the latter case ``queries`` must carry
-    the shard's query nodes **from the parent's plan** (the decode never
-    trusts worker-reported identifiers).
-    """
+    """What one worker returned for one shard of a batch, decoded."""
 
     shard_index: int
     positions: Tuple[int, ...]
-    results: Union[Sequence[QueryResult], ShardResultBlock]
-    delta: Optional[object] = None  # a HubIndexDelta when learning was logged
-    queries: Optional[Tuple] = None  # plan-side query nodes (encoded shards)
+    results: Sequence[QueryResult]
+    delta: Optional[object] = None  # a HubIndexDelta when the shard learned
     trace: Optional[dict] = None  # worker-side span tree (traced batches)
 
 
@@ -53,12 +42,13 @@ class ParallelBatchResult:
     results: List[QueryResult]
     #: All per-query counters accumulated into one batch-level QueryStats.
     stats: QueryStats
-    #: Learning deltas in shard order (empty unless delta collection was on).
+    #: The shards' learning deltas in shard order (empty unless an
+    #: indexed batch ran on workers holding an index).
     deltas: List[object] = field(default_factory=list)
     #: How many shards carried work.
     shards: int = 0
-    #: Flat payload bytes that crossed the process boundary (codec-reported;
-    #: 0 when every shard arrived as plain objects).
+    #: Pickled reply bytes that crossed the process boundary (the pool
+    #: sets it; 0 for a merge of in-process results).
     ipc_bytes: int = 0
     #: Worker-side span trees in shard order (empty unless the batch was
     #: traced); the engine grafts them under its dispatch span.
@@ -68,58 +58,22 @@ class ParallelBatchResult:
 def merge_shard_outputs(
     outputs: Sequence[ShardOutput],
     batch_size: int,
-    csr=None,
 ) -> ParallelBatchResult:
     """Merge shard outputs (any arrival order) into one ordered batch result.
-
-    ``csr`` is the shared :class:`~repro.graph.csr.CompactGraph`
-    compilation, required to decode encoded shards (their entry nodes
-    travel as CSR indexes).
-
-    For every encoded shard the codec header is validated **before** the
-    shard's positions are used for anything — length lies, truncated
-    buffers and out-of-range node indexes all raise here rather than
-    silently misattributing results to queries.
 
     Raises
     ------
     ParallelExecutionError
-        When a shard's block fails validation, the shard outputs do not
-        cover each of the ``batch_size`` positions exactly once, or a
-        shard's positions and results disagree in length.
+        When a shard's positions and results disagree in length, or the
+        shard outputs do not cover each of the ``batch_size`` positions
+        exactly once.
     """
     slots: List[Optional[QueryResult]] = [None] * batch_size
     filled = 0
     stats = QueryStats()
-    ipc_bytes = 0
     ordered = sorted(outputs, key=lambda output: output.shard_index)
     for output in ordered:
         results = output.results
-        if isinstance(results, ShardResultBlock):
-            block = results
-            # Header first: nothing from this shard — positions included —
-            # is trusted until the flat buffers are internally consistent.
-            block.validate()
-            if len(output.positions) != block.num_queries:
-                raise ParallelExecutionError(
-                    f"shard {output.shard_index} reported "
-                    f"{len(output.positions)} positions but its result "
-                    f"block carries {block.num_queries} queries"
-                )
-            if csr is None:
-                raise ParallelExecutionError(
-                    "encoded shard outputs need the graph compilation to "
-                    "decode; pass csr= to merge_shard_outputs"
-                )
-            if output.queries is None:
-                raise ParallelExecutionError(
-                    f"shard {output.shard_index} is encoded but carries no "
-                    "plan-side query nodes to rebuild results against"
-                )
-            results = ShardResultCodec.decode(
-                block, csr, output.queries, validated=True
-            )
-            ipc_bytes += block.payload_bytes()
         if len(output.positions) != len(results):
             raise ParallelExecutionError(
                 f"shard {output.shard_index} returned {len(results)} "
@@ -151,6 +105,5 @@ def merge_shard_outputs(
         stats=stats,
         deltas=deltas,
         shards=len(ordered),
-        ipc_bytes=ipc_bytes,
         worker_traces=traces,
     )

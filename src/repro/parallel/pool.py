@@ -4,8 +4,10 @@ A :class:`WorkerPool` owns ``N`` long-lived worker processes around one
 :class:`~repro.graph.csr.CompactGraph` compilation (plus, optionally, a
 bichromatic facility set and a replica of the coordinator's hub index).
 Batches are then dispatched shard-wise — the payload per batch is just
-the query identifiers — and reassembled deterministically by
-:mod:`repro.parallel.merge`.
+the query identifiers.  Each shard comes back as one pickle of its
+results, decoded against the pool's own plan as it arrives
+(:class:`~repro.parallel.codec.ShardResultCodec`), and the batch is
+reassembled deterministically by :mod:`repro.parallel.merge`.
 
 Index replicas
 --------------
@@ -124,6 +126,7 @@ from repro.errors import (
 )
 from repro.graph.shm import share_compact_graph
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
+from repro.parallel.codec import ShardResultCodec
 from repro.parallel.merge import ParallelBatchResult, ShardOutput, merge_shard_outputs
 from repro.parallel.planner import ShardPlan, chunk_evenly
 from repro.parallel.worker import build_init_payload, worker_main
@@ -277,10 +280,8 @@ class WorkerPool:
         # The frozen base compilation: the only graph the workers' startup
         # transports (shared segment or pickled copy) ever carry.
         self._base = graph.base if graph.is_overlay else graph
-        # What the workers hold: it decodes shard result blocks (entry
-        # nodes travel as CSR indexes of this compilation), and a worker
-        # that starts is seeded with its rows and a fresh export of
-        # ``index``.
+        # What the workers hold: a worker that starts is seeded with its
+        # rows and a fresh export of ``index``.
         self._graph = graph
         self._ctx = ctx
         self._index = index
@@ -325,7 +326,7 @@ class WorkerPool:
         ipc = metrics.counter(
             "repro_ipc_bytes_total",
             "Bytes crossing the worker IPC boundary, by direction "
-            "(startup init payloads vs codec-encoded shard results).",
+            "(startup init payloads vs pickled shard result replies).",
             labels=("direction",),
         )
         self._m_ipc_startup = ipc.labels(direction="startup")
@@ -481,7 +482,10 @@ class WorkerPool:
         identity mapping when the plan was built for this pool's worker
         count); workers echo the shard index back, so attribution never
         depends on arrival order — which is what makes re-dispatching a
-        dead worker's shards to its replacement safe.
+        dead worker's shards to its replacement safe.  Each reply is
+        decoded as it arrives, after stale and duplicate replies are
+        dropped, and checked against the plan's shard; its bytes are
+        :attr:`ParallelBatchResult.ipc_bytes`.
 
         When the workers hold an index and the algorithm is indexed,
         each shard returns what it learned; that learning is also queued
@@ -506,9 +510,10 @@ class WorkerPool:
         Raises
         ------
         ParallelExecutionError
-            When the pool is closed, or a worker reported an exception
-            (the remote traceback is embedded in the message) — worker
-            *exceptions* are deterministic, so they are never retried.
+            When the pool is closed, a worker reported an exception (the
+            remote traceback is embedded in the message) — worker
+            *exceptions* are deterministic, so they are never retried —
+            or a reply does not decode to its shard's results.
         WorkerCrashError
             When worker deaths exceeded ``crash_retries``, or a
             replacement worker could not be started; ``positions`` names
@@ -560,6 +565,7 @@ class WorkerPool:
         producers: Dict[int, tuple] = {}
         outstanding = set(shard_by_index)
         crashes = 0
+        ipc_bytes = 0
         while outstanding:
             try:
                 message_kind, worker_id, message_job, payload = self._receive(
@@ -640,26 +646,29 @@ class WorkerPool:
                     f"worker {worker_id} failed while evaluating its shard:\n"
                     f"{payload}"
                 )
-            shard_index, positions, results, delta, worker_trace = payload
+            shard_index, positions, reply, delta, worker_trace = payload
             if shard_index not in outstanding:
                 continue  # defensive: duplicate delivery
             outstanding.discard(shard_index)
             producers[shard_index] = (worker_id, self._generations[worker_id])
+            # Decoded as it arrives (overlapping the wait for the other
+            # shards), against this pool's plan, not worker-reported
+            # identifiers.
+            results = ShardResultCodec.decode(
+                reply, shard_by_index[shard_index].queries
+            )
+            ipc_bytes += len(reply)
             outputs.append(
                 ShardOutput(
                     shard_index=shard_index,
                     positions=positions,
                     results=results,
                     delta=delta,
-                    # Decode against the parent's plan, not worker-reported
-                    # identifiers.
-                    queries=shard_by_index[shard_index].queries,
                     trace=worker_trace,
                 )
             )
-        merged = merge_shard_outputs(
-            outputs, batch_size=plan.num_queries, csr=self._graph
-        )
+        merged = merge_shard_outputs(outputs, batch_size=plan.num_queries)
+        merged.ipc_bytes = ipc_bytes
         for output in sorted(outputs, key=lambda output: output.shard_index):
             if output.delta:
                 worker_id, generation = producers[output.shard_index]
@@ -673,8 +682,7 @@ class WorkerPool:
                 )
         self._m_batches.inc()
         self._m_batch_seconds.observe(time.perf_counter() - batch_started)
-        if merged.ipc_bytes:
-            self._m_ipc_result.inc(merged.ipc_bytes)
+        self._m_ipc_result.inc(ipc_bytes)
         return merged
 
     def update_graph(self, new_graph, repair=None) -> list:
@@ -692,8 +700,7 @@ class WorkerPool:
         one (:meth:`~repro.graph.overlay.OverlayGraph.from_delta`, which
         refuses a delta for any other version) and swaps in a fresh
         engine.  ``new_graph`` becomes the pool's record of what the
-        workers hold: it decodes shard result blocks, and a slot
-        respawned later is seeded with its rows.
+        workers hold: a slot respawned later is seeded with its rows.
 
         A pool with an index takes ``repair=(drops, hubs, limit,
         prefixes)``, the sharded repair, run from inside

@@ -76,11 +76,11 @@ Message protocol (all tuples, queue-pickled)
   before the task runs.
 * worker -> parent: ``(kind, worker_id, job_id, payload)`` where ``kind``
   is ``"ready"`` (startup complete), ``"done"`` (payload is
-  ``(shard_index, positions, block, delta, trace)`` for a query shard —
+  ``(shard_index, positions, reply, delta, trace)`` for a query shard —
   ``shard_index`` echoed from the task so the parent can attribute and
-  re-dispatch shards without assuming arrival order, ``block`` a flat
-  :class:`~repro.parallel.codec.ShardResultBlock`; see
-  :mod:`repro.parallel.codec` for the wire format; ``delta`` the
+  re-dispatch shards without assuming arrival order, ``reply`` the
+  shard's results as one pickle
+  (:meth:`~repro.parallel.codec.ShardResultCodec.encode`); ``delta`` the
   shard's learning, or ``None`` without an index or for a non-indexed
   algorithm; ``trace`` the worker-side span tree (a plain dict) or
   ``None``) or ``"error"`` (payload is a formatted remote traceback
@@ -269,12 +269,10 @@ class _WorkerState:
         self, shard_index, positions, queries, k, algorithm, bounds,
         trace_id=None,
     ):
-        """Evaluate one query shard; returns ``(shard_index, positions, block, delta, trace)``.
+        """Evaluate one query shard; returns ``(shard_index, positions, reply, delta, trace)``.
 
-        ``block`` is the shard's results packed into flat array buffers
-        by :class:`~repro.parallel.codec.ShardResultCodec` — the worker's
-        engine *is* the CSR compilation, so entry nodes leave as integer
-        indexes, never pickled identifiers.
+        ``reply`` is the shard's results pickled by
+        :meth:`~repro.parallel.codec.ShardResultCodec.encode`.
 
         ``trace_id`` (non-``None`` only for traced parent batches)
         enables the worker engine's tracer for exactly this shard: the
@@ -311,9 +309,9 @@ class _WorkerState:
             finally:
                 delta = index.pop_learning_log() if learns else None
             with tracer.span("worker.encode"):
-                block = ShardResultCodec.encode(results, self.engine.graph)
+                reply = ShardResultCodec.encode(results)
         trace = tracer.last_trace["root"] if trace_id is not None else None
-        return shard_index, tuple(positions), block, delta, trace
+        return shard_index, tuple(positions), reply, delta, trace
 
     def explore_hubs(self, hubs, limit):
         """This worker's chunk of a sharded build: ``(hub, row, dists)`` triples.

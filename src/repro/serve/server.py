@@ -350,16 +350,15 @@ class _Batcher:
                 index.start_learning_log()
             try:
                 try:
-                    # cache_size=len(queries): concurrent clients asking
-                    # the same (query, k, algorithm) in one batch share
-                    # a single execution — coalescing's dedupe half.
+                    # Concurrent clients asking the same (query, k,
+                    # algorithm) in one batch share a single execution:
+                    # query_many runs each distinct query once.
                     results = self._engine.query_many(
                         queries,
                         k,
                         algorithm=kind,
                         workers=self._config.workers,
                         worker_context=self._config.worker_context,
-                        cache_size=len(queries),
                         batch_timeout=self._config.batch_timeout_s,
                     )
                 finally:

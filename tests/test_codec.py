@@ -1,22 +1,23 @@
-"""The flat-array shard result codec: round trips, edge cases, validation.
+"""The shard reply codec: round trips, edge cases, decode refusals.
 
-Covers the wire-format contract (entry order, rank values, node identity
-and QueryStats all survive the array round trip), the degenerate shapes
-(empty result sets, k exceeding the candidate count, empty shards), the
-header-first validation that makes truncated buffers fail loudly before
-any batch position is trusted, per-query stats surviving a parallel
-batch at engine level, and the mid-batch worker-crash path carrying
-shard position info.
+Covers the reply contract (entries, rank values *and their types*, every
+QueryStats counter, ``k`` and the algorithm label survive one pickle of
+the shard's results), the degenerate shapes (empty result sets, k
+exceeding the candidate count, empty shards), the decode's refusals
+(bytes that do not unpickle, a count or query sequence that differs from
+the plan's shard, at codec and at pool level), the merge's position
+checks on decoded results, per-query stats surviving a parallel batch at
+engine level, and the mid-batch worker-crash path carrying shard
+position info.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
-from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,6 @@ from repro.graph import CompactGraph, Graph
 from repro.parallel import (
     ShardOutput,
     ShardPlanner,
-    ShardResultBlock,
     ShardResultCodec,
     WorkerPool,
     merge_shard_outputs,
@@ -50,8 +50,19 @@ def islands_graph():
 
 
 def _batch(graph, queries, k, algorithm="dynamic"):
-    engine = ReverseKRanksEngine(graph)
-    return engine.compact_graph(), engine.query_many(queries, k, algorithm=algorithm)
+    return ReverseKRanksEngine(graph).query_many(queries, k, algorithm=algorithm)
+
+
+def _round_trip(results, queries):
+    return ShardResultCodec.decode(ShardResultCodec.encode(results), queries)
+
+
+def _entries(results):
+    """Per result, ``(node, rank, type(rank))`` in entry order."""
+    return [
+        [(entry.node, entry.rank, type(entry.rank)) for entry in result.entries]
+        for result in results
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -60,29 +71,26 @@ def _batch(graph, queries, k, algorithm="dynamic"):
 class TestRoundTrip:
     def test_entries_round_trip_bit_identical(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        csr, results = _batch(random_gnp, queries, 4)
-        block = ShardResultCodec.encode(results, csr)
-        decoded = ShardResultCodec.decode(block, csr, queries)
+        results = _batch(random_gnp, queries, 4)
+        decoded = _round_trip(results, queries)
         assert [r.query for r in decoded] == queries
         assert [r.k for r in decoded] == [r.k for r in results]
         assert [r.algorithm for r in decoded] == [r.algorithm for r in results]
-        # Bit-identical entries: node identity, rank values, entry order.
-        assert [
-            [(e.node, e.rank) for e in r.entries] for r in decoded
-        ] == [[(e.node, e.rank) for e in r.entries] for r in results]
+        # Bit-identical entries: node identity, rank values and types,
+        # entry order.
+        assert _entries(decoded) == _entries(results)
+        assert {type(e.rank) for r in decoded for e in r.entries} == {int}
 
     def test_per_query_stats_round_trip_exactly(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
         engine = ReverseKRanksEngine(random_gnp)
         engine.build_index(num_hubs=3, capacity=8)
-        csr = engine.compact_graph()
         # Indexed results also fill the index-only counters (answered by
         # the index, index bound wins), which no parallel differential
         # compares: worker replicas legitimately save different work.
         for algorithm in ("dynamic", "indexed"):
             results = engine.query_many(queries, 4, algorithm=algorithm)
-            block = ShardResultCodec.encode(results, csr)
-            decoded = ShardResultCodec.decode(block, csr, queries)
+            decoded = _round_trip(results, queries)
             assert [r.stats.as_dict() for r in decoded] == [
                 r.stats.as_dict() for r in results
             ]
@@ -95,10 +103,9 @@ class TestRoundTrip:
 class TestEdgeCases:
     def test_empty_result_sets_round_trip(self, islands_graph):
         # Node 20 reaches nothing and nothing reaches it: entries == [].
-        csr, results = _batch(islands_graph, [20], 2)
+        results = _batch(islands_graph, [20], 2)
         assert results[0].entries == []
-        block = ShardResultCodec.encode(results, csr)
-        decoded = ShardResultCodec.decode(block, csr, [20])
+        decoded = _round_trip(results, [20])
         assert decoded[0].entries == []
         assert decoded[0].k == 2
         assert decoded[0].stats.as_dict() == results[0].stats.as_dict()
@@ -107,137 +114,106 @@ class TestEdgeCases:
         self, islands_graph
     ):
         # k=6 but query 10's component holds only 2 other nodes.
-        csr, results = _batch(islands_graph, [10, 11], 6)
+        results = _batch(islands_graph, [10, 11], 6)
         assert all(0 < len(r.entries) < 6 for r in results)
-        block = ShardResultCodec.encode(results, csr)
-        decoded = ShardResultCodec.decode(block, csr, [10, 11])
-        assert [
-            [(e.node, e.rank) for e in r.entries] for r in decoded
-        ] == [[(e.node, e.rank) for e in r.entries] for r in results]
+        decoded = _round_trip(results, [10, 11])
+        assert _entries(decoded) == _entries(results)
         assert all(r.k == 6 for r in decoded)
         assert all(not r.is_full() for r in decoded)
 
-    def test_empty_shard_encodes_and_decodes(self, random_gnp):
-        csr = CompactGraph.from_graph(random_gnp)
-        block = ShardResultCodec.encode([], csr)
-        block.validate()
-        assert ShardResultCodec.decode(block, csr, []) == []
+    def test_empty_shard_encodes_and_decodes(self):
+        assert _round_trip([], []) == []
 
 
 # ----------------------------------------------------------------------
-# Header validation: truncated/corrupted buffers fail loudly
+# Decode refusals: the master trusts its plan, not the reply
 # ----------------------------------------------------------------------
-class TestBlockValidation:
+class TestDecodeRefusals:
     @pytest.fixture()
-    def block(self, random_gnp):
+    def shard(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:4]
-        csr, results = _batch(random_gnp, queries, 3)
-        self.csr = csr
-        self.queries = queries
-        return ShardResultCodec.encode(results, csr)
+        results = _batch(random_gnp, queries, 3)
+        return queries, results, ShardResultCodec.encode(results)
 
-    def test_valid_block_passes(self, block):
-        block.validate()
+    def test_garbage_bytes_fail(self, shard):
+        queries, _, _ = shard
+        for garbage in (b"", b"not a pickle", None):
+            with pytest.raises(ParallelExecutionError, match="unpickle"):
+                ShardResultCodec.decode(garbage, queries)
+        # Bytes that unpickle, but not to a result list.
+        for stranger in ({"results": []}, [1, 2, 3, 4]):
+            with pytest.raises(ParallelExecutionError, match="shard reply"):
+                ShardResultCodec.decode(pickle.dumps(stranger), queries)
 
-    def test_truncated_ranks_buffer_fails(self, block):
-        broken = replace(block, ranks=block.ranks[:-1])
-        with pytest.raises(ParallelExecutionError, match="truncated"):
-            broken.validate()
+    def test_truncated_payload_fails(self, shard):
+        queries, _, payload = shard
+        for cut in (len(payload) - 1, len(payload) // 2, 1):
+            with pytest.raises(ParallelExecutionError, match="unpickle"):
+                ShardResultCodec.decode(payload[:cut], queries)
 
-    def test_truncated_offsets_table_fails(self, block):
-        broken = replace(block, offsets=block.offsets[:-1])
-        with pytest.raises(ParallelExecutionError, match="offsets"):
-            broken.validate()
+    def test_count_mismatch_fails(self, shard):
+        queries, results, payload = shard
+        with pytest.raises(ParallelExecutionError, match="assigned 3 queries"):
+            ShardResultCodec.decode(payload, queries[:-1])
+        short = ShardResultCodec.encode(results[:-1])
+        with pytest.raises(ParallelExecutionError, match="carries 3 results"):
+            ShardResultCodec.decode(short, queries)
 
-    def test_non_monotonic_offsets_fail(self, block):
-        twisted = array("q", block.offsets)
-        twisted[1], twisted[2] = twisted[2] + 1, twisted[1]
-        broken = replace(block, offsets=twisted)
-        with pytest.raises(ParallelExecutionError):
-            broken.validate()
+    def test_reordered_queries_fail(self, shard):
+        queries, _, payload = shard
+        with pytest.raises(ParallelExecutionError, match="plan assigned"):
+            ShardResultCodec.decode(payload, queries[::-1])
 
-    def test_lying_query_count_fails(self, block):
-        broken = replace(block, num_queries=block.num_queries + 1)
-        with pytest.raises(ParallelExecutionError, match="offsets"):
-            broken.validate()
+    def test_foreign_queries_fail(self, shard, random_gnp):
+        queries, _, payload = shard
+        stranger = next(node for node in random_gnp.nodes() if node not in queries)
+        with pytest.raises(ParallelExecutionError, match="shard position 2"):
+            ShardResultCodec.decode(payload, queries[:2] + [stranger] + queries[3:])
 
-    def test_truncated_counters_fail(self, block):
-        broken = replace(block, counters=block.counters[:-3])
-        with pytest.raises(ParallelExecutionError, match="counters"):
-            broken.validate()
-
-    def test_out_of_range_node_index_fails_decode(self, block):
-        poisoned = array("q", block.nodes)
-        poisoned[0] = self.csr.num_nodes + 7
-        broken = replace(block, nodes=poisoned)
-        with pytest.raises(ParallelExecutionError, match="node index"):
-            ShardResultCodec.decode(broken, self.csr, self.queries)
-        poisoned[0] = -1  # negative aliasing must not slip through either
-        with pytest.raises(ParallelExecutionError, match="node index"):
-            ShardResultCodec.decode(broken, self.csr, self.queries)
+    @needs_fork
+    def test_pool_refuses_a_reply_that_differs_from_its_plan(
+        self, random_gnp, monkeypatch
+    ):
+        # Forked workers inherit the patched encoder: every shard replies
+        # with its results in reverse order.
+        monkeypatch.setattr(
+            ShardResultCodec,
+            "encode",
+            staticmethod(lambda results: pickle.dumps(list(results)[::-1])),
+        )
+        queries = sorted(random_gnp.nodes(), key=repr)[:6]
+        with ReverseKRanksEngine(random_gnp) as engine:
+            with pytest.raises(ParallelExecutionError, match="plan assigned"):
+                engine.query_many(
+                    queries, 3, workers=2, worker_context=FAST_CONTEXT
+                )
+            # A batch that raised closes the pool, and reports no bytes.
+            assert engine._pool is None
+            assert engine.last_batch_ipc_bytes == 0
 
 
 # ----------------------------------------------------------------------
-# Merge: header validated before positions are trusted (regression)
+# Merge: position checks on decoded results
 # ----------------------------------------------------------------------
-class TestMergeValidatesHeaderFirst:
-    def _encoded_output(self, graph, queries, positions, **overrides):
-        csr, results = _batch(graph, queries, 3)
-        block = ShardResultCodec.encode(results, csr)
-        if overrides:
-            block = replace(block, **overrides)
-        return csr, ShardOutput(
-            shard_index=0,
-            positions=positions,
-            results=block,
-            queries=tuple(queries),
-        )
-
-    def test_truncated_block_fails_before_position_slotting(self, random_gnp):
+class TestMergePositions:
+    def test_position_count_mismatch_fails(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:3]
-        csr, output = self._encoded_output(random_gnp, queries, (0, 1, 2))
-        truncated = replace(output.results, ranks=output.results.ranks[:-1])
-        # Give the shard deliberately poisonous positions: if the merger
-        # trusted them before validating the block, it would raise the
-        # out-of-range position error instead of the truncation error.
-        poisoned = ShardOutput(
-            shard_index=0,
-            positions=(0, 1, 99),
-            results=truncated,
-            queries=output.queries,
-        )
-        with pytest.raises(ParallelExecutionError, match="truncated"):
-            merge_shard_outputs([poisoned], batch_size=3, csr=csr)
-
-    def test_position_count_mismatch_fails_before_decode(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:3]
-        csr, output = self._encoded_output(random_gnp, queries, (0, 1))
+        output = ShardOutput(0, (0, 1), _batch(random_gnp, queries, 3))
         with pytest.raises(ParallelExecutionError, match="positions"):
-            merge_shard_outputs([output], batch_size=3, csr=csr)
+            merge_shard_outputs([output], batch_size=3)
 
-    def test_encoded_shard_without_csr_fails(self, random_gnp):
-        queries = sorted(random_gnp.nodes(), key=repr)[:2]
-        _, output = self._encoded_output(random_gnp, queries, (0, 1))
-        with pytest.raises(ParallelExecutionError, match="compilation"):
-            merge_shard_outputs([output], batch_size=2)
-
-    def test_well_formed_encoded_shards_merge_in_order(self, random_gnp):
+    def test_decoded_shards_merge_in_order(self, random_gnp):
         queries = sorted(random_gnp.nodes(), key=repr)[:4]
-        engine = ReverseKRanksEngine(random_gnp)
-        csr = engine.compact_graph()
-        results = engine.query_many(queries, 3)
-        even = ShardResultCodec.encode([results[0], results[2]], csr)
-        odd = ShardResultCodec.encode([results[1], results[3]], csr)
+        results = _batch(random_gnp, queries, 3)
+        even = _round_trip([results[0], results[2]], [queries[0], queries[2]])
+        odd = _round_trip([results[1], results[3]], [queries[1], queries[3]])
         merged = merge_shard_outputs(
-            [
-                ShardOutput(1, (1, 3), odd, queries=(queries[1], queries[3])),
-                ShardOutput(0, (0, 2), even, queries=(queries[0], queries[2])),
-            ],
+            [ShardOutput(1, (1, 3), odd), ShardOutput(0, (0, 2), even)],
             batch_size=4,
-            csr=csr,
         )
         assert [r.query for r in merged.results] == queries
-        assert merged.ipc_bytes == even.payload_bytes() + odd.payload_bytes()
+        assert _entries(merged.results) == _entries(results)
+        assert merged.ipc_bytes == 0  # only the pool counts reply bytes
         assert merged.stats.rank_refinements == sum(
             r.stats.rank_refinements for r in results
         )
@@ -255,6 +231,7 @@ class TestEngineStatsKnob:
             parallel = engine.query_many(
                 queries, 3, workers=2, worker_context=FAST_CONTEXT
             )
+            assert engine.last_batch_ipc_bytes > 0
         for expected, actual in zip(sequential, parallel):
             expected_view = expected.stats.as_dict()
             actual_view = actual.stats.as_dict()

@@ -1,18 +1,19 @@
-"""Seeded differential fuzz sweep: codec-round-tripped parallel batches
-must be bit-identical to sequential ones.
+"""Seeded differential fuzz sweep: pool batches, their results pickled
+back by the shard codec, must be bit-identical to sequential ones.
 
 Each seed generates a random graph (size, density, directedness and
 weight distribution all drawn from the seed), a random query batch and a
 random ``k``, answers the batch sequentially, then re-answers it through
-the 2-worker shard pool and asserts the rebuilt results carry exactly the
-sequential ranks, node ids, entry order and every ``QueryStats``
-counter.  Every case also exercises a second k, and dedicated seed
-classes cover the bichromatic engine and warm-index (hub-indexed) runs —
-the latter asserting rank-value identity plus boundary-tie equivalence,
-the engine's documented parallel-indexed guarantee (worker index
-snapshots lag the master's learning, which may swap entries tied exactly
-at the boundary rank, never a rank value, and changes how much work the
-index saves, so their counters are not compared).
+the 2-worker shard pool and asserts the decoded results carry exactly
+the sequential ranks (values and types), node ids, entry order and every
+``QueryStats`` counter.  Every case also exercises a second k, and
+dedicated seed classes cover the bichromatic engine and warm-index
+(hub-indexed) runs — the latter asserting rank-value identity plus
+boundary-tie equivalence, the engine's documented parallel-indexed
+guarantee (worker index snapshots lag the master's learning, which may
+swap entries tied exactly at the boundary rank, never a rank value, and
+changes how much work the index saves, so their counters are not
+compared).
 
 The sweep spawns one process pool per seed, so it is marked ``slow`` and
 excluded from the tier-1 ``-m "not slow"`` CI split; a dedicated CI job
@@ -69,8 +70,12 @@ def _pick_queries(rng: random.Random, nodes, count):
 
 
 def _entry_triples(results):
-    """The bit-identity signature: per result, (node, rank) in entry order."""
-    return [[(entry.node, entry.rank) for entry in result.entries] for result in results]
+    """The bit-identity signature: per result, (node, rank, rank type) in
+    entry order — ``3`` and ``3.0`` serialise differently."""
+    return [
+        [(entry.node, entry.rank, type(entry.rank)) for entry in result.entries]
+        for result in results
+    ]
 
 
 def _counters(results):
@@ -162,8 +167,10 @@ def _run_warm_index_case(rng, graph, seed):
         # Rank values must be bit-identical; entry identity is allowed
         # to differ only for ties exactly at the boundary rank (worker
         # snapshots lag the continuously-learning master).
-        assert [r.rank_values() for r in parallel] == [
-            r.rank_values() for r in sequential
+        assert [
+            [(rank, type(rank)) for rank in r.rank_values()] for r in parallel
+        ] == [
+            [(rank, type(rank)) for rank in r.rank_values()] for r in sequential
         ], context
         for expected, actual in zip(sequential, parallel):
             assert results_equivalent(expected, actual), context

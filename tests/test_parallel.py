@@ -8,6 +8,7 @@ that lack them.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
@@ -19,7 +20,7 @@ from repro.core import AlgorithmKind, QueryStats, ReverseKRanksEngine
 from repro.core.types import QueryResult, RankedNode
 from repro.core.validation import results_equivalent
 from repro.errors import ParallelExecutionError, WorkerCrashError
-from repro.graph import CompactGraph
+from repro.graph import CompactGraph, Graph
 from repro.parallel import (
     ShardOutput,
     ShardPlanner,
@@ -148,6 +149,27 @@ class TestEngineParallel:
         assert [result.as_pairs() for result in parallel] == [
             result.as_pairs() for result in sequential
         ]
+
+    def test_parallel_answers_serialise_like_sequential(self):
+        """Ranks keep their type across the pool: ``json.dumps`` agrees.
+
+        On a 30-node ring a coalesced pool batch must serve ``3``, not
+        ``3.0``, for the same query a sequential batch answers.
+        """
+        graph = Graph(name="ring-30")
+        for node in range(30):
+            graph.add_edge(node, (node + 1) % 30, 1.0 + node % 3)
+        queries = [1, 7, 13, 19, 25, 4]
+        with ReverseKRanksEngine(graph) as engine:
+            sequential = engine.query_many(queries, 3, algorithm="dynamic")
+            parallel = engine.query_many(
+                queries, 3, algorithm="dynamic", workers=2,
+                worker_context=FAST_CONTEXT,
+            )
+            assert engine.last_batch_ipc_bytes > 0  # it ran on the pool
+        assert json.dumps([r.as_pairs() for r in parallel]) == json.dumps(
+            [r.as_pairs() for r in sequential]
+        )
 
     def test_parallel_bichromatic_matches_sequential(self, bichromatic_case):
         queries = sorted(bichromatic_case.facilities, key=repr)[:5]

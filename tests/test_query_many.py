@@ -1,7 +1,7 @@
 """Tests for the batch query API (`ReverseKRanksEngine.query_many`).
 
 Covers batch-vs-single equivalence for every algorithm, the CSR compile
-cache, the per-batch LRU result cache, warm hub-index reuse across a batch,
+cache, one run per distinct query, warm hub-index reuse across a batch,
 bichromatic batches, and the stale-hub-index regression (a graph mutation
 after index build must be rejected at query time, not silently served).
 """
@@ -150,28 +150,13 @@ def test_csr_recompiled_after_mutation():
     assert batch[0].as_pairs() == engine.query(5, 2, "naive").as_pairs()
 
 
-def test_lru_cache_returns_same_object(warm_engine, random_gnp):
-    query = sample_queries(random_gnp, 1)[0]
-    batch = warm_engine.query_many(
-        [query, query, query], 3, algorithm="dynamic", cache_size=4
-    )
-    assert batch[0] is batch[1] is batch[2]
-
-
-def test_lru_cache_disabled_by_default(warm_engine, random_gnp):
-    query = sample_queries(random_gnp, 1)[0]
-    batch = warm_engine.query_many([query, query], 3, algorithm="dynamic")
-    assert batch[0] is not batch[1]
-    assert batch[0].as_pairs() == batch[1].as_pairs()
-
-
-def test_lru_cache_evicts_beyond_capacity(warm_engine, random_gnp):
-    queries = sample_queries(random_gnp, 3)
-    pattern = [queries[0], queries[1], queries[2], queries[0]]
-    # Capacity 1: queries[0] is evicted before its second occurrence.
-    batch = warm_engine.query_many(pattern, 2, algorithm="static", cache_size=1)
-    assert batch[0] is not batch[3]
-    assert batch[0].as_pairs() == batch[3].as_pairs()
+def test_repeated_queries_share_one_result(warm_engine, random_gnp):
+    queries = sample_queries(random_gnp, 2)
+    pattern = [queries[0], queries[1], queries[0], queries[0]]
+    batch = warm_engine.query_many(pattern, 3, algorithm="dynamic")
+    assert batch[0] is batch[2] is batch[3]
+    assert batch[1] is not batch[0]
+    assert [result.query for result in batch] == pattern
 
 
 def test_warm_index_learns_across_batch(random_gnp):
@@ -276,14 +261,12 @@ def test_engine_rejects_stale_index_at_construction():
 
 
 # ----------------------------------------------------------------------
-# The parallel branch must honour cache_size (regression)
+# Parallel batches share results among repeats, too
 # ----------------------------------------------------------------------
-# query_many(workers=N, cache_size=M) used to return from the parallel
-# branch before the cache machinery existed, silently dispatching every
-# duplicate query to the workers.  The fix deduplicates parent-side
-# before shard planning and fans the unique results back out, so
-# duplicate positions share one QueryResult object exactly like a
-# sequential cache hit.
+# Every batch's dedupe is its result cache: it runs before the
+# sequential/parallel choice, so only distinct queries are sharded and
+# duplicate positions share one QueryResult object, exactly as in a
+# sequential batch.
 
 _HAVE_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 _needs_fork = pytest.mark.skipif(
@@ -303,9 +286,10 @@ def test_parallel_batch_honours_cache(random_gnp):
     with engine:
         batch = engine.query_many(
             pattern, 3, algorithm="dynamic", workers=2,
-            worker_context="fork", cache_size=4,
+            worker_context="fork",
         )
-        # Duplicate positions share one object (the cache contract)...
+        assert engine.last_batch_ipc_bytes > 0  # it ran on the pool
+        # Duplicate positions share one object...
         assert batch[0] is batch[2] is batch[5]
         assert batch[1] is batch[4]
         assert batch[3] is not batch[0]
@@ -325,24 +309,12 @@ def test_parallel_cache_single_unique_query_runs_sequentially(random_gnp):
     with engine:
         batch = engine.query_many(
             [query] * 5, 3, algorithm="dynamic", workers=2,
-            worker_context="fork", cache_size=4,
+            worker_context="fork",
         )
         assert all(result is batch[0] for result in batch)
         # The degenerate batch never started the pool.
         assert engine._pool is None
 
-
-@_needs_fork
-def test_parallel_without_cache_still_dispatches_duplicates(random_gnp):
-    query = sample_queries(random_gnp, 2)
-    pattern = [query[0], query[1], query[0]]
-    engine = ReverseKRanksEngine(random_gnp)
-    with engine:
-        batch = engine.query_many(
-            pattern, 3, algorithm="dynamic", workers=2, worker_context="fork",
-        )
-        assert batch[0] is not batch[2]
-        assert batch[0].as_pairs() == batch[2].as_pairs()
 
 @_needs_fork
 def test_parallel_min_batch_one_dispatches_singles(random_gnp):
@@ -375,10 +347,10 @@ def _counters(stats):
 
 @_needs_fork
 def test_batch_stats_count_each_executed_query_once():
-    """A cache hit runs nothing, so ``last_batch_stats`` does not count it.
+    """A repeated query runs once, so ``last_batch_stats`` counts it once.
 
-    Sequential, parallel (which dispatches the unique queries) and the
-    unique-only batch agree on every counter.
+    Sequential, parallel (which dispatches the distinct queries) and the
+    distinct-only batch agree on every counter.
     """
     graph = road_lattice(12, random.Random(3))
     batch = [5, 5, 17, 5]
@@ -386,11 +358,10 @@ def test_batch_stats_count_each_executed_query_once():
     with engine:
         engine.query_many([17, 5], 8, algorithm="dynamic")
         unique = _counters(engine.last_batch_stats)
-        engine.query_many(batch, 8, algorithm="dynamic", cache_size=8)
+        engine.query_many(batch, 8, algorithm="dynamic")
         sequential = _counters(engine.last_batch_stats)
         engine.query_many(
-            batch, 8, algorithm="dynamic", cache_size=8, workers=2,
-            worker_context="fork",
+            batch, 8, algorithm="dynamic", workers=2, worker_context="fork",
         )
         parallel = _counters(engine.last_batch_stats)
     assert unique["rank_refinements"] > 0

@@ -81,7 +81,7 @@ def test_readme_quickstart_output():
         [("d", 1), ("a", 2)],
         [("b", 1), ("c", 3)],
     ]
-    assert batch[3] is batch[0]  # the repeated query is a cache hit
+    assert batch[3] is batch[0]  # the repeated query ran once
 
 
 def test_readme_parallel_example_matches_sequential():
