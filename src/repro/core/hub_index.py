@@ -46,7 +46,12 @@ from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.hubs import HubSelectionStrategy, hub_budget, select_hubs
-from repro.errors import IndexCapacityError, IndexParameterError, NodeNotFoundError
+from repro.errors import (
+    IndexCapacityError,
+    IndexParameterError,
+    NodeNotFoundError,
+    is_positive_int,
+)
 from repro.graph.csr import as_compact
 from repro.traversal.csr_ops import explore_row
 
@@ -283,7 +288,7 @@ class HubIndex:
             graph, num_hubs, explore_limit
         )
         limit = graph.num_nodes if explore_limit is None else explore_limit
-        if limit <= 0:
+        if not is_positive_int(limit):
             raise IndexParameterError(
                 f"explore_limit M must be a positive integer, got {explore_limit!r}"
             )

@@ -21,10 +21,16 @@ The package turns the batch-oriented engine into a long-running service:
 
 from repro.serve.client import ServeClient
 from repro.serve.journal import DeltaJournal, DurableIndexStore
-from repro.serve.protocol import MAX_FRAME_BYTES, recv_message, send_message
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    BufferedReceiver,
+    recv_message,
+    send_message,
+)
 from repro.serve.server import QueryServer, ServeConfig
 
 __all__ = [
+    "BufferedReceiver",
     "DeltaJournal",
     "DurableIndexStore",
     "MAX_FRAME_BYTES",

@@ -29,7 +29,7 @@ from repro.errors import (
     ServeError,
     ServerOverloadedError,
 )
-from repro.serve.protocol import recv_message, send_message
+from repro.serve.protocol import BufferedReceiver, recv_message, send_message
 
 __all__ = ["ServeClient"]
 
@@ -82,6 +82,7 @@ class ServeClient:
         #: reconnect/overload retries; load reports aggregate it).
         self.retries_used = 0
         self._sock: Optional[socket.socket] = None
+        self._receiver: Optional[BufferedReceiver] = None
         self._connect()
 
     # ------------------------------------------------------------------
@@ -104,11 +105,12 @@ class ServeClient:
                 f"could not connect to the query server at {target}: {exc}"
             ) from exc
         self._sock = sock
+        self._receiver = BufferedReceiver(sock)
 
     def _call_once(self, message: dict) -> dict:
         try:
             send_message(self._sock, message)
-            response = recv_message(self._sock)
+            response = recv_message(self._receiver)
         except (ProtocolError, ServeError):
             raise
         except OSError as exc:
@@ -232,6 +234,7 @@ class ServeClient:
     def close(self) -> None:
         sock = self._sock
         self._sock = None
+        self._receiver = None
         if sock is not None:
             try:
                 sock.close()

@@ -4,7 +4,11 @@ One frame is a 4-byte little-endian payload length followed by a UTF-8
 JSON document.  JSON keeps the protocol debuggable with ``nc``/``socat``
 and — unlike pickle — safe to expose on a socket: a malicious frame can
 at worst be malformed, never execute code.  The framing works over any
-``SOCK_STREAM`` transport (TCP or a unix domain socket).
+``SOCK_STREAM`` transport (TCP or a unix domain socket).  The server
+and :class:`~repro.serve.client.ServeClient` read each connection
+through a :class:`BufferedReceiver`: a frame that arrived whole costs
+one ``recv`` call instead of one for its header and one for its
+payload, and each call hands the GIL to the process's other threads.
 
 Request documents carry an ``op`` key (``"query"``, ``"ping"``,
 ``"info"``, ``"stats"``, ``"shutdown"``); responses always carry ``ok``
@@ -29,7 +33,12 @@ from typing import Optional
 
 from repro.errors import ProtocolError
 
-__all__ = ["MAX_FRAME_BYTES", "send_message", "recv_message"]
+__all__ = [
+    "MAX_FRAME_BYTES",
+    "BufferedReceiver",
+    "send_message",
+    "recv_message",
+]
 
 #: Hard cap on one frame's payload, both directions.  Far above any real
 #: request or response, low enough that a garbage length prefix (or a
@@ -38,6 +47,9 @@ __all__ = ["MAX_FRAME_BYTES", "send_message", "recv_message"]
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct("<I")
+
+#: How much one :meth:`BufferedReceiver.recv` asks the socket for.
+_READ_AHEAD_BYTES = 1 << 16
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
@@ -53,8 +65,39 @@ def send_message(sock: socket.socket, message: dict) -> None:
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
-def recv_message(sock: socket.socket) -> Optional[dict]:
+class BufferedReceiver:
+    """The receive side of one connection, reading ahead.
+
+    ``recv(count)`` returns up to ``count`` bytes of what the last
+    socket read brought in, and reads the socket again (asking for at
+    least 64 KiB) only once that is used up.  Bytes past the current
+    frame stay buffered for the next one.  Give
+    :func:`recv_message` the receiver instead of its socket, and read a
+    connection through one receiver only.
+    """
+
+    __slots__ = ("_sock", "_data", "_offset")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._data = b""
+        self._offset = 0
+
+    def recv(self, count: int) -> bytes:
+        """Up to ``count`` buffered bytes; ``b""`` at EOF."""
+        if self._offset == len(self._data):
+            self._data = self._sock.recv(max(count, _READ_AHEAD_BYTES))
+            self._offset = 0
+        start = self._offset
+        chunk = self._data[start:start + count]
+        self._offset = start + len(chunk)
+        return chunk
+
+
+def recv_message(sock) -> Optional[dict]:
     """Read one frame; ``None`` on a clean EOF at a frame boundary.
+
+    ``sock`` is a socket or a :class:`BufferedReceiver` over one.
 
     Raises
     ------
@@ -82,9 +125,7 @@ def recv_message(sock: socket.socket) -> Optional[dict]:
     return message
 
 
-def _recv_exact(
-    sock: socket.socket, count: int, eof_ok: bool
-) -> Optional[bytes]:
+def _recv_exact(sock, count: int, eof_ok: bool) -> Optional[bytes]:
     """Read exactly ``count`` bytes; ``None`` on immediate EOF if allowed."""
     chunks = []
     remaining = count

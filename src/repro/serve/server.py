@@ -72,7 +72,7 @@ from repro.errors import (
     is_positive_int,
 )
 from repro.serve.journal import DurableIndexStore
-from repro.serve.protocol import recv_message, send_message
+from repro.serve.protocol import BufferedReceiver, recv_message, send_message
 
 __all__ = ["ServeConfig", "QueryServer"]
 
@@ -568,10 +568,11 @@ class QueryServer:
             ).start()
 
     def _handle_connection(self, conn_id: int, conn: socket.socket) -> None:
+        receiver = BufferedReceiver(conn)
         try:
             while not self._stopped.is_set():
                 try:
-                    message = recv_message(conn)
+                    message = recv_message(receiver)
                 except ProtocolError as exc:
                     self._send_safe(conn, {"ok": False, "error": str(exc)})
                     return

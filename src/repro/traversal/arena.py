@@ -1,33 +1,39 @@
 """Epoch-stamped scratch arena for the query hot loops.
 
-Every reverse k-ranks query used to allocate its working memory from
-scratch: one :class:`~repro.traversal.int_heap.IntHeap` and one settled
-``bytearray`` for the SDS-tree traversal, another heap/``bytearray`` pair
-*per rank refinement* (of which a query runs many), plus three dense
-bound lists sized to ``n`` (parent rank, tree height, ``lcount``).  At
-n ≫ 10⁴ that allocation traffic is a measurable fraction of query time —
-exactly the "refinement scratch reuse" lever ROADMAP ranks next to result
-batching.
+Every reverse k-ranks query needs per-node working memory: the frontier
+tables and settled set of the SDS-tree traversal, the same again *per
+rank refinement* (of which a query runs many), plus three dense bound
+lists (parent rank, tree height, ``lcount``).  Allocating and zeroing
+them per query and per refinement would cost O(n) each time.
 
 :class:`ScratchArena` keeps all of that storage alive across queries and
 replaces the per-query zeroing with *epoch stamps*:
 
-* membership structures (settled sets, notified sets, bound validity)
-  are ``bytearray`` stamp tables managed by :class:`EpochStamps` — an
-  entry is "set" iff its stamp equals the current epoch, so starting a
-  new query or refinement is a counter increment, not an O(n) clear.
-  Stamps are one byte wide; the epoch wraps at 256, paying one amortised
-  O(n) zeroing every 255 epochs instead of 8x the memory of a wider
-  stamp;
-* the dense bound lists keep their storage and are guarded by stamp
+* membership structures (settled sets, pushed sets, notified sets, bound
+  validity) are ``bytearray`` stamp tables managed by
+  :class:`EpochStamps` — an entry is "set" iff its stamp equals the
+  current epoch, so starting a new query or refinement is a counter
+  increment, not an O(n) clear.  Stamps are one byte wide; the epoch
+  wraps at 256, paying one amortised O(n) zeroing every 255 epochs
+  instead of 8x the memory of a wider stamp;
+* the dense per-node tables keep their storage and are guarded by stamp
   tables: a value written in epoch ``e`` is invisible (reads fall back
-  to the framework's defaults) from epoch ``e + 1`` on;
-* the :class:`IntHeap` frontiers are reused via their ``clear()``
-  methods, which reset only the slots that were actually touched.
-  Insertion counters deliberately keep counting across reuses — heap
-  tie-breaking only ever compares entries of the *same* search, and
-  there relative insertion order is unchanged, so results stay
-  bit-identical to fresh-allocation runs.
+  to the search's defaults) from epoch ``e + 1`` on.  Each search's
+  frontier is a ``heapq`` list of ``(distance, first_push, index)``
+  tuples; its best-distance (``array('d')``) and first-push
+  (``array('q')``) tables are guarded by the search's pushed stamps, so
+  a refinement costs O(its frontier), not O(n).
+
+Per-search dicts would cost O(frontier) too (``csr_ops``'s top-k
+stream uses them), and ran level with these tables, but cost memory: a
+dict entry with its boxed float and int takes several times the 16
+bytes a node costs here, and cold-index refinements reach most of the
+graph.  Measured on a 2-vCPU VM, e2ebench serve-road (100×100 lattice,
+4 alternating pairs) read 1,284 queries/s with these tables and 1,286
+with dicts, traced ``traversal.sds_ms`` 0.190 against 0.200 ms, and a
+peak RSS of 95.1 against 96.0 MiB (dicts higher in 4 of 4 pairs);
+mixed-road (60×60) stayed within its noise (traced ``traversal.sds_ms``
+1.116 against 1.010 ms, one run each; peak RSS 173.9 against 173.6).
 
 One arena is owned per engine (and therefore per worker process, whose
 private engine owns its own) and threaded through
@@ -45,7 +51,7 @@ members).
 
 from __future__ import annotations
 
-from repro.traversal.int_heap import IntHeap
+from array import array
 
 __all__ = ["EpochStamps", "ScratchArena"]
 
@@ -113,19 +119,27 @@ class ScratchArena:
     """Reusable per-engine scratch memory for SDS-tree queries.
 
     Members are deliberately public: the hot loops bind them to locals
-    once per query/refinement and index them directly.  Use the
-    ``acquire_*`` methods to obtain a structure ready for a new search
-    and :meth:`ensure_capacity` before binding anything for a graph.
+    once per query/refinement and index them directly.  Call
+    :meth:`ensure_capacity` before binding anything for a graph, and
+    ``advance()`` a stamp table to start a new search on it.
 
     Attributes
     ----------
-    tree_heap / refine_heap:
-        :class:`IntHeap` frontiers for the SDS-tree traversal and the
-        (nested) rank refinements.  Distinct objects because refinements
-        run while the tree heap is live.
     tree_settled / refine_settled / refine_notified:
         :class:`EpochStamps` membership sets (settled nodes of either
-        search; nodes already counted into ``lcount``).
+        search; nodes already counted into ``lcount``).  Tree and
+        refinement scratch are distinct because refinements run while
+        the traversal is live.
+    tree_pushed / refine_pushed:
+        :class:`EpochStamps` marking the nodes each search has pushed;
+        they guard the frontier tables below.
+    tree_best / refine_best:
+        ``array('d')`` of the best distance each pushed node has been
+        pushed at (a later push must be a strict decrease).
+    tree_first / refine_first:
+        ``array('q')`` of each pushed node's first-push number, which it
+        keeps when its distance drops: equal distances pop in the order
+        the nodes were first reached.
     parent_bound / height_bound / lcount:
         The three dense Theorem-2 bound lists, guarded by
         ``bound_stamps`` (parent + height are always written together)
@@ -135,10 +149,14 @@ class ScratchArena:
     __slots__ = (
         "_capacity",
         "queries_served",
-        "tree_heap",
-        "refine_heap",
         "tree_settled",
+        "tree_pushed",
+        "tree_best",
+        "tree_first",
         "refine_settled",
+        "refine_pushed",
+        "refine_best",
+        "refine_first",
         "refine_notified",
         "bound_stamps",
         "lcount_stamps",
@@ -151,10 +169,14 @@ class ScratchArena:
         self._capacity = 0
         #: How many queries have drawn scratch from this arena (telemetry).
         self.queries_served = 0
-        self.tree_heap = IntHeap(0)
-        self.refine_heap = IntHeap(0)
         self.tree_settled = EpochStamps()
+        self.tree_pushed = EpochStamps()
+        self.tree_best = array("d")
+        self.tree_first = array("q")
         self.refine_settled = EpochStamps()
+        self.refine_pushed = EpochStamps()
+        self.refine_best = array("d")
+        self.refine_first = array("q")
         self.refine_notified = EpochStamps()
         self.bound_stamps = EpochStamps()
         self.lcount_stamps = EpochStamps()
@@ -180,36 +202,27 @@ class ScratchArena:
         if capacity <= self._capacity:
             return
         extra = capacity - self._capacity
-        self.tree_heap.grow(capacity)
-        self.refine_heap.grow(capacity)
-        self.tree_settled.grow(capacity)
-        self.refine_settled.grow(capacity)
-        self.refine_notified.grow(capacity)
-        self.bound_stamps.grow(capacity)
-        self.lcount_stamps.grow(capacity)
+        for stamps in (
+            self.tree_settled,
+            self.tree_pushed,
+            self.refine_settled,
+            self.refine_pushed,
+            self.refine_notified,
+            self.bound_stamps,
+            self.lcount_stamps,
+        ):
+            stamps.grow(capacity)
+        for table in (
+            self.tree_best,
+            self.tree_first,
+            self.refine_best,
+            self.refine_first,
+        ):
+            table.frombytes(bytes(table.itemsize * extra))
         self.parent_bound.extend([0.0] * extra)
         self.height_bound.extend([1] * extra)
         self.lcount.extend([0] * extra)
         self._capacity = capacity
-
-    # ------------------------------------------------------------------
-    def acquire_tree_heap(self) -> IntHeap:
-        """The SDS-tree frontier heap, emptied and ready for a new query."""
-        heap = self.tree_heap
-        heap.clear()
-        return heap
-
-    def acquire_refine_heap(self) -> IntHeap:
-        """The refinement frontier heap, emptied for one refinement run.
-
-        Refinements that abort early (``PRUNED``, or the query node
-        settling) leave entries behind; clearing resets only the touched
-        position slots, so acquisition stays proportional to the
-        previous frontier, not to ``n``.
-        """
-        heap = self.refine_heap
-        heap.clear()
-        return heap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

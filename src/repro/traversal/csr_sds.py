@@ -3,34 +3,38 @@
 The traversal, Theorem-2 bound checks and bounded ``GetRank`` refinements
 of the paper (Algorithms 1-4) run here over the flat
 :class:`~repro.graph.csr.CompactGraph` adjacency buffers with integer node
-indexes and an :class:`~repro.traversal.int_heap.IntHeap` frontier — no
-node-id hashing, no per-neighbour generator frames, no dict-of-dict
-adjacency walks.  :meth:`repro.core.framework.SDSTreeSearch.run` drives
-it for every query; node identifiers are translated to CSR indexes once at
-query entry and back only at the few boundaries that leave index space
-(result-set offers and hub-index reads/writes).
+indexes and a ``heapq`` frontier — no node-id hashing, no per-neighbour
+generator frames, no dict-of-dict adjacency walks.
+:meth:`repro.core.framework.SDSTreeSearch.run` drives it for every query;
+node identifiers are translated to CSR indexes once at query entry and
+back only at the few boundaries that leave index space (result-set offers
+and hub-index reads/writes).
 
 All working memory is drawn from an epoch-stamped
 :class:`~repro.traversal.arena.ScratchArena` (the caller's — normally the
 engine's, reused across every query it answers — or a private one when
-none is supplied): the frontier heaps, the settled/notified sets and the
-three dense Theorem-2 bound lists live in the arena, and a new query or
-refinement claims them with an O(1) epoch bump instead of O(n)
-reallocation.  Values written in an earlier epoch are invisible — reads
-fall back to exactly the defaults a fresh allocation would hold — so
-arena reuse is behaviour-preserving by construction.
+none is supplied): the settled/pushed/notified sets, the frontier's
+best-distance and first-push tables and the three dense Theorem-2 bound
+lists live in the arena, and a new query or refinement claims them with
+an O(1) epoch bump instead of O(n) reallocation.  Values written in an
+earlier epoch are invisible — reads fall back to exactly the defaults a
+fresh allocation would hold — so arena reuse is behaviour-preserving by
+construction.
 
 Determinism
 -----------
-Both searches settle equal-distance nodes in the order they were first
-reached: :class:`IntHeap` breaks priority ties by insertion order and keeps
-a key's insertion counter across ``decrease_key``, and
-:class:`CompactGraph` compiles adjacency rows in the source graph's
-iteration order (overlay rows included).  Ranks do not depend on that
-order, but the result's boundary-tie members, the hub-index entries a
-refinement records and every :class:`~repro.core.types.QueryStats`
-counter do.  ``tests/sds_golden.json`` pins all of them, and the
-scratch-arena suite asserts reuse-vs-fresh identity.
+Both searches keep the paper's priority queue ``Q`` with decrease-key as
+a ``heapq`` list of ``(distance, first_push, index)`` tuples with lazy
+deletion: a node is pushed again only when its distance strictly drops,
+keeping the first-push number it got when first reached, and a pop of an
+already-settled node is skipped.  Equal-distance nodes therefore settle
+in the order they were first reached, and :class:`CompactGraph` compiles
+adjacency rows in the source graph's iteration order (overlay rows
+included).  Ranks do not depend on that order, but the result's
+boundary-tie members, the hub-index entries a refinement records and
+every :class:`~repro.core.types.QueryStats` counter do.
+``tests/sds_golden.json`` pins all of them, and the scratch-arena suite
+asserts reuse-vs-fresh identity.
 
 Correctness under pruning
 -------------------------
@@ -58,6 +62,7 @@ pruned node whose true rank already reaches the ``kRank`` in force.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Hashable, Optional
 
 from repro.traversal.arena import ScratchArena
@@ -225,18 +230,22 @@ class CompactSDSTreeSearch:
         stats = self._stats
 
         arena = self._arena
-        heap = arena.acquire_tree_heap()
         settled_epoch = arena.tree_settled.advance()
         settled = arena.tree_settled.stamps
-        heap.push(query_index, 0.0)
-        heap_pop = heap.pop
-        heap_push_or_decrease = heap.push_or_decrease
+        pushed_epoch = arena.tree_pushed.advance()
+        pushed = arena.tree_pushed.stamps
+        best = arena.tree_best
+        first = arena.tree_first
         process_candidate = self._process_candidate
         tree_pops = 0
         tree_pushes = 0
+        # q pops first and never re-enters, so it needs no table entries.
+        frontier = [(0.0, 0, query_index)]
 
-        while heap:
-            node, distance = heap_pop()
+        while frontier:
+            distance, _, node = heappop(frontier)
+            if settled[node] == settled_epoch:
+                continue
             settled[node] = settled_epoch
             tree_pops += 1
 
@@ -274,13 +283,21 @@ class CompactSDSTreeSearch:
                 neighbor = endpoints[position]
                 if settled[neighbor] == settled_epoch:
                     continue
-                if heap_push_or_decrease(
-                    neighbor, distance + edge_weights[position]
-                ):
-                    tree_pushes += 1
-                    height_bound[neighbor] = child_height
-                    parent_bound[neighbor] = child_parent_bound
-                    bound_stamps[neighbor] = bound_epoch
+                candidate = distance + edge_weights[position]
+                if pushed[neighbor] != pushed_epoch:
+                    # tree_pushes only grows, so it numbers first pushes.
+                    pushed[neighbor] = pushed_epoch
+                    first[neighbor] = order = tree_pushes
+                elif candidate < best[neighbor]:
+                    order = first[neighbor]
+                else:
+                    continue
+                best[neighbor] = candidate
+                heappush(frontier, (candidate, order, neighbor))
+                tree_pushes += 1
+                height_bound[neighbor] = child_height
+                parent_bound[neighbor] = child_parent_bound
+                bound_stamps[neighbor] = bound_epoch
 
         stats.tree_pops += tree_pops
         stats.tree_pushes += tree_pushes
@@ -416,13 +433,16 @@ class CompactSDSTreeSearch:
         source_id = node_at(source) if index is not None else None
 
         arena = self._arena
-        heap = arena.acquire_refine_heap()
-        heap.push(source, 0.0)
-        heap_pop = heap.pop
-        heap_push_or_decrease = heap.push_or_decrease
         settled_epoch = arena.refine_settled.advance()
         settled = arena.refine_settled.stamps
+        pushed_epoch = arena.refine_pushed.advance()
+        pushed = arena.refine_pushed.stamps
+        best = arena.refine_best
+        first = arena.refine_first
+        first_pushes = 0
         settled_count = 0
+        # The source pops first and never re-enters (no table entries).
+        frontier = [(0.0, 0, source)]
         # Nodes already counted into lcount; a node may only cross below
         # the radius via a later decrease-key and must count exactly once.
         if self._count_active:
@@ -436,8 +456,10 @@ class CompactSDSTreeSearch:
         previous_distance: Optional[float] = None
         rank = _PRUNED
 
-        while heap:
-            node, distance = heap_pop()
+        while frontier:
+            distance, _, node = heappop(frontier)
+            if settled[node] == settled_epoch:
+                continue
             settled[node] = settled_epoch
             settled_count += 1
 
@@ -464,27 +486,31 @@ class CompactSDSTreeSearch:
             else:
                 endpoints, edge_weights = row
                 start, stop = 0, len(endpoints)
-            if notified is None:
-                for position in range(start, stop):
-                    neighbor = endpoints[position]
-                    if settled[neighbor] != settled_epoch:
-                        heap_push_or_decrease(
-                            neighbor, distance + edge_weights[position]
-                        )
-            else:
-                for position in range(start, stop):
-                    neighbor = endpoints[position]
-                    if settled[neighbor] == settled_epoch:
-                        continue
-                    candidate = distance + edge_weights[position]
-                    heap_push_or_decrease(neighbor, candidate)
-                    if candidate < radius and notified[neighbor] != notified_epoch:
-                        notified[neighbor] = notified_epoch
-                        if lcount_stamps[neighbor] == lcount_epoch:
-                            lcount[neighbor] += 1
-                        else:
-                            lcount[neighbor] = 1
-                            lcount_stamps[neighbor] = lcount_epoch
+            for position in range(start, stop):
+                neighbor = endpoints[position]
+                if settled[neighbor] == settled_epoch:
+                    continue
+                candidate = distance + edge_weights[position]
+                if pushed[neighbor] != pushed_epoch:
+                    pushed[neighbor] = pushed_epoch
+                    first[neighbor] = first_pushes
+                    best[neighbor] = candidate
+                    heappush(frontier, (candidate, first_pushes, neighbor))
+                    first_pushes += 1
+                elif candidate < best[neighbor]:
+                    best[neighbor] = candidate
+                    heappush(frontier, (candidate, first[neighbor], neighbor))
+                if (
+                    notified is not None
+                    and candidate < radius
+                    and notified[neighbor] != notified_epoch
+                ):
+                    notified[neighbor] = notified_epoch
+                    if lcount_stamps[neighbor] == lcount_epoch:
+                        lcount[neighbor] += 1
+                    else:
+                        lcount[neighbor] = 1
+                        lcount_stamps[neighbor] = lcount_epoch
 
         settled_excluding_source = settled_count - 1
         stats.refinement_nodes_settled += settled_excluding_source

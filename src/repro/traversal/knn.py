@@ -9,7 +9,7 @@ settled nodes, which is exactly what :func:`k_nearest_nodes` does.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, List, Tuple
 
 from repro.errors import InvalidKError
 from repro.graph.csr import as_compact
@@ -17,7 +17,7 @@ from repro.traversal.csr_ops import insertion_order_stream
 
 NodeId = Hashable
 
-__all__ = ["k_nearest_nodes", "k_nearest_sets"]
+__all__ = ["k_nearest_nodes"]
 
 
 def k_nearest_nodes(graph, source: NodeId, k: int) -> List[Tuple[NodeId, float]]:
@@ -54,14 +54,3 @@ def k_nearest_nodes(graph, source: NodeId, k: int) -> List[Tuple[NodeId, float]]
         if len(result) >= k:
             break
     return result
-
-
-def k_nearest_sets(graph, k: int) -> Dict[NodeId, List[Tuple[NodeId, float]]]:
-    """``topk[p]`` for every node ``p`` of the graph.
-
-    This is the all-nodes batch used by the agreement-rate analysis
-    (Table 4) and by the reverse top-k query (Table 3).  The cost is
-    O(|V|) truncated Dijkstra runs over one compilation.
-    """
-    csr = as_compact(graph)
-    return {node: k_nearest_nodes(csr, node, k) for node in csr.nodes()}

@@ -16,7 +16,7 @@ from repro.traversal.csr_ops import compact_exact_rank, compact_rank_stream
 
 NodeId = Hashable
 
-__all__ = ["exact_rank", "rank_row", "rank_matrix"]
+__all__ = ["exact_rank", "rank_row"]
 
 
 def exact_rank(
@@ -65,15 +65,3 @@ def rank_row(
     """
     stream = compact_rank_stream(as_compact(graph), source, counted=counted)
     return {node: rank for node, _, rank in stream}
-
-
-def rank_matrix(
-    graph,
-    counted: Optional[Callable[[NodeId], bool]] = None,
-) -> Dict[NodeId, Dict[NodeId, float]]:
-    """The full rank matrix ``{s: {t: Rank(s, t)}}`` (Table 1 of the paper).
-
-    Only practical for small graphs; used by tests and the toy example.
-    """
-    csr = as_compact(graph)
-    return {node: rank_row(csr, node, counted=counted) for node in csr.nodes()}

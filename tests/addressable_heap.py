@@ -3,9 +3,10 @@
 The paper's pseudo-code keeps a priority queue ``Q`` of nodes keyed by their
 tentative distance, and *updates* the key of a node already in the queue when
 a shorter path is found (``if t ∈ Q and t.dis > dis then t.dis ← dis``).
-This classic index-tracked binary heap over hashable items is the plain
-reference :class:`repro.traversal.int_heap.IntHeap` is checked against in
-lockstep (``test_int_heap.py``): same pops, same insertion-order ties.
+This classic index-tracked binary heap over hashable items drives the
+textbook Dijkstra that the library's ``heapq`` frontiers are checked
+against in lockstep (``test_first_push_order.py``): same settle order,
+same insertion-order ties.
 
 The implementation favours clarity over micro-optimisation but is still
 O(log n) per operation.

@@ -10,8 +10,6 @@ the compilation.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 import rank_oracle
@@ -25,15 +23,7 @@ from repro.core import (
 )
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graph import CompactGraph, Graph
-from repro.traversal import (
-    distance_between,
-    exact_rank,
-    rank_matrix,
-    rank_row,
-    shortest_path_distances,
-    shortest_path_tree,
-)
-from repro.traversal.knn import k_nearest_sets
+from repro.traversal import exact_rank, rank_row, shortest_path_distances
 
 from conftest import sample_queries
 
@@ -71,36 +61,6 @@ def test_distances_bit_identical(compiled):
         expected = rank_oracle.distances(graph, source)
         assert shortest_path_distances(csr, source) == expected
         assert shortest_path_distances(graph, source) == expected
-
-
-def test_shortest_path_tree_fast_path(compiled):
-    graph, csr = compiled
-    for source in sample_queries(graph, 2):
-        csr_tree = shortest_path_tree(csr, source)
-        assert csr_tree.distances == rank_oracle.distances(graph, source)
-        assert shortest_path_tree(graph, source).distances == csr_tree.distances
-        assert csr_tree.complete
-        # Predecessor links must be consistent: every settled node's
-        # predecessor edge closes its shortest-path distance exactly.
-        for node, predecessor in csr_tree.predecessors.items():
-            if predecessor is None:
-                assert node == source
-                continue
-            assert (
-                csr_tree.distances[predecessor] + graph.weight(predecessor, node)
-                == csr_tree.distances[node]
-            )
-
-
-def test_point_to_point_distance(compiled):
-    graph, csr = compiled
-    nodes = sample_queries(graph, 3)
-    for source in nodes:
-        expected = rank_oracle.distances(graph, source)
-        for target in nodes:
-            distance = expected.get(target, math.inf)
-            assert distance_between(csr, source, target) == distance
-            assert distance_between(graph, source, target) == distance
 
 
 def test_ranks_bit_identical(compiled):
@@ -191,9 +151,7 @@ def test_weight_and_has_edge(compiled):
         "naive",
         "closeness",
         "approximate_closeness",
-        "k_nearest_sets",
         "reverse_top_k_all_sizes",
-        "rank_matrix",
         "hub_index_build",
         "hub_index_build_closeness",
         "hub_index_repair",
@@ -217,9 +175,7 @@ def test_entry_points_compile_once_per_call(random_gnp, monkeypatch, call):
         "naive": lambda: naive_reverse_k_ranks(graph, 0, 3),
         "closeness": lambda: closeness_centrality(graph),
         "approximate_closeness": lambda: approximate_closeness_centrality(graph),
-        "k_nearest_sets": lambda: k_nearest_sets(graph, 3),
         "reverse_top_k_all_sizes": lambda: reverse_top_k_all_sizes(graph, 0, [1, 3]),
-        "rank_matrix": lambda: rank_matrix(graph),
         "hub_index_build": lambda: HubIndex.build(graph, num_hubs=4, capacity=4),
         "hub_index_build_closeness": lambda: HubIndex.build(
             graph, num_hubs=4, capacity=4, strategy="closeness"

@@ -1,4 +1,4 @@
-"""Unit tests for the addressable heap :class:`IntHeap` is checked against."""
+"""Unit tests for the addressable heap behind the settle-order reference."""
 
 from __future__ import annotations
 

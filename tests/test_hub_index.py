@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import hub_index as hub_index_module
 from repro.core.hub_index import HubIndex
 from repro.core.hubs import HubSelectionStrategy, select_hubs
 from repro.errors import (
@@ -37,11 +38,16 @@ def test_select_hubs_clamps_and_validates(random_gnp):
         select_hubs(random_gnp, 0)
 
 
-def test_build_rejects_bad_parameters(random_gnp):
+def test_build_rejects_bad_parameters(random_gnp, monkeypatch):
     with pytest.raises(IndexParameterError):
         HubIndex(random_gnp, capacity=0)
-    with pytest.raises(IndexParameterError):
-        HubIndex.build(random_gnp, num_hubs=2, explore_limit=0)
+    for explore_limit in (None, "auto"):
+        HubIndex.build(random_gnp, num_hubs=2, explore_limit=explore_limit)
+    # A bad budget is refused before any hub is selected.
+    monkeypatch.setattr(hub_index_module, "select_hubs", None)
+    for explore_limit in (0, 2.5, True, "x"):
+        with pytest.raises(IndexParameterError):
+            HubIndex.build(random_gnp, num_hubs=2, explore_limit=explore_limit)
     with pytest.raises(NodeNotFoundError):
         HubIndex(random_gnp, capacity=4, hubs=["not-a-node"])
 

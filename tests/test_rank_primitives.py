@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import NodeNotFoundError
 from repro.graph import Graph
-from repro.traversal.rank import exact_rank, rank_matrix, rank_row
+from repro.traversal.rank import exact_rank, rank_row
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +80,3 @@ def test_rank_row_tie_groups_share_rank(diamond):
     for leaf in ("x", "y", "z"):
         star.add_edge("hub", leaf, 1.0)
     assert rank_row(star, "hub") == {"x": 1, "y": 1, "z": 1}
-
-
-def test_rank_matrix_covers_all_sources(path_graph):
-    matrix = rank_matrix(path_graph)
-    assert set(matrix) == set(path_graph.nodes())
-    assert matrix[0][9] == 9
-    assert matrix[9][0] == 9

@@ -23,6 +23,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.serve import (
+    BufferedReceiver,
     DurableIndexStore,
     QueryServer,
     ServeClient,
@@ -83,6 +84,77 @@ class TestProtocol:
             left.sendall(struct.pack("<I", 7) + b"[1,2,3]")
             with pytest.raises(ProtocolError, match="JSON object"):
                 recv_message(right)
+
+
+class ChunkedSocket:
+    """A socket stand-in whose ``recv`` hands out fixed chunks, then EOF."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self.chunks = [data[i:i + size] for i in range(0, len(data), size)]
+        self.calls = 0
+
+    def recv(self, count: int) -> bytes:
+        self.calls += 1
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > count:
+            chunk, self.chunks[:0] = chunk[:count], [chunk[count:]]
+        return chunk
+
+
+class TestBufferedReceiver:
+    MESSAGES = [
+        {"op": "ping"},
+        {"op": "query", "queries": list(range(40)), "k": 3, "x": "é"},
+        {"ok": True, "results": [[[1, 2], [5, 2]]]},
+    ]
+
+    @staticmethod
+    def frames(messages) -> bytes:
+        left, right = socket.socketpair()
+        with left, right:
+            for message in messages:
+                send_message(left, message)
+            left.shutdown(socket.SHUT_WR)
+            data = b""
+            while True:
+                chunk = right.recv(1 << 16)
+                if not chunk:
+                    return data
+                data += chunk
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 64, 1 << 16])
+    def test_frames_split_anywhere_read_back_in_order(self, size):
+        data = self.frames(self.MESSAGES)
+        receiver = BufferedReceiver(ChunkedSocket(data, size))
+        assert [recv_message(receiver) for _ in self.MESSAGES] == self.MESSAGES
+        assert recv_message(receiver) is None
+
+    def test_frames_that_arrived_together_cost_one_socket_read(self):
+        sock = ChunkedSocket(self.frames(self.MESSAGES), 1 << 16)
+        receiver = BufferedReceiver(sock)
+        for message in self.MESSAGES:
+            assert recv_message(receiver) == message
+        assert sock.calls == 1
+
+    def test_eof_mid_frame_raises(self):
+        data = self.frames(self.MESSAGES[:1])
+        receiver = BufferedReceiver(ChunkedSocket(data[:-1], 3))
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            recv_message(receiver)
+
+    def test_back_to_back_frames_on_a_socket(self):
+        left, right = socket.socketpair()
+        with left, right:
+            send_message(left, self.MESSAGES[0])
+            send_message(left, self.MESSAGES[1])
+            right.settimeout(5.0)  # a lost frame fails instead of hanging
+            receiver = BufferedReceiver(right)
+            assert recv_message(receiver) == self.MESSAGES[0]
+            assert recv_message(receiver) == self.MESSAGES[1]
+            left.close()
+            assert recv_message(receiver) is None
 
 
 # ----------------------------------------------------------------------
