@@ -7,8 +7,10 @@ the *process-level* rehearsal CI runs on top of it:
 1. boot ``python -m repro.serve`` on a seeded fixture graph with a
    durable state directory;
 2. drive ~200 concurrent queries through real sockets (closed loop,
-   several client threads) and record reference answers plus the
-   journal's durable learning high-water mark;
+   several client threads) while one more connection holds a half-sent
+   frame: every other query must be answered, then the stalled frame
+   completes and must be answered too; record reference answers plus
+   the journal's durable learning high-water mark;
 3. ``kill -9`` the server — no shutdown hook, no final compaction; the
    journal's tail is whatever fsync last persisted;
 4. boot a fresh server process on the same state directory and assert
@@ -27,8 +29,11 @@ would rightly flag.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -41,6 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.journal import DurableIndexStore  # noqa: E402
+from repro.serve.protocol import recv_message  # noqa: E402
 
 
 def start_server(args, state_dir):
@@ -86,6 +92,18 @@ def start_server(args, state_dir):
     endpoint = line.split()[1]
     host, port = endpoint.rsplit(":", 1)
     return process, host, int(port)
+
+
+def stall_mid_frame(host, port, args):
+    """Open a connection that sends half a query frame and stops there.
+
+    Returns the socket and the frame's other half.
+    """
+    payload = json.dumps({"op": "query", "queries": [0], "k": args.k})
+    data = struct.pack("<I", len(payload)) + payload.encode("utf-8")
+    sock = socket.create_connection((host, port), timeout=120.0)
+    sock.sendall(data[:len(data) // 2])
+    return sock, data[len(data) // 2:]
 
 
 def drive_concurrent_load(host, port, num_nodes, args):
@@ -145,14 +163,22 @@ def main() -> int:
         try:
             with ServeClient(host=host, port=port) as client:
                 num_nodes = client.info()["num_nodes"]
-            completed = drive_concurrent_load(host, port, num_nodes, args)
+            # A client stalled mid-frame must not hold up anyone else.
+            stalled, rest = stall_mid_frame(host, port, args)
+            with stalled:
+                completed = drive_concurrent_load(host, port, num_nodes, args)
+                stalled.sendall(rest)
+                reply = recv_message(stalled)
+            if not reply or not reply.get("ok"):
+                raise SystemExit(f"stalled client's query failed: {reply!r}")
             queries = list(range(0, num_nodes, max(1, num_nodes // 32)))
             answers_before = reference_answers(host, port, queries, args)
             with ServeClient(host=host, port=port) as client:
                 stats = client.stats()
             print(
                 f"phase 1: {completed} concurrent queries answered in "
-                f"{stats['batches']} batches "
+                f"{stats['batches']} batches while one client stalled "
+                f"mid-frame "
                 f"(known_ranks={stats['index_known_ranks']}, "
                 f"journal_records={stats['journal_records']})"
             )

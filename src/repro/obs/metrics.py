@@ -15,8 +15,9 @@ that label combination.  A family with no labels *is* its own child —
 ``family.inc()`` works directly.
 
 Concurrency: family creation takes the registry lock; every child guards its
-hot-path mutation with its own ``threading.Lock``, so increments from the
-server's client threads and the batcher thread sum exactly.  Cross-process
+hot-path mutation with its own ``threading.Lock``, so increments from any
+number of threads sum exactly, and a scrape from another thread (the
+serve CLI's ``--metrics-port`` endpoint) reads whole values.  Cross-process
 aggregation is deliberate non-magic: worker processes own private default
 registries, and the parent-side pool records everything observable at the
 IPC boundary (bytes, latencies, crashes), which is where cross-layer cost

@@ -4,10 +4,10 @@ The package turns the batch-oriented engine into a long-running service:
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON framing (TCP or
   unix sockets, stdlib only);
-* :mod:`repro.serve.server` — :class:`QueryServer`: a threaded accept
-  loop whose single batcher thread, whenever it is free, drains the
-  client queries that queued meanwhile into one ``query_many`` batch,
-  with bounded admission and explicit overload responses;
+* :mod:`repro.serve.server` — :class:`QueryServer`: one selector loop
+  thread that serves every connection and, between reads, runs the
+  client queries that arrived meanwhile as one engine batch, with
+  bounded admission and explicit overload responses;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking
   client;
 * :mod:`repro.serve.journal` — :class:`DeltaJournal` and

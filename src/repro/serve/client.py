@@ -105,11 +105,12 @@ class ServeClient:
                 f"could not connect to the query server at {target}: {exc}"
             ) from exc
         self._sock = sock
-        self._receiver = BufferedReceiver(sock)
+        self._receiver = BufferedReceiver()
 
     def _call_once(self, message: dict) -> dict:
         try:
             send_message(self._sock, message)
+            self._receiver.fill(self._sock)
             response = recv_message(self._receiver)
         except (ProtocolError, ServeError):
             raise

@@ -16,8 +16,12 @@ worker-pool configuration — one with the configured ``max_batch``, one
 with ``max_batch=1`` (one query per pool dispatch and per fsync, the
 per-request baseline) — drives both with the same closed-loop workload
 at saturation, and prints the throughput ratio next to each side's
-batch count and queries per batch.  The batched server must win by
->= 2x.
+batch count and queries per batch.  Each server answers from its one
+loop thread, which waits out every pool round trip: the baseline pays a
+round trip and an fsync per query and reads or writes nothing
+meanwhile, while the batched side pays them once per batch of whatever
+arrived during the previous one.  The client threads share the process,
+and its GIL, with the servers.  The batched server must win by >= 2x.
 """
 
 from __future__ import annotations

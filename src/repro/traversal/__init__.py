@@ -16,19 +16,15 @@ deletion in every loop:
 * :mod:`~repro.traversal.dijkstra` — the full single-source shortest path
   search;
 * :mod:`~repro.traversal.knn` — top-k nearest nodes (graph k-NN);
-* :mod:`~repro.traversal.rank` — the exact ``Rank(s, t)`` definition used by
-  the naive baseline and the hub index.
+* :mod:`~repro.traversal.rank` — the exact ``Rank(s, t)`` definition the
+  bench spot-checks answers with (the naive baseline runs the same loop).
 """
 
 from repro.traversal.arena import EpochStamps, ScratchArena
 from repro.traversal.dijkstra import shortest_path_distances
 from repro.traversal.knn import k_nearest_nodes
-from repro.traversal.rank import exact_rank, rank_row
-from repro.traversal.csr_ops import (
-    compact_distance_map,
-    compact_exact_rank,
-    compact_rank_stream,
-)
+from repro.traversal.rank import exact_rank
+from repro.traversal.csr_ops import compact_distance_map, compact_exact_rank
 
 __all__ = [
     "EpochStamps",
@@ -36,8 +32,6 @@ __all__ = [
     "shortest_path_distances",
     "k_nearest_nodes",
     "exact_rank",
-    "rank_row",
     "compact_distance_map",
     "compact_exact_rank",
-    "compact_rank_stream",
 ]

@@ -39,7 +39,6 @@ NodeId = Hashable
 
 __all__ = [
     "compact_distance_map",
-    "compact_rank_stream",
     "compact_exact_rank",
     "explore_row",
     "insertion_order_stream",
@@ -244,26 +243,17 @@ def compact_distance_map(csr, source: NodeId) -> Dict[NodeId, float]:
     }
 
 
-def compact_rank_stream(
-    csr,
-    source: NodeId,
-    counted: Optional[Callable[[NodeId], bool]] = None,
-) -> Iterator[Tuple[NodeId, float, float]]:
-    """Yield ``(node, distance, Rank(source, node))`` in settling order.
-
-    Nodes settled at the same distance form a tie group and share the same
-    "number of strictly closer counted nodes"; ties settle by node index.
-    """
-    if not csr.has_node(source):
-        raise NodeNotFoundError(source)
-    return _compact_rank_stream(csr, source, counted)
-
-
 def _compact_rank_stream(
     csr,
     source: NodeId,
     counted: Optional[Callable[[NodeId], bool]],
 ) -> Iterator[Tuple[NodeId, float, float]]:
+    """Yield ``(node, distance, Rank(source, node))`` in settling order.
+
+    ``source`` must be a node of ``csr``.  Nodes settled at the same
+    distance form a tie group and share the same "number of strictly
+    closer counted nodes"; ties settle by node index.
+    """
     source_index = csr.index_of(source)
     node_at = csr.node_at
     closer_counted = 0

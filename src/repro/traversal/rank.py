@@ -1,22 +1,21 @@
 """Exact ``Rank(s, t)`` computation (paper Definition 1).
 
 ``Rank(s, t)`` is one plus the number of nodes strictly closer to ``s`` than
-``t`` is.  These functions compute it directly from one Dijkstra run over
-the graph's compilation (a :class:`~repro.graph.Graph` is compiled once on
-entry) and serve as the exact-rank primitives of the naive baseline, the
-hub-index construction and the benchmark's spot checks.
+``t`` is.  :func:`exact_rank` computes it directly from one Dijkstra run
+over the graph's compilation (a :class:`~repro.graph.Graph` is compiled
+once on entry), stopping when ``t`` settles.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from repro.graph.csr import as_compact
-from repro.traversal.csr_ops import compact_exact_rank, compact_rank_stream
+from repro.traversal.csr_ops import compact_exact_rank
 
 NodeId = Hashable
 
-__all__ = ["exact_rank", "rank_row"]
+__all__ = ["exact_rank"]
 
 
 def exact_rank(
@@ -50,18 +49,3 @@ def exact_rank(
     """
     return compact_exact_rank(as_compact(graph), source, target, counted=counted)
 
-
-def rank_row(
-    graph,
-    source: NodeId,
-    counted: Optional[Callable[[NodeId], bool]] = None,
-) -> Dict[NodeId, float]:
-    """``Rank(source, t)`` for every node ``t`` reachable from ``source``.
-
-    One full Dijkstra run is shared across all targets, so this is the
-    efficient way to build whole rows of the rank matrix (Table 1).
-    Nodes settled at the same distance form a tie group and share one
-    rank; the row lists them by node index.
-    """
-    stream = compact_rank_stream(as_compact(graph), source, counted=counted)
-    return {node: rank for node, _, rank in stream}

@@ -23,9 +23,10 @@ from repro.core import (
 )
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 from repro.graph import CompactGraph, Graph
-from repro.traversal import exact_rank, rank_row, shortest_path_distances
+from repro.traversal import exact_rank, shortest_path_distances
 
 from conftest import sample_queries
+from rank_rows import rank_row
 
 
 @pytest.fixture()

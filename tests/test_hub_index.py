@@ -14,7 +14,9 @@ from repro.errors import (
     IndexParameterError,
     NodeNotFoundError,
 )
-from repro.traversal.rank import exact_rank, rank_row
+from repro.traversal.rank import exact_rank
+
+from rank_rows import rank_row
 
 
 def test_select_hubs_degree_picks_highest_degree(random_gnp):

@@ -22,7 +22,7 @@ import pytest
 from repro.core import ReverseKRanksEngine
 from repro.core.hub_index import HubIndex
 from repro.graph import CompactGraph, Graph
-from repro.traversal.csr_ops import compact_rank_stream, explore_row
+from repro.traversal.csr_ops import explore_row
 
 from conftest import (
     distance_test_keeps,
@@ -31,6 +31,7 @@ from conftest import (
     road_lattice,
     road_traffic,
 )
+from rank_rows import compact_rank_stream
 
 REEXPLORED = ((0,), ())
 KEPT = ((), (0,))

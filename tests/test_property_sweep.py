@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.hub_index import HubIndex
 from repro.graph import BichromaticPartition, CompactGraph, Graph
-from repro.traversal import rank_row
+from rank_rows import rank_row
 
 NUM_GRAPHS = 50
 

@@ -8,7 +8,9 @@ import pytest
 
 from repro.errors import NodeNotFoundError
 from repro.graph import Graph
-from repro.traversal.rank import exact_rank, rank_row
+from repro.traversal.rank import exact_rank
+
+from rank_rows import rank_row
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,14 @@
 """The query service: framing, batching, admission, durability, CLI plumbing.
 
 Server tests run a real :class:`QueryServer` on a loopback TCP port (or a
-unix socket) inside the test process — the engine, batcher and handler
-threads are all genuine; only process isolation is skipped (the
+unix socket) inside the test process — the engine, batcher and loop
+thread are all genuine; only process isolation is skipped (the
 subprocess restart path is covered by ``scripts/serve_smoke.py`` in CI).
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import socket
 import struct
@@ -19,10 +20,12 @@ import pytest
 from repro.core import ReverseKRanksEngine
 from repro.errors import (
     ProtocolError,
+    ServeConnectionError,
     ServeError,
     ServerOverloadedError,
 )
 from repro.serve import (
+    MAX_FRAME_BYTES,
     BufferedReceiver,
     DurableIndexStore,
     QueryServer,
@@ -127,20 +130,29 @@ class TestBufferedReceiver:
     @pytest.mark.parametrize("size", [1, 3, 7, 64, 1 << 16])
     def test_frames_split_anywhere_read_back_in_order(self, size):
         data = self.frames(self.MESSAGES)
-        receiver = BufferedReceiver(ChunkedSocket(data, size))
-        assert [recv_message(receiver) for _ in self.MESSAGES] == self.MESSAGES
-        assert recv_message(receiver) is None
+        receiver = BufferedReceiver()
+        received = []
+        for start in range(0, len(data), size):
+            receiver.feed(data[start:start + size])
+            while receiver.has_frame():
+                received.append(recv_message(receiver))
+        assert received == self.MESSAGES
+        assert not receiver.has_frame()
+        assert recv_message(receiver) is None  # used up: reads as EOF
 
     def test_frames_that_arrived_together_cost_one_socket_read(self):
         sock = ChunkedSocket(self.frames(self.MESSAGES), 1 << 16)
-        receiver = BufferedReceiver(sock)
+        receiver = BufferedReceiver()
         for message in self.MESSAGES:
+            receiver.fill(sock)
             assert recv_message(receiver) == message
         assert sock.calls == 1
 
     def test_eof_mid_frame_raises(self):
         data = self.frames(self.MESSAGES[:1])
-        receiver = BufferedReceiver(ChunkedSocket(data[:-1], 3))
+        receiver = BufferedReceiver()
+        receiver.fill(ChunkedSocket(data[:-1], 3))
+        assert not receiver.has_frame()  # header, most of the payload
         with pytest.raises(ProtocolError, match="mid-frame"):
             recv_message(receiver)
 
@@ -150,11 +162,26 @@ class TestBufferedReceiver:
             send_message(left, self.MESSAGES[0])
             send_message(left, self.MESSAGES[1])
             right.settimeout(5.0)  # a lost frame fails instead of hanging
-            receiver = BufferedReceiver(right)
+            receiver = BufferedReceiver()
+            receiver.fill(right)
             assert recv_message(receiver) == self.MESSAGES[0]
+            receiver.fill(right)
             assert recv_message(receiver) == self.MESSAGES[1]
             left.close()
+            receiver.fill(right)
             assert recv_message(receiver) is None
+
+    def test_partial_header_is_not_a_frame(self):
+        receiver = BufferedReceiver()
+        receiver.feed(self.frames(self.MESSAGES[:1])[:3])
+        assert not receiver.has_frame()
+
+    def test_oversized_prefix_is_ready_without_its_payload(self):
+        receiver = BufferedReceiver()
+        receiver.feed(struct.pack("<I", MAX_FRAME_BYTES + 1))
+        assert receiver.has_frame()
+        with pytest.raises(ProtocolError, match="limit"):
+            recv_message(receiver)
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +447,224 @@ class TestQueryServer:
         assert pickle.dumps(loaded.export_state()) == pickle.dumps(
             engine.export_state()
         )
+
+    def test_stop_raises_what_broke_the_shutdown(
+        self, random_gnp, tmp_path, monkeypatch
+    ):
+        engine = ReverseKRanksEngine(random_gnp)
+        engine.build_index(num_hubs=3, capacity=16)
+        store = DurableIndexStore(tmp_path / "state")
+        store.install(engine.index)
+        server = QueryServer(engine, store=store).start()
+
+        def broken(index):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(store, "compact", broken)
+        with pytest.raises(OSError, match="disk gone"):
+            server.stop()
+        with pytest.raises(OSError, match="disk gone"):
+            server.serve_forever()
+
+    def test_serve_forever_raises_what_ended_the_loop(
+        self, random_gnp, monkeypatch
+    ):
+        server = make_server(random_gnp).start()
+        host, port = server.address
+
+        def broken():
+            raise RuntimeError("loop broke")
+
+        monkeypatch.setattr(server.batcher, "run", broken)
+        with ServeClient(host=host, port=port, timeout=10.0) as client:
+            with pytest.raises(ServeError, match="shutting down"):
+                client.query(sample_queries(random_gnp, 1)[0], k=3)
+        with pytest.raises(RuntimeError, match="loop broke"):
+            server.serve_forever()
+
+
+# ----------------------------------------------------------------------
+# One loop serves every connection: no client may hold up another
+# ----------------------------------------------------------------------
+def frame(message: dict) -> bytes:
+    payload = json.dumps(message).encode("utf-8")
+    return struct.pack("<I", len(payload)) + payload
+
+
+def wait_until(condition, seconds: float = 10.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestLoopIsolation:
+    def test_half_sent_frame_does_not_delay_other_clients(self, random_gnp):
+        query = sample_queries(random_gnp, 1)[0]
+        data = frame({"op": "query", "queries": [query], "k": 3})
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10.0) as stalled:
+                stalled.sendall(data[:len(data) // 2])
+                with ServeClient(host=host, port=port, timeout=10.0) as client:
+                    assert client.query(query, k=3)
+                    assert client.ping()
+                # The stalled frame completes later and is answered.
+                stalled.sendall(data[len(data) // 2:])
+                assert recv_message(stalled)["ok"] is True
+
+    def test_client_that_never_reads_does_not_delay_other_clients(
+        self, random_gnp
+    ):
+        nodes = sorted(random_gnp.nodes())
+        # Every answer 40 times over: ~60 KB per response, so a few
+        # dozen fill the socket buffers of a client that never reads.
+        request = frame(
+            {"op": "query", "queries": nodes * 40, "k": 8, "algorithm": "indexed"}
+        )
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            greedy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            greedy.connect((host, port))
+
+            def flood():
+                try:
+                    for _ in range(1000):
+                        greedy.sendall(request)
+                except OSError:
+                    pass  # closed below
+
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            try:
+                # The server holds response bytes the socket would not
+                # take, so it reads nothing more from that client...
+                wait_until(
+                    lambda: any(conn.outbox for conn in list(server._connections)),
+                    seconds=60.0,
+                )
+                # ...and still answers everyone else.
+                with ServeClient(host=host, port=port, timeout=10.0) as client:
+                    assert client.query(nodes[0], k=3)
+                    assert client.ping()
+            finally:
+                greedy.shutdown(socket.SHUT_RDWR)  # wakes a blocked sendall
+                greedy.close()
+                flooder.join(timeout=10.0)
+            assert not flooder.is_alive()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            struct.pack("<I", MAX_FRAME_BYTES + 1),
+            struct.pack("<I", 3) + b"abc",
+            struct.pack("<I", 7) + b"[1,2,3]",
+            struct.pack("<I", 100000) + b"[" * 100000,
+            struct.pack("<I", 5000) + b"1" * 5000,
+        ],
+        ids=[
+            "oversized-prefix",
+            "not-json",
+            "not-an-object",
+            "nested-too-deep",
+            "integer-too-long",
+        ],
+    )
+    def test_malformed_frame_closes_only_its_own_connection(
+        self, random_gnp, data
+    ):
+        query = sample_queries(random_gnp, 1)[0]
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            with ServeClient(host=host, port=port, timeout=10.0) as client:
+                with socket.create_connection((host, port), timeout=10.0) as raw:
+                    raw.sendall(data)
+                    assert recv_message(raw)["ok"] is False
+                    assert recv_message(raw) is None  # closed after the reply
+                assert client.ping()
+                assert client.query(query, k=3)
+
+    def test_disconnect_with_query_pending_leaves_server_answering(
+        self, random_gnp
+    ):
+        nodes = sorted(random_gnp.nodes())
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            server.batcher.pause()
+            try:
+                with socket.create_connection((host, port), timeout=10.0) as raw:
+                    send_message(
+                        raw, {"op": "query", "queries": nodes[:2], "k": 3}
+                    )
+                    wait_until(lambda: server.batcher.requests >= 1)
+            finally:
+                server.batcher.resume()
+            with ServeClient(host=host, port=port, timeout=10.0) as client:
+                assert client.query(nodes[0], k=3)
+                assert client.health()["healthy"] is True
+            assert server.batcher.queries == 3  # the orphan's batch ran too
+            # Both connections are closed and forgotten.
+            wait_until(lambda: not server._connections)
+
+    def test_ping_health_and_stats_answer_while_queries_are_held(
+        self, random_gnp
+    ):
+        nodes = sorted(random_gnp.nodes())
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            server.batcher.pause()
+            try:
+                with ServeClient(host=host, port=port, timeout=10.0) as held:
+                    send_message(
+                        held._sock, {"op": "query", "queries": nodes[:1], "k": 3}
+                    )
+                    wait_until(lambda: server.batcher.requests >= 1)
+                    with ServeClient(
+                        host=host, port=port, timeout=10.0
+                    ) as client:
+                        assert client.ping()
+                        assert client.health()["healthy"] is True
+                        stats = client.stats()
+                        assert stats["requests"] == 1
+                        assert stats["queries"] == 0  # still held
+                    server.batcher.resume()
+                    assert recv_message(held._sock)["ok"] is True
+            finally:
+                server.batcher.resume()
+
+    @pytest.mark.parametrize(
+        "field", ["pong", "results"], ids=["read-path", "batch-path"]
+    )
+    def test_unexpected_error_closes_only_its_own_connection(
+        self, random_gnp, monkeypatch, capfd, field
+    ):
+        import repro.serve.server as server_module
+
+        send = server_module.send_message
+
+        def failing(sock, message):
+            if field in message:
+                raise RuntimeError("injected")
+            return send(sock, message)
+
+        query = sample_queries(random_gnp, 1)[0]
+        with make_server(random_gnp) as server:
+            host, port = server.address
+            with ServeClient(host=host, port=port, timeout=10.0) as client:
+                monkeypatch.setattr(server_module, "send_message", failing)
+                with ServeClient(host=host, port=port, timeout=10.0) as doomed:
+                    with pytest.raises(ServeConnectionError):
+                        # A ping is answered as it is read, a query after
+                        # its batch.
+                        if field == "pong":
+                            doomed.ping()
+                        else:
+                            doomed.query(query, k=3)
+                monkeypatch.setattr(server_module, "send_message", send)
+                assert client.query(query, k=3)
+                assert client.ping()
+        assert "RuntimeError: injected" in capfd.readouterr().err
 
 
 # ----------------------------------------------------------------------
